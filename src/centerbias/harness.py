@@ -297,14 +297,6 @@ def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
     }
 
 
-def _worker_init():
-    try:
-        import numba
-        numba.set_num_threads(1)
-    except ImportError:
-        pass
-
-
 def default_workers() -> int:
     env = os.environ.get("CENTERBIAS_WORKERS")
     if env:
@@ -346,8 +338,7 @@ def run_regional_training(config: ExperimentConfig,
             results[(ti, rep)] = _train_job(config.to_dict(), ti, rep)
     else:
         ctx = mp.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                                 initializer=_worker_init) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             futures = {(ti, rep): pool.submit(_train_job, config.to_dict(),
                                               ti, rep)
                        for ti, rep in jobs}

@@ -18,8 +18,6 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import _kernels
-
 __all__ = [
     "PaddingMode", "ZERO", "CIRCULAR", "REFLECT", "random_pad",
     "padding_to_dict", "padding_from_dict",
@@ -160,10 +158,6 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
     return win.reshape(c * kh * kw, n * oh * ow)
 
 
-def _fast_conv(spec: ConvSpec) -> bool:
-    return _kernels.AVAILABLE and spec.kernel == (3, 3) and spec.stride == 1
-
-
 def _is_1x1(spec: ConvSpec) -> bool:
     return spec.kernel == (1, 1) and spec.stride == 1 and spec.pad == 0
 
@@ -200,10 +194,6 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     oh, ow = spec.out_hw(x.shape[2], x.shape[3])
     xp = pad(x, spec.pad, spec.mode, rng) if spec.pad else x
     tape = ConvTape(xp, weights, spec, x.shape, (oh, ow))
-    if _fast_conv(spec):
-        y = np.empty((n, spec.out_channels, oh, ow), dtype=x.dtype)
-        _kernels.conv3x3_valid(xp, weights, bias.astype(x.dtype, copy=False), y)
-        return y, tape
     if _is_1x1(spec):
         w2 = weights.reshape(spec.out_channels, spec.in_channels)
         y = np.matmul(w2, xp.reshape(n, spec.in_channels, oh * ow))
@@ -257,30 +247,7 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray
     kh, kw = spec.kernel
     hp, wp = tape.padded.shape[2], tape.padded.shape[3]
 
-    if _fast_conv(spec):
-        flipped = np.ascontiguousarray(
-            tape.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        grad_weights = np.empty_like(tape.weights)
-        grad_bias = np.empty(spec.out_channels, dtype=upstream.dtype)
-        _kernels.conv3x3_grad_weights(tape.padded, upstream, grad_weights,
-                                      grad_bias)
-        # grad w.r.t. the (padded) input = valid conv of the zero-extended
-        # upstream with the flipped, channel-transposed kernel
-        zero_bias = np.zeros(spec.in_channels, dtype=upstream.dtype)
-        constant_border = spec.pad == 0 or spec.mode.kind in ("zero", "random")
-        if constant_border and spec.pad <= 2:
-            # border values are constants w.r.t. the input, so skip the
-            # padded-grad detour and emit the cropped gradient directly
-            full = _zero_pad_hw(upstream, 2 - spec.pad) if spec.pad < 2 \
-                else upstream
-            grad_input = np.empty((n, spec.in_channels, h, w),
-                                  dtype=upstream.dtype)
-            _kernels.conv3x3_valid(full, flipped, zero_bias, grad_input)
-            return grad_input, grad_weights, grad_bias
-        full = _zero_pad_hw(upstream, 2)
-        gxp = np.empty((n, spec.in_channels, hp, wp), dtype=upstream.dtype)
-        _kernels.conv3x3_valid(full, flipped, zero_bias, gxp)
-    elif _is_1x1(spec):
+    if _is_1x1(spec):
         grad_bias = upstream.sum(axis=(0, 2, 3))
         g3 = upstream.reshape(n, spec.out_channels, oh * ow)
         x3 = tape.padded.reshape(n, spec.in_channels, oh * ow)
@@ -290,27 +257,26 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray
         gxp = np.matmul(w2.T, g3)
         return (gxp.reshape(n, spec.in_channels, h, w), grad_weights,
                 grad_bias)
+    grad_bias = upstream.sum(axis=(0, 2, 3))
+    flipped = np.ascontiguousarray(
+        tape.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    g_flat = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).reshape(
+        spec.out_channels, n * oh * ow)
+    cols = _im2col(tape.padded, kh, kw, spec.stride, oh, ow)
+    grad_weights = (g_flat @ cols.T).reshape(tape.weights.shape)
+    if spec.stride == 1:
+        ups = upstream
     else:
-        grad_bias = upstream.sum(axis=(0, 2, 3))
-        flipped = np.ascontiguousarray(
-            tape.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        g_flat = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).reshape(
-            spec.out_channels, n * oh * ow)
-        cols = _im2col(tape.padded, kh, kw, spec.stride, oh, ow)
-        grad_weights = (g_flat @ cols.T).reshape(tape.weights.shape)
-        if spec.stride == 1:
-            ups = upstream
-        else:
-            s = spec.stride
-            ups = np.zeros(
-                (n, spec.out_channels, (oh - 1) * s + 1, (ow - 1) * s + 1),
-                dtype=upstream.dtype)
-            ups[:, :, ::s, ::s] = upstream
-        full = np.pad(ups, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-        cols2 = _im2col(full, kh, kw, 1, hp, wp)
-        gxp = np.matmul(flipped.reshape(spec.in_channels, -1), cols2)
-        gxp = np.ascontiguousarray(
-            gxp.reshape(spec.in_channels, n, hp, wp).transpose(1, 0, 2, 3))
+        s = spec.stride
+        ups = np.zeros(
+            (n, spec.out_channels, (oh - 1) * s + 1, (ow - 1) * s + 1),
+            dtype=upstream.dtype)
+        ups[:, :, ::s, ::s] = upstream
+    full = np.pad(ups, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    cols2 = _im2col(full, kh, kw, 1, hp, wp)
+    gxp = np.matmul(flipped.reshape(spec.in_channels, -1), cols2)
+    gxp = np.ascontiguousarray(
+        gxp.reshape(spec.in_channels, n, hp, wp).transpose(1, 0, 2, 3))
     grad_input = _pad_adjoint(gxp, spec.pad, spec.mode, h, w)
     return grad_input, grad_weights, grad_bias
 
@@ -331,11 +297,6 @@ def maxpool2x2_forward(x: np.ndarray) -> PoolRecord:
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
     oh, ow = h // 2, w // 2
-    if _kernels.AVAILABLE and x.flags.c_contiguous:
-        out = np.empty((n, c, oh, ow), dtype=x.dtype)
-        argmax = np.empty((n, c, oh, ow), dtype=np.int64)
-        _kernels.maxpool2x2(x, out, argmax)
-        return PoolRecord(out, argmax, x.shape)
     tl = x[:, :, 0::2, 0::2]
     tr = x[:, :, 0::2, 1::2]
     bl = x[:, :, 1::2, 0::2]

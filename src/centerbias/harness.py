@@ -10,6 +10,7 @@ parallel worker processes without changing any result.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -297,6 +298,33 @@ def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
     }
 
 
+# BLAS reads its thread count when numpy loads, so the limit has to be in a
+# spawned worker's environment before the worker starts
+_WORKER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _worker_pool(workers: int):
+    """A spawned process pool whose workers run single-threaded BLAS.
+
+    Each worker trains its own job, so BLAS threads inside a worker would
+    only contend with the other workers for the cores.  If the user has set
+    either thread variable, both are passed on as they are: OpenBLAS lets
+    OPENBLAS_NUM_THREADS override OMP_NUM_THREADS.
+    """
+    user_set = any(k in os.environ for k in _WORKER_THREAD_VARS)
+    added = () if user_set else _WORKER_THREAD_VARS
+    for k in added:
+        os.environ[k] = "1"
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=mp.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for k in added:
+            os.environ.pop(k, None)
+
+
 def default_workers() -> int:
     env = os.environ.get("CENTERBIAS_WORKERS")
     if env:
@@ -324,8 +352,9 @@ def run_regional_training(config: ExperimentConfig,
     """Train repeats x policies models, evaluate band-wise, aggregate means.
 
     Jobs are deterministic functions of their seeds, so `workers` changes
-    only the wall time.  Worker processes are spawned fresh (with
-    single-threaded kernels) to avoid oversubscribing the training threads.
+    only the wall time.  Worker processes are spawned fresh, with
+    single-threaded BLAS unless the user set OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS, so the workers do not oversubscribe the cores.
     """
     workers = default_workers() if workers is None else workers
     os.makedirs(config.output_dir, exist_ok=True)
@@ -337,8 +366,7 @@ def run_regional_training(config: ExperimentConfig,
         for ti, rep in jobs:
             results[(ti, rep)] = _train_job(config.to_dict(), ti, rep)
     else:
-        ctx = mp.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+        with _worker_pool(workers) as pool:
             futures = {(ti, rep): pool.submit(_train_job, config.to_dict(),
                                               ti, rep)
                        for ti, rep in jobs}

@@ -7,7 +7,14 @@ pure function of its inputs plus an explicit RNG stream; forward ops hand back
 a tape that the matching backward op consumes.
 
 Convolution uses the cross-correlation convention (no kernel flip) and is
-implemented as im2col + GEMM so f32 training runs at BLAS speed.
+implemented as im2col + GEMM so f32 training runs at BLAS speed.  Its input
+gradient is the same kind of GEMM: a valid cross-correlation of the extended
+upstream gradient with the flipped, channel-transposed kernel.  For a
+stride-1 "same" conv (kernel 2*pad+1) with a zero, random or circular border
+the upstream is extended by `pad` with zeros or wrapped, which yields the
+input gradient directly at the input size.  Reflect borders and every other
+geometry form the padded-input gradient and fold it back with the pad's
+adjoint, a few slice-adds per axis.
 """
 
 from __future__ import annotations
@@ -158,6 +165,19 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
     return win.reshape(c * kh * kw, n * oh * ow)
 
 
+def _conv_gemm(xp: np.ndarray, weights: np.ndarray, stride: int, oh: int,
+               ow: int, bias: np.ndarray | None = None) -> np.ndarray:
+    """Valid cross-correlation of `xp` with `weights`, as one im2col GEMM."""
+    oc, _, kh, kw = weights.shape
+    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    y = np.matmul(weights.reshape(oc, -1), cols)
+    del cols
+    if bias is not None:
+        y += bias[:, None]
+    return np.ascontiguousarray(
+        y.reshape(oc, xp.shape[0], oh, ow).transpose(1, 0, 2, 3))
+
+
 def _is_1x1(spec: ConvSpec) -> bool:
     return spec.kernel == (1, 1) and spec.stride == 1 and spec.pad == 0
 
@@ -199,18 +219,33 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
         y = np.matmul(w2, xp.reshape(n, spec.in_channels, oh * ow))
         y += bias[:, None]
         return y.reshape(n, spec.out_channels, oh, ow), tape
-    cols = _im2col(xp, kh, kw, spec.stride, oh, ow)
-    y = np.matmul(weights.reshape(spec.out_channels, -1), cols)
-    y += bias[:, None]
-    y = np.ascontiguousarray(
-        y.reshape(spec.out_channels, n, oh, ow).transpose(1, 0, 2, 3))
-    return y, tape
+    return _conv_gemm(xp, weights, spec.stride, oh, ow, bias), tape
 
 
-def _mirror_indices(padded_len: int, a: int, n: int) -> np.ndarray:
-    i = np.arange(padded_len) - a
-    i = np.where(i < 0, -i, i)
-    return np.where(i >= n, 2 * n - 2 - i, i)
+def _fold_border(g: np.ndarray, a: int, size: int, kind: str) -> np.ndarray:
+    """Adjoint of padding axis 0 of a `size`-long array by `a` per side.
+
+    Adds every padded slice onto the source index it was copied from, in
+    ascending padded order, so each sum adds its terms in the order of a
+    sequential scatter.
+    """
+    out = np.zeros((size,) + g.shape[1:], dtype=g.dtype)
+    if kind == "circular":
+        # padded index j holds source (j - a) mod size; a > size wraps
+        # more than once
+        j = 0
+        while j < len(g):
+            m = (j - a) % size
+            k = min(size - m, len(g) - j)
+            out[m:m + k] += g[j:j + k]
+            j += k
+    else:
+        # reflect (a < size): padded j < a holds source a - j, padded
+        # a + size + i holds source size - 2 - i
+        out[1:a + 1] += g[a - 1::-1]
+        out += g[a:a + size]
+        out[size - 1 - a:size - 1] += g[a + size:][::-1]
+    return out
 
 
 def _pad_adjoint(gxp: np.ndarray, a: int, mode: PaddingMode,
@@ -221,18 +256,9 @@ def _pad_adjoint(gxp: np.ndarray, a: int, mode: PaddingMode,
     if mode.kind in ("zero", "random"):
         # pad values are constants w.r.t. the input
         return np.ascontiguousarray(gxp[:, :, a:a + h, a:a + w])
-    hp, wp = gxp.shape[2], gxp.shape[3]
-    if mode.kind == "circular":
-        ih = (np.arange(hp) - a) % h
-        iw = (np.arange(wp) - a) % w
-    else:
-        ih = _mirror_indices(hp, a, h)
-        iw = _mirror_indices(wp, a, w)
-    tmp = np.zeros((gxp.shape[0], gxp.shape[1], h, wp), dtype=gxp.dtype)
-    np.add.at(tmp.transpose(2, 0, 1, 3), ih, gxp.transpose(2, 0, 1, 3))
-    out = np.zeros((gxp.shape[0], gxp.shape[1], h, w), dtype=gxp.dtype)
-    np.add.at(out.transpose(3, 0, 1, 2), iw, tmp.transpose(3, 0, 1, 2))
-    return out
+    gh = _fold_border(gxp.transpose(2, 0, 1, 3), a, h, mode.kind)
+    gw = _fold_border(gh.transpose(3, 1, 2, 0), a, w, mode.kind)
+    return np.ascontiguousarray(gw.transpose(1, 2, 3, 0))
 
 
 def conv2d_backward(tape: ConvTape, upstream: np.ndarray
@@ -245,7 +271,7 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray
         raise ValueError(
             f"upstream shape {upstream.shape} does not match forward output")
     kh, kw = spec.kernel
-    hp, wp = tape.padded.shape[2], tape.padded.shape[3]
+    a = spec.pad
 
     if _is_1x1(spec):
         grad_bias = upstream.sum(axis=(0, 2, 3))
@@ -258,27 +284,32 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray
         return (gxp.reshape(n, spec.in_channels, h, w), grad_weights,
                 grad_bias)
     grad_bias = upstream.sum(axis=(0, 2, 3))
-    flipped = np.ascontiguousarray(
-        tape.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     g_flat = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).reshape(
         spec.out_channels, n * oh * ow)
     cols = _im2col(tape.padded, kh, kw, spec.stride, oh, ow)
     grad_weights = (g_flat @ cols.T).reshape(tape.weights.shape)
-    if spec.stride == 1:
-        ups = upstream
-    else:
-        s = spec.stride
-        ups = np.zeros(
-            (n, spec.out_channels, (oh - 1) * s + 1, (ow - 1) * s + 1),
-            dtype=upstream.dtype)
-        ups[:, :, ::s, ::s] = upstream
-    full = np.pad(ups, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    cols2 = _im2col(full, kh, kw, 1, hp, wp)
-    gxp = np.matmul(flipped.reshape(spec.in_channels, -1), cols2)
-    gxp = np.ascontiguousarray(
-        gxp.reshape(spec.in_channels, n, hp, wp).transpose(1, 0, 2, 3))
-    grad_input = _pad_adjoint(gxp, spec.pad, spec.mode, h, w)
-    return grad_input, grad_weights, grad_bias
+    del g_flat, cols
+    flipped = tape.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    if (spec.stride == 1 and kh == kw == 2 * a + 1
+            and spec.mode.kind != "reflect"):
+        # input pixel (i, j) meets upstream (i - a .. i + a, j - a .. j + a),
+        # wrapped for circular, outside the image zero otherwise
+        if spec.mode.kind == "circular":
+            ups = np.pad(upstream, ((0, 0), (0, 0), (a, a), (a, a)),
+                         mode="wrap")
+        else:
+            ups = _zero_pad_hw(upstream, a)
+        return _conv_gemm(ups, flipped, 1, h, w), grad_weights, grad_bias
+    # the stride-dilated upstream, zero-extended by the kernel on each side;
+    # padded rows and columns past the last window (when the stride does not
+    # divide hp - kh) get no gradient
+    s = spec.stride
+    hp, wp = tape.padded.shape[2], tape.padded.shape[3]
+    full = np.zeros((n, spec.out_channels, hp + kh - 1, wp + kw - 1),
+                    dtype=upstream.dtype)
+    full[:, :, kh - 1:kh - 1 + oh * s:s, kw - 1:kw - 1 + ow * s:s] = upstream
+    gxp = _conv_gemm(full, flipped, 1, hp, wp)
+    return _pad_adjoint(gxp, a, spec.mode, h, w), grad_weights, grad_bias
 
 
 @dataclass
@@ -351,7 +382,9 @@ def upsample_nearest2x_backward(upstream: np.ndarray) -> np.ndarray:
     n, c, h, w = upstream.shape
     if h % 2 or w % 2:
         raise ValueError("upstream dims must be even")
-    return upstream.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+    g = upstream
+    return ((g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
+            + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]))
 
 
 def softmax_cross_entropy_pixelwise(logits: np.ndarray, target: np.ndarray

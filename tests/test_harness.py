@@ -1,10 +1,13 @@
 """Harness oracles at smoke scale: determinism, normalization arithmetic,
 asymmetry ratios, and artifact round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
 from centerbias import data, harness, unet
+from centerbias import tensor_core as tc
 from centerbias.data import Band, ForbiddenCentral, Unrestricted
 
 
@@ -114,11 +117,17 @@ class TestRunRegionalTraining:
                 assert unet.load_checkpoint(path).config.depth == 2
 
     def test_bitwise_determinism_and_worker_invariance(self, tmp_path):
-        cfg1 = tiny_config(tmp_path, output_dir=str(tmp_path / "r1"))
-        cfg2 = tiny_config(tmp_path, output_dir=str(tmp_path / "r2"))
+        # two jobs, so workers=2 really trains them in the spawned pool
+        kw = dict(train_policies=(Unrestricted(), ForbiddenCentral(0.5)),
+                  model=unet.UNetConfig(depth=2, base_channels=2,
+                                        padding=tc.CIRCULAR))
+        cfg1 = tiny_config(tmp_path, output_dir=str(tmp_path / "r1"), **kw)
+        cfg2 = tiny_config(tmp_path, output_dir=str(tmp_path / "r2"), **kw)
         a = harness.run_regional_training(cfg1, workers=1)
         b = harness.run_regional_training(cfg2, workers=2)
+        assert b.wall_clock["workers"] == 2
         np.testing.assert_array_equal(a.per_repeat, b.per_repeat)
+        assert a.traces == b.traces
         assert a.config_hash == b.config_hash
 
     def test_augmented_run_executes(self, tmp_path):
@@ -126,6 +135,26 @@ class TestRunRegionalTraining:
             {"name": "random_periodic_shift", "max_frac": 0.25},))
         record = harness.run_regional_training(cfg, workers=1)
         assert np.isfinite(record.raw).all()
+
+
+class TestWorkerPool:
+    def test_pool_workers_run_single_thread_blas(self, monkeypatch):
+        for k in harness._WORKER_THREAD_VARS:
+            monkeypatch.delenv(k, raising=False)
+        with harness._worker_pool(2) as pool:
+            seen = [pool.submit(os.getenv, k).result(timeout=120)
+                    for k in harness._WORKER_THREAD_VARS]
+        assert seen == ["1", "1"]
+        assert not any(k in os.environ for k in harness._WORKER_THREAD_VARS)
+
+    def test_pool_keeps_user_thread_setting(self, monkeypatch):
+        for k in harness._WORKER_THREAD_VARS:
+            monkeypatch.delenv(k, raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        with harness._worker_pool(1) as pool:
+            seen = [pool.submit(os.getenv, k).result(timeout=120)
+                    for k in harness._WORKER_THREAD_VARS]
+        assert seen == [None, "2"]
 
 
 class TestNormalize:

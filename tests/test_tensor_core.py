@@ -168,6 +168,47 @@ class TestConvBackward:
         assert tc.gradcheck(conv_op(spec), [x, w, b], 1e-4,
                             np.random.default_rng(3)).passed
 
+    @pytest.mark.parametrize("mode,kernel,pad,hw", [
+        (tc.ZERO, (2, 2), 0, (5, 5)), (tc.REFLECT, (3, 3), 1, (6, 5))])
+    def test_finite_difference_stride_skips_last_rows(self, mode, kernel,
+                                                      pad, hw):
+        # stride 2 does not divide hp - kh: the last padded row and column
+        # fall in no window and must get exactly zero gradient
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 2) + hw)
+        w = rng.standard_normal((2, 2) + kernel)
+        b = rng.standard_normal(2)
+        spec = tc.ConvSpec(2, 2, kernel, stride=2, pad=pad, mode=mode)
+        assert tc.gradcheck(conv_op(spec), [x, w, b], 1e-4,
+                            np.random.default_rng(17)).passed
+
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
+                                      tc.random_pad(0.7)])
+    def test_finite_difference_5x5_pad2(self, mode):
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((2, 2, 6, 5))
+        w = rng.standard_normal((3, 2, 5, 5))
+        b = rng.standard_normal(3)
+        spec = tc.ConvSpec(2, 3, (5, 5), pad=2, mode=mode)
+        report = tc.gradcheck(conv_op(spec, seed=42), [x, w, b], 1e-4,
+                              np.random.default_rng(11))
+        assert report.passed, report
+
+    @pytest.mark.parametrize("kernel,stride", [((7, 7), 1), ((5, 5), 1),
+                                               ((3, 3), 2)])
+    def test_finite_difference_circular_wider_than_image(self, kernel,
+                                                         stride):
+        # a 3-pixel wrap on a 2x3 image wraps the border more than once
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 2, 2, 3))
+        w = rng.standard_normal((2, 2) + kernel)
+        b = rng.standard_normal(2)
+        spec = tc.ConvSpec(2, 2, kernel, stride=stride, pad=3,
+                           mode=tc.CIRCULAR)
+        report = tc.gradcheck(conv_op(spec), [x, w, b], 1e-4,
+                              np.random.default_rng(13))
+        assert report.passed, report
+
     def test_upstream_shape_mismatch(self):
         x = np.zeros((1, 1, 4, 4))
         w = np.zeros((1, 1, 3, 3))
@@ -175,6 +216,52 @@ class TestConvBackward:
                                     tc.ConvSpec(1, 1, (3, 3), pad=1))
         with pytest.raises(ValueError):
             tc.conv2d_backward(tape, np.zeros((1, 1, 2, 2)))
+
+
+def _pad_adjoint_scatter(gxp, a, mode, h, w):
+    """Reference adjoint of `pad`: scatter-add every padded pixel onto the
+    source pixel it copies, rows then columns, in ascending padded order."""
+    hp, wp = gxp.shape[2], gxp.shape[3]
+    if mode.kind == "circular":
+        ih, iw = (np.arange(hp) - a) % h, (np.arange(wp) - a) % w
+    else:
+        def mirror(padded_len, size):
+            i = np.abs(np.arange(padded_len) - a)
+            return np.where(i >= size, 2 * size - 2 - i, i)
+        ih, iw = mirror(hp, h), mirror(wp, w)
+    tmp = np.zeros(gxp.shape[:2] + (h, wp), dtype=gxp.dtype)
+    np.add.at(tmp.transpose(2, 0, 1, 3), ih, gxp.transpose(2, 0, 1, 3))
+    out = np.zeros(gxp.shape[:2] + (h, w), dtype=gxp.dtype)
+    np.add.at(out.transpose(3, 0, 1, 2), iw, tmp.transpose(3, 0, 1, 2))
+    return out
+
+
+class TestPadAdjoint:
+    @pytest.mark.parametrize("mode,a,h,w", [
+        (tc.CIRCULAR, 1, 6, 9), (tc.CIRCULAR, 2, 5, 3),
+        (tc.CIRCULAR, 5, 2, 3), (tc.CIRCULAR, 7, 1, 4),
+        (tc.REFLECT, 1, 6, 9), (tc.REFLECT, 2, 3, 5), (tc.REFLECT, 4, 5, 7)])
+    def test_matches_scatter_reference_exactly(self, mode, a, h, w):
+        rng = np.random.default_rng(a * 100 + h * 10 + w)
+        for dtype in (np.float32, np.float64):
+            gxp = rng.standard_normal((2, 3, h + 2 * a, w + 2 * a)).astype(
+                dtype)
+            out = tc._pad_adjoint(gxp, a, mode, h, w)
+            assert out.dtype == dtype and out.flags.c_contiguous
+            np.testing.assert_array_equal(
+                out, _pad_adjoint_scatter(gxp, a, mode, h, w))
+
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT])
+    def test_is_adjoint_of_pad(self, mode):
+        # <pad(x), g> == <x, pad_adjoint(g)> for every x, g
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 2, 4, 3))
+        g = rng.standard_normal((2, 2, 10, 9)) if mode is tc.CIRCULAR \
+            else rng.standard_normal((2, 2, 6, 5))
+        a = (g.shape[2] - 4) // 2
+        lhs = (tc.pad(x, a, mode) * g).sum()
+        rhs = (x * tc._pad_adjoint(g, a, mode, 4, 3)).sum()
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestMaxPool:
@@ -264,6 +351,13 @@ class TestReluAndUpsample:
     def test_upsample_backward_block_sum(self):
         g = np.ones((1, 1, 2, 2))
         assert tc.upsample_nearest2x_backward(g).item() == 4.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_upsample_backward_matches_reshape_sum(self, dtype):
+        g = np.random.default_rng(15).standard_normal((3, 4, 8, 10)).astype(
+            dtype)
+        ref = g.reshape(3, 4, 4, 2, 5, 2).sum(axis=(3, 5))
+        np.testing.assert_array_equal(tc.upsample_nearest2x_backward(g), ref)
 
     def test_up_then_avgpool_roundtrip(self):
         # compositional oracle: nearest-2x then 2x2 mean recovers the input

@@ -125,7 +125,6 @@ class TestRunRegionalTraining:
         cfg2 = tiny_config(tmp_path, output_dir=str(tmp_path / "r2"), **kw)
         a = harness.run_regional_training(cfg1, workers=1)
         b = harness.run_regional_training(cfg2, workers=2)
-        assert b.wall_clock["workers"] == 2
         np.testing.assert_array_equal(a.per_repeat, b.per_repeat)
         assert a.traces == b.traces
         assert a.config_hash == b.config_hash

@@ -123,9 +123,9 @@ def cmd_eval(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "eval.csv")
-        harness._write_matrix_csv(path, [os.path.basename(args.checkpoint)],
-                                  [data.policy_label(p) for p in policies],
-                                  np.array([row]))
+        harness.write_matrix_csv(path, [os.path.basename(args.checkpoint)],
+                                 [data.policy_label(p) for p in policies],
+                                 np.array([row]))
         print(f"row -> {path}")
     return EXIT_OK
 
@@ -158,7 +158,7 @@ def _load_sample_pair(image_path, label_path) -> data.Sample:
     classes = np.unique(target[target > 0])
     digit_class = int(classes[0]) - 1 if classes.size else 0
     meta = data.SampleMeta(digit_class, None, None,
-                           data._mask_bbox(target > 0))
+                           data.mask_bbox(target > 0))
     H, W = img.shape
     return data.Sample(img.reshape(1, 1, H, W), target, meta)
 
@@ -178,7 +178,7 @@ def cmd_augment(args) -> int:
             raise ValueError("label map has no object to shift")
         img, boxes, _ = augment_mod.shift_object_to_boundary(
             sample.input, [box], [sample.meta.digit_class], rng)
-        spec = harness._boundary_spec(box, sample.target.shape)
+        spec = augment_mod.boundary_shift(box, sample.target.shape)
         out = augment_mod.shift_sample(sample, spec)
         H, W = sample.target.shape
         dmin = min(min(x, W - (x + w), y, H - (y + h))
@@ -231,7 +231,7 @@ def run_verification_suite(verbose: bool = True) -> bool:
         x = rng.standard_normal((2, 3, 6, 5))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
-        spec = tc.ConvSpec(3, 4, (3, 3), 1, 1, mode)
+        spec = tc.ConvSpec(3, 4, 3, mode)
 
         def op(x_, w_, b_, spec=spec):
             frozen = np.random.default_rng(99)

@@ -12,8 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, Union
 
 import numpy as np
@@ -29,7 +28,7 @@ __all__ = [
     "NoisePool", "ImageDir", "generate_background",
     "normalized_offset", "sample_placement", "composite_sample",
     "Sample", "SampleMeta", "DatasetConfig",
-    "sample_at", "iter_samples", "generate_many",
+    "sample_at", "iter_samples", "mask_bbox",
 ]
 
 BACKGROUND_CAP = 0.95  # keeps the pasted object the unique maximum intensity
@@ -395,7 +394,8 @@ class Sample:
     meta: SampleMeta
 
 
-def _mask_bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
+def mask_bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Tight (x, y, w, h) box of a boolean mask; None if it is empty."""
     ys, xs = np.nonzero(mask)
     if ys.size == 0:
         return None
@@ -427,7 +427,7 @@ def composite_sample(glyph: np.ndarray, digit_class: int,
     target[oy:oy + gh, ox:ox + gw][mask] = digit_class + 1
     full = np.zeros((H, W), dtype=bool)
     full[oy:oy + gh, ox:ox + gw] = mask
-    meta = SampleMeta(digit_class, (dx, dy), r, _mask_bbox(full))
+    meta = SampleMeta(digit_class, (dx, dy), r, mask_bbox(full))
     return Sample(img.reshape(1, 1, H, W), target, meta)
 
 
@@ -445,6 +445,11 @@ class DatasetConfig:
     glyph_source: str = "builtin"
 
     def __post_init__(self):
+        for name in ("height", "width", "count", "master_seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"dataset.{name} must be an integer, "
+                                 f"got {value!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
 
@@ -464,6 +469,9 @@ class DatasetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetConfig":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown dataset config keys {sorted(unknown)}")
         bg = d.get("background", {"kind": "noise"})
         if bg["kind"] == "noise":
             background = NoisePool(bg.get("seed", 0), bg.get("smoothing", 2))
@@ -501,15 +509,3 @@ def sample_at(config: DatasetConfig, index: int) -> Sample:
 def iter_samples(config: DatasetConfig) -> Iterator[Sample]:
     for i in range(config.count):
         yield sample_at(config, i)
-
-
-def generate_many(config: DatasetConfig, indices=None,
-                  workers: int = 1) -> list[Sample]:
-    """Generate samples by index; per-index seeding makes the result
-    independent of worker count."""
-    if indices is None:
-        indices = range(config.count)
-    if workers <= 1:
-        return [sample_at(config, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: sample_at(config, i), indices))

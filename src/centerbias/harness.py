@@ -17,7 +17,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import multiprocessing as mp
 
@@ -29,7 +29,8 @@ from .rng import splitmix64, stream
 __all__ = [
     "ExperimentConfig", "RunRecord", "run_regional_training",
     "evaluate_bands", "normalize_matrix", "summarize_asymmetry",
-    "export_results", "load_results", "SCHEMA_VERSION",
+    "export_results", "load_results", "write_matrix_csv", "read_matrix_csv",
+    "SCHEMA_VERSION",
 ]
 
 SCHEMA_VERSION = 1
@@ -40,42 +41,27 @@ EVAL_BATCH = 32
 # --------------------------------------------------------------------------
 # sample-level augmentation registry (referenced by name in config JSON)
 
+def _shift_pair(x, t, spec):
+    return augment.periodic_shift(x, spec), augment.periodic_shift(t, spec)
+
+
 def _aug_random_shift(params):
     max_frac = float(params.get("max_frac", 0.25))
 
     def apply(x, t, rng):
-        H, W = t.shape
-        mx, my = int(max_frac * W), int(max_frac * H)
-        dx = int(rng.integers(-mx, mx + 1)) if mx else 0
-        dy = int(rng.integers(-my, my + 1)) if my else 0
-        spec = augment.ShiftSpec(dx, dy)
-        return augment.periodic_shift(x, spec), augment.periodic_shift(t, spec)
+        return _shift_pair(x, t, augment.random_shift(t.shape, rng, max_frac))
 
     return apply
 
 
-def _boundary_spec(box, hw):
-    H, W = hw
-    x, y, w, h = box
-    distances = {"left": x, "right": W - (x + w), "top": y,
-                 "bottom": H - (y + h)}
-    side = min(("left", "right", "top", "bottom"),
-               key=lambda s: (distances[s],
-                              ("left", "right", "top", "bottom").index(s)))
-    d = distances[side]
-    return augment.ShiftSpec(
-        dx=-d if side == "left" else d if side == "right" else 0,
-        dy=-d if side == "top" else d if side == "bottom" else 0)
-
-
 def _aug_shift_to_boundary(params):
-    # single-object samples: the chosen box is the mask's tight bbox
+    # single-object samples: the chosen box is the mask's tight bbox, so
+    # no box is drawn and `rng` is left untouched
     def apply(x, t, rng):
-        box = data._mask_bbox(t > 0)
+        box = data.mask_bbox(t > 0)
         if box is None:
             return x, t
-        spec = _boundary_spec(box, t.shape)
-        return augment.periodic_shift(x, spec), augment.periodic_shift(t, spec)
+        return _shift_pair(x, t, augment.boundary_shift(box, t.shape))
 
     return apply
 
@@ -130,6 +116,17 @@ class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "train_count", "eval_count",
+                     "repeats", "master_seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        div = 2 ** (self.model.depth - 1)
+        if self.dataset.height % div or self.dataset.width % div:
+            raise ValueError(
+                f"dataset height and width ({self.dataset.height}x"
+                f"{self.dataset.width}) must be divisible by {div}, "
+                f"2**(model.depth-1)")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if self.batch_size > self.train_count:
@@ -160,6 +157,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = set(d) - {f.name for f in fields(cls)} - {"train_policy"}
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
         d = dict(d)
         if "train_policy" in d and "train_policies" not in d:
             d["train_policies"] = [d.pop("train_policy")]
@@ -418,8 +418,6 @@ _REFERENCE = {
 
 def normalize_matrix(raw: np.ndarray, eval_policies, mode: str) -> np.ndarray:
     """Divide each row by its reference cell (central band or unrestricted)."""
-    if mode == "raw":
-        return raw.copy()
     if mode not in _REFERENCE:
         raise ValueError(f"unknown normalization mode {mode!r}")
     ref = _REFERENCE[mode]
@@ -454,7 +452,7 @@ def summarize_asymmetry(record_center: RunRecord, record_edge: RunRecord,
 # --------------------------------------------------------------------------
 # persistence
 
-def _write_matrix_csv(path, row_labels, col_labels, matrix):
+def write_matrix_csv(path, row_labels, col_labels, matrix):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["train\\eval"] + list(col_labels))
@@ -500,11 +498,11 @@ def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
     with open(paths["results"], "w") as f:
         json.dump(payload, f, indent=1)
 
-    _write_matrix_csv(paths["matrix_raw"], record.train_labels,
-                      record.eval_labels, record.raw)
+    write_matrix_csv(paths["matrix_raw"], record.train_labels,
+                     record.eval_labels, record.raw)
     for mode, matrix in record.normalized.items():
         p = os.path.join(out, "matrix_norm.csv")
-        _write_matrix_csv(p, record.train_labels, record.eval_labels, matrix)
+        write_matrix_csv(p, record.train_labels, record.eval_labels, matrix)
         paths["matrix_norm"] = p
         break  # one canonical normalized matrix; JSON holds all modes
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import unet
-from .data import (BackgroundSpec, Sample, SampleMeta, _mask_bbox,
+from .data import (BackgroundSpec, Sample, SampleMeta, mask_bbox,
                    generate_background)
 from .netpbm import to_u8, write_pgm
 from .rng import stream
@@ -69,7 +69,7 @@ class CanvasScene:
         top, left = my + dy, mx + dx
         img = self.canvas[top:top + H, left:left + W]
         tgt = self.target[top:top + H, left:left + W]
-        meta = SampleMeta(self.digit_class, None, None, _mask_bbox(tgt > 0))
+        meta = SampleMeta(self.digit_class, None, None, mask_bbox(tgt > 0))
         return Sample(np.ascontiguousarray(img).reshape(1, 1, H, W),
                       np.ascontiguousarray(tgt), meta)
 

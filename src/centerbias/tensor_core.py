@@ -6,15 +6,17 @@ Adam, and a central-finite-difference gradient checker.  Every operation is a
 pure function of its inputs plus an explicit RNG stream; forward ops hand back
 a tape that the matching backward op consumes.
 
-Convolution uses the cross-correlation convention (no kernel flip) and is
-implemented as im2col + GEMM so f32 training runs at BLAS speed.  Its input
-gradient is the same kind of GEMM: a valid cross-correlation of the extended
-upstream gradient with the flipped, channel-transposed kernel.  For a
-stride-1 "same" conv (kernel 2*pad+1) with a zero, random or circular border
-the upstream is extended by `pad` with zeros or wrapped, which yields the
-input gradient directly at the input size.  Reflect borders and every other
-geometry form the padded-input gradient and fold it back with the pad's
-adjoint, a few slice-adds per axis.
+Every convolution is stride-1 and "same": an odd square kernel of size k on
+an input padded by k // 2, so the output keeps the input's height and width.
+It uses the cross-correlation convention (no kernel flip) and is implemented
+as im2col + GEMM so f32 training runs at BLAS speed.  Its input gradient is
+the same kind of GEMM: a valid cross-correlation of the extended upstream
+gradient with the flipped, channel-transposed kernel.  For a zero, random or
+circular border the upstream is extended by the pad with zeros or wrapped,
+which yields the input gradient directly at the input size.  A reflect border
+zero-extends the upstream by twice the pad, which yields the padded-input
+gradient, and folds it back with the pad's adjoint, a few slice-adds per
+axis.
 """
 
 from __future__ import annotations
@@ -115,31 +117,29 @@ def pad(x: np.ndarray, amount: int, mode: PaddingMode,
 
 @dataclass(frozen=True)
 class ConvSpec:
+    """A stride-1 "same" conv with a `size` x `size` kernel, `size` odd."""
+
     in_channels: int
     out_channels: int
-    kernel: tuple[int, int]
-    stride: int = 1
-    pad: int = 0
+    size: int
     mode: PaddingMode = ZERO
+
+    stride = 1  # a class constant, not a field; perfbench/layers.py reads it
 
     def __post_init__(self):
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be >= 1")
-        if self.kernel[0] < 1 or self.kernel[1] < 1:
-            raise ValueError("kernel dims must be >= 1")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.pad < 0:
-            raise ValueError("pad must be >= 0")
+        if self.size < 1 or self.size % 2 == 0:
+            raise ValueError(f"kernel size must be odd and >= 1, "
+                             f"got {self.size}")
 
-    def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        kh, kw = self.kernel
-        oh = (h + 2 * self.pad - kh) // self.stride + 1
-        ow = (w + 2 * self.pad - kw) // self.stride + 1
-        if oh < 1 or ow < 1:
-            raise ValueError(
-                f"non-positive conv output dims for input {h}x{w} with {self}")
-        return oh, ow
+    @property
+    def kernel(self) -> tuple[int, int]:
+        return (self.size, self.size)
+
+    @property
+    def pad(self) -> int:
+        return self.size // 2
 
 
 @dataclass
@@ -150,42 +150,36 @@ class ConvTape:
     weights: np.ndarray
     spec: ConvSpec
     x_shape: tuple[int, int, int, int]
-    out_hw: tuple[int, int]
+    out_hw: tuple[int, int]     # the input's (h, w)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            oh: int, ow: int) -> np.ndarray:
-    n, c, _, _ = xp.shape
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    n, c, hp, wp = xp.shape
+    oh, ow = hp - k + 1, wp - k + 1
     sn, sc, sh, sw = xp.strides
-    win = as_strided(
-        xp, (c, kh, kw, n, oh, ow), (sc, sh, sw, sn, sh * stride, sw * stride))
-    # copies into a contiguous (c*kh*kw, n*oh*ow) matrix: one big GEMM per
+    win = as_strided(xp, (c, k, k, n, oh, ow), (sc, sh, sw, sn, sh, sw))
+    # copies into a contiguous (c*k*k, n*oh*ow) matrix: one big GEMM per
     # layer instead of a batch of skinny ones, and the copy reads image rows
     # sequentially
-    return win.reshape(c * kh * kw, n * oh * ow)
+    return win.reshape(c * k * k, n * oh * ow)
 
 
-def _conv_gemm(xp: np.ndarray, weights: np.ndarray, stride: int, oh: int,
-               ow: int, bias: np.ndarray | None = None) -> np.ndarray:
+def _conv_gemm(xp: np.ndarray, weights: np.ndarray,
+               bias: np.ndarray | None = None) -> np.ndarray:
     """Valid cross-correlation of `xp` with `weights`, as one im2col GEMM."""
-    oc, _, kh, kw = weights.shape
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
+    oc, _, k, _ = weights.shape
+    n, _, hp, wp = xp.shape
+    cols = _im2col(xp, k)
     y = np.matmul(weights.reshape(oc, -1), cols)
     del cols
     if bias is not None:
         y += bias[:, None]
     return np.ascontiguousarray(
-        y.reshape(oc, xp.shape[0], oh, ow).transpose(1, 0, 2, 3))
-
-
-def _is_1x1(spec: ConvSpec) -> bool:
-    return spec.kernel == (1, 1) and spec.stride == 1 and spec.pad == 0
+        y.reshape(oc, n, hp - k + 1, wp - k + 1).transpose(1, 0, 2, 3))
 
 
 def _zero_pad_hw(x: np.ndarray, a: int) -> np.ndarray:
     """np.pad(constant) without zero-filling the soon-overwritten interior."""
-    if a == 0:
-        return x.copy()
     n, c, h, w = x.shape
     out = np.empty((n, c, h + 2 * a, w + 2 * a), dtype=x.dtype)
     out[:, :, :a, :] = 0
@@ -201,8 +195,8 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                    ) -> tuple[np.ndarray, ConvTape]:
     """Cross-correlate the padded input with `weights`; returns (out, tape)."""
     _require_nchw(x)
-    kh, kw = spec.kernel
-    if weights.shape != (spec.out_channels, spec.in_channels, kh, kw):
+    k = spec.size
+    if weights.shape != (spec.out_channels, spec.in_channels, k, k):
         raise ValueError(
             f"weight shape {weights.shape} does not match spec {spec}")
     if x.shape[1] != spec.in_channels:
@@ -210,54 +204,36 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
             f"input has {x.shape[1]} channels, spec wants {spec.in_channels}")
     if bias.shape != (spec.out_channels,):
         raise ValueError("bias length must equal out_channels")
-    n = x.shape[0]
-    oh, ow = spec.out_hw(x.shape[2], x.shape[3])
+    n, _, h, w = x.shape
     xp = pad(x, spec.pad, spec.mode, rng) if spec.pad else x
-    tape = ConvTape(xp, weights, spec, x.shape, (oh, ow))
-    if _is_1x1(spec):
+    tape = ConvTape(xp, weights, spec, x.shape, (h, w))
+    if k == 1:
         w2 = weights.reshape(spec.out_channels, spec.in_channels)
-        y = np.matmul(w2, xp.reshape(n, spec.in_channels, oh * ow))
+        y = np.matmul(w2, xp.reshape(n, spec.in_channels, h * w))
         y += bias[:, None]
-        return y.reshape(n, spec.out_channels, oh, ow), tape
-    return _conv_gemm(xp, weights, spec.stride, oh, ow, bias), tape
+        return y.reshape(n, spec.out_channels, h, w), tape
+    return _conv_gemm(xp, weights, bias), tape
 
 
-def _fold_border(g: np.ndarray, a: int, size: int, kind: str) -> np.ndarray:
-    """Adjoint of padding axis 0 of a `size`-long array by `a` per side.
+def _fold_reflect(g: np.ndarray, a: int, size: int) -> np.ndarray:
+    """Adjoint of reflect-padding axis 0 of a `size`-long array by `a`.
 
     Adds every padded slice onto the source index it was copied from, in
     ascending padded order, so each sum adds its terms in the order of a
-    sequential scatter.
+    sequential scatter.  Padded j < a holds source a - j, padded
+    a + size + i holds source size - 2 - i (a < size).
     """
     out = np.zeros((size,) + g.shape[1:], dtype=g.dtype)
-    if kind == "circular":
-        # padded index j holds source (j - a) mod size; a > size wraps
-        # more than once
-        j = 0
-        while j < len(g):
-            m = (j - a) % size
-            k = min(size - m, len(g) - j)
-            out[m:m + k] += g[j:j + k]
-            j += k
-    else:
-        # reflect (a < size): padded j < a holds source a - j, padded
-        # a + size + i holds source size - 2 - i
-        out[1:a + 1] += g[a - 1::-1]
-        out += g[a:a + size]
-        out[size - 1 - a:size - 1] += g[a + size:][::-1]
+    out[1:a + 1] += g[a - 1::-1]
+    out += g[a:a + size]
+    out[size - 1 - a:size - 1] += g[a + size:][::-1]
     return out
 
 
-def _pad_adjoint(gxp: np.ndarray, a: int, mode: PaddingMode,
-                 h: int, w: int) -> np.ndarray:
-    """Accumulate padded-input gradients back onto the unpadded input."""
-    if a == 0:
-        return gxp
-    if mode.kind in ("zero", "random"):
-        # pad values are constants w.r.t. the input
-        return np.ascontiguousarray(gxp[:, :, a:a + h, a:a + w])
-    gh = _fold_border(gxp.transpose(2, 0, 1, 3), a, h, mode.kind)
-    gw = _fold_border(gh.transpose(3, 1, 2, 0), a, w, mode.kind)
+def _pad_adjoint(gxp: np.ndarray, a: int, h: int, w: int) -> np.ndarray:
+    """Accumulate reflect-padded-input gradients back onto the input."""
+    gh = _fold_reflect(gxp.transpose(2, 0, 1, 3), a, h)
+    gw = _fold_reflect(gh.transpose(3, 1, 2, 0), a, w)
     return np.ascontiguousarray(gw.transpose(1, 2, 3, 0))
 
 
@@ -266,50 +242,38 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray
     """Exact VJP of conv2d_forward: (grad_input, grad_weights, grad_bias)."""
     spec = tape.spec
     n, _, h, w = tape.x_shape
-    oh, ow = tape.out_hw
-    if upstream.shape != (n, spec.out_channels, oh, ow):
+    if upstream.shape != (n, spec.out_channels, h, w):
         raise ValueError(
             f"upstream shape {upstream.shape} does not match forward output")
-    kh, kw = spec.kernel
-    a = spec.pad
+    k, a = spec.size, spec.pad
+    grad_bias = upstream.sum(axis=(0, 2, 3))
 
-    if _is_1x1(spec):
-        grad_bias = upstream.sum(axis=(0, 2, 3))
-        g3 = upstream.reshape(n, spec.out_channels, oh * ow)
-        x3 = tape.padded.reshape(n, spec.in_channels, oh * ow)
+    if k == 1:
+        g3 = upstream.reshape(n, spec.out_channels, h * w)
+        x3 = tape.padded.reshape(n, spec.in_channels, h * w)
         w2 = tape.weights.reshape(spec.out_channels, spec.in_channels)
         grad_weights = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
         grad_weights = grad_weights.reshape(tape.weights.shape)
         gxp = np.matmul(w2.T, g3)
         return (gxp.reshape(n, spec.in_channels, h, w), grad_weights,
                 grad_bias)
-    grad_bias = upstream.sum(axis=(0, 2, 3))
     g_flat = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).reshape(
-        spec.out_channels, n * oh * ow)
-    cols = _im2col(tape.padded, kh, kw, spec.stride, oh, ow)
+        spec.out_channels, n * h * w)
+    cols = _im2col(tape.padded, k)
     grad_weights = (g_flat @ cols.T).reshape(tape.weights.shape)
     del g_flat, cols
     flipped = tape.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    if (spec.stride == 1 and kh == kw == 2 * a + 1
-            and spec.mode.kind != "reflect"):
-        # input pixel (i, j) meets upstream (i - a .. i + a, j - a .. j + a),
-        # wrapped for circular, outside the image zero otherwise
-        if spec.mode.kind == "circular":
-            ups = np.pad(upstream, ((0, 0), (0, 0), (a, a), (a, a)),
-                         mode="wrap")
-        else:
-            ups = _zero_pad_hw(upstream, a)
-        return _conv_gemm(ups, flipped, 1, h, w), grad_weights, grad_bias
-    # the stride-dilated upstream, zero-extended by the kernel on each side;
-    # padded rows and columns past the last window (when the stride does not
-    # divide hp - kh) get no gradient
-    s = spec.stride
-    hp, wp = tape.padded.shape[2], tape.padded.shape[3]
-    full = np.zeros((n, spec.out_channels, hp + kh - 1, wp + kw - 1),
-                    dtype=upstream.dtype)
-    full[:, :, kh - 1:kh - 1 + oh * s:s, kw - 1:kw - 1 + ow * s:s] = upstream
-    gxp = _conv_gemm(full, flipped, 1, hp, wp)
-    return _pad_adjoint(gxp, a, spec.mode, h, w), grad_weights, grad_bias
+    # input pixel (i, j) meets upstream (i - a .. i + a, j - a .. j + a),
+    # wrapped for circular, outside the image zero otherwise
+    if spec.mode.kind == "circular":
+        ups = np.pad(upstream, ((0, 0), (0, 0), (a, a), (a, a)), mode="wrap")
+        return _conv_gemm(ups, flipped), grad_weights, grad_bias
+    if spec.mode.kind != "reflect":
+        return (_conv_gemm(_zero_pad_hw(upstream, a), flipped), grad_weights,
+                grad_bias)
+    # reflect: the gradient of the padded input, then the pad's adjoint
+    gxp = _conv_gemm(_zero_pad_hw(upstream, 2 * a), flipped)
+    return _pad_adjoint(gxp, a, h, w), grad_weights, grad_bias
 
 
 @dataclass
@@ -413,6 +377,11 @@ def softmax_cross_entropy_pixelwise(logits: np.ndarray, target: np.ndarray
     return loss, grad
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates, one entry per parameter array."""
@@ -420,18 +389,13 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
 
     @classmethod
-    def for_params(cls, params: Sequence[np.ndarray], lr: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: Sequence[np.ndarray],
+                   lr: float = 1e-3) -> "AdamState":
         return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params],
-                   lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+                   v=[np.zeros_like(p) for p in params], lr=lr)
 
 
 def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
@@ -441,16 +405,16 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
         raise ValueError("params / grads / state length mismatch")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.shape:
             raise ValueError("gradient shape does not match parameter")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -462,8 +426,7 @@ class GradcheckReport:
 
 def gradcheck(op: Callable, inputs: Sequence[np.ndarray],
               tolerance: float = 1e-4,
-              rng: np.random.Generator | None = None,
-              step: float | None = None) -> GradcheckReport:
+              rng: np.random.Generator | None = None) -> GradcheckReport:
     """Compare an op's VJP against central finite differences.
 
     `op(*inputs)` must return (output, vjp) where vjp(upstream) yields one
@@ -487,8 +450,7 @@ def gradcheck(op: Callable, inputs: Sequence[np.ndarray],
     max_rel = 0.0
     work = [np.array(x, copy=True) for x in inputs]
     for i, x in enumerate(work):
-        base = step if step is not None else float(
-            np.finfo(x.dtype).eps) ** (1.0 / 3.0)
+        base = float(np.finfo(x.dtype).eps) ** (1.0 / 3.0)
         flat = x.reshape(-1)
         ana = np.asarray(analytic[i]).reshape(-1)
         for j in range(flat.size):

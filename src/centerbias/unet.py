@@ -10,7 +10,7 @@ knob, which is the whole point of this laboratory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,12 @@ class UNetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("depth", "base_channels", "in_channels", "num_classes",
+                     "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"model.{name} must be an integer, "
+                                 f"got {value!r}")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.precision not in _DTYPES:
@@ -62,6 +68,9 @@ class UNetConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "UNetConfig":
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown model config keys {sorted(unknown)}")
         d = dict(d)
         d["padding"] = tc.padding_from_dict(d["padding"])
         return cls(**d)
@@ -99,28 +108,28 @@ class Model:
         return params
 
 
-def _layer_plan(config: UNetConfig) -> list[tuple[str, int, int, tuple[int, int]]]:
-    """(name, in_channels, out_channels, kernel) in declaration order."""
+def _layer_plan(config: UNetConfig) -> list[tuple[str, int, int, int]]:
+    """(name, in_channels, out_channels, kernel size) in declaration order."""
     base, depth = config.base_channels, config.depth
     plan = []
     for lvl in range(depth):
         cin = config.in_channels if lvl == 0 else base * 2 ** (lvl - 1)
         cout = base * 2 ** lvl
-        plan.append((f"enc{lvl}a", cin, cout, (3, 3)))
-        plan.append((f"enc{lvl}b", cout, cout, (3, 3)))
+        plan.append((f"enc{lvl}a", cin, cout, 3))
+        plan.append((f"enc{lvl}b", cout, cout, 3))
     for lvl in range(depth - 2, -1, -1):
         cout = base * 2 ** lvl
-        plan.append((f"dec{lvl}a", 3 * cout, cout, (3, 3)))
-        plan.append((f"dec{lvl}b", cout, cout, (3, 3)))
-    plan.append(("head", base, config.num_classes, (1, 1)))
+        plan.append((f"dec{lvl}a", 3 * cout, cout, 3))
+        plan.append((f"dec{lvl}b", cout, cout, 3))
+    plan.append(("head", base, config.num_classes, 1))
     return plan
 
 
 def param_count(config: UNetConfig) -> int:
     """Closed-form parameter count for a config."""
     total = 0
-    for _, cin, cout, (kh, kw) in _layer_plan(config):
-        total += cout * cin * kh * kw + cout
+    for _, cin, cout, k in _layer_plan(config):
+        total += cout * cin * k * k + cout
     return total
 
 
@@ -139,12 +148,11 @@ def build_unet(config: UNetConfig) -> Model:
         cursor += size
         return view
 
-    for name, cin, cout, kernel in _layer_plan(config):
-        pad = 1 if kernel == (3, 3) else 0
-        spec = tc.ConvSpec(cin, cout, kernel, 1, pad, config.padding)
-        fan_in = cin * kernel[0] * kernel[1]
+    for name, cin, cout, k in _layer_plan(config):
+        spec = tc.ConvSpec(cin, cout, k, config.padding)
+        fan_in = cin * k * k
         bound = np.sqrt(6.0 / fan_in)
-        weight = carve((cout, cin) + kernel)
+        weight = carve((cout, cin, k, k))
         weight[...] = rng.uniform(-bound, bound, weight.shape)
         bias = carve((cout,))
         bias[...] = 0
@@ -258,18 +266,14 @@ def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
                rng: np.random.Generator | None = None) -> float:
     """One forward/backward/Adam cycle; returns the pre-update loss.
 
-    `adam` may hold either one moment pair per parameter array or a single
-    pair for the flat buffer (AdamState.for_params([model.flat_params])),
-    which updates the exact same values with far fewer array ops.
+    `adam` holds one moment pair for the flat parameter buffer:
+    AdamState.for_params([model.flat_params]).
     """
     logits, tape = forward(model, batch, rng)
     loss, grad_logits = tc.softmax_cross_entropy_pixelwise(logits, targets)
     param_grads, _ = backward(model, tape, grad_logits)
-    if len(adam.m) == 1:
-        flat_grads = np.concatenate([g.reshape(-1) for g in param_grads])
-        tc.adam_step([model.flat_params], [flat_grads], adam)
-    else:
-        tc.adam_step(model.parameters(), param_grads, adam)
+    flat_grads = np.concatenate([g.reshape(-1) for g in param_grads])
+    tc.adam_step([model.flat_params], [flat_grads], adam)
     model.step += 1
     return loss
 

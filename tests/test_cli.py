@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from centerbias import cli, netpbm
+from centerbias import cli, data, netpbm, unet
 
 
 def run(argv):
@@ -28,6 +28,43 @@ class TestUsage:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"not\": \"a config\"}")
         assert run(["train", "--config", str(bad)]) == 4
+
+
+class TestConfigErrors:
+    """Bad config input exits 4 with a one-line error, not a traceback."""
+
+    def assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("override", ['model.depth="abc"',
+                                          'batch_size="x"'])
+    def test_non_integer_field_exits_4(self, tmp_path, capsys, override):
+        assert run(["train", "--set", override, "--out",
+                    str(tmp_path)]) == 4
+        self.assert_one_line_error(capsys)
+
+    def test_indivisible_dims_exit_4_before_generation(self, tmp_path,
+                                                       capsys, monkeypatch):
+        def no_samples(*args):
+            raise AssertionError("a sample was generated")
+
+        monkeypatch.setattr(data, "sample_at", no_samples)
+        assert run(["train", "--set", "dataset.width=90", "--workers", "1",
+                    "--out", str(tmp_path)]) == 4
+        self.assert_one_line_error(capsys)
+
+    def test_checkpoint_with_unknown_config_key_exits_4(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(
+            unet.build_unet(unet.UNetConfig(depth=1, base_channels=2)), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["config"]["mystery"] = 1
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        assert run(["eval", "--checkpoint", str(path), "--count", "1"]) == 4
+        self.assert_one_line_error(capsys)
 
 
 class TestGen:

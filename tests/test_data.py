@@ -224,12 +224,6 @@ class TestDatasetStream:
         np.testing.assert_array_equal(alone.input, streamed.input)
         np.testing.assert_array_equal(alone.target, streamed.target)
 
-    def test_thread_count_invariance(self):
-        cfg = config(count=64)
-        a = data.generate_many(cfg, workers=1)
-        b = data.generate_many(cfg, workers=4)
-        assert digest(a) == digest(b)
-
     def test_class_histogram_uniform_4sigma(self):
         cfg = config(height=32, width=32, count=10_000, master_seed=9)
         counts = np.zeros(10, dtype=int)

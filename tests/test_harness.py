@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from centerbias import data, harness, unet
+from centerbias import augment, data, harness, unet
 from centerbias import tensor_core as tc
 from centerbias.data import Band, ForbiddenCentral, Unrestricted
 
@@ -136,6 +136,39 @@ class TestRunRegionalTraining:
         assert np.isfinite(record.raw).all()
 
 
+class TestAugmentations:
+    """The harness's array-level augmentations equal the Sample-level ones."""
+
+    def samples(self):
+        cfg = data.DatasetConfig(height=32, width=48, count=20,
+                                 policy=data.AllowedCentral(0.6),
+                                 background=data.NoisePool(smoothing=0))
+        return list(data.iter_samples(cfg))
+
+    def test_random_periodic_shift_matches_augment(self):
+        (fn,) = harness.build_augmentations(
+            [{"name": "random_periodic_shift", "max_frac": 0.3}])
+        for seed, s in enumerate(self.samples()):
+            x, t = fn(s.input[0], s.target, np.random.default_rng(seed))
+            ref = augment.random_periodic_shift(
+                s, np.random.default_rng(seed), 0.3)
+            np.testing.assert_array_equal(x, ref.input[0])
+            np.testing.assert_array_equal(t, ref.target)
+
+    def test_shift_to_boundary_matches_augment_without_drawing(self):
+        (fn,) = harness.build_augmentations(
+            [{"name": "shift_object_to_boundary"}])
+        for seed, s in enumerate(self.samples()):
+            rng = np.random.default_rng(seed)
+            x, t = fn(s.input[0], s.target, rng)
+            ref = augment.shift_sample(
+                s, augment.boundary_shift(s.meta.bbox, s.target.shape))
+            np.testing.assert_array_equal(x, ref.input[0])
+            np.testing.assert_array_equal(t, ref.target)
+            assert (rng.bit_generator.state
+                    == np.random.default_rng(seed).bit_generator.state)
+
+
 class TestWorkerPool:
     def test_pool_workers_run_single_thread_blas(self, monkeypatch):
         for k in harness._WORKER_THREAD_VARS:
@@ -175,12 +208,6 @@ class TestNormalize:
             harness.normalize_matrix(
                 np.ones((1, 2)), [Band(0.2, 0.4), Band(0.9, 1.0)],
                 "by_central_band")
-
-    def test_raw_mode_is_copy(self):
-        raw = np.ones((1, 2))
-        out = harness.normalize_matrix(raw, [Unrestricted()], "raw")
-        assert out is not raw
-        np.testing.assert_array_equal(out, raw)
 
 
 class TestAsymmetry:

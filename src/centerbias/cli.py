@@ -235,8 +235,12 @@ def run_verification_suite(verbose: bool = True) -> bool:
 
         def op(x_, w_, b_, spec=spec):
             frozen = np.random.default_rng(99)
-            y, tape = tc.conv2d_forward(x_, w_, b_, spec, frozen)
-            return y, lambda g: tc.conv2d_backward(tape, g)
+            y, tape = tc.conv2d_forward(tc.to_frame(x_), w_, b_, spec, frozen)
+
+            def vjp(g):
+                gx, gw, gb = tc.conv2d_backward(tape, tc.to_frame(g))
+                return tc.from_frame(gx), gw, gb
+            return tc.from_frame(y), vjp
 
         checks.append((f"conv3x3 {mode.kind} padding",
                        tc.gradcheck(op, [x, w, b], 1e-4,
@@ -245,8 +249,9 @@ def run_verification_suite(verbose: bool = True) -> bool:
     x = rng.standard_normal((2, 4, 8, 8))
 
     def pool_op(x_):
-        rec = tc.maxpool2x2_forward(x_)
-        return rec.output, lambda g: (tc.maxpool2x2_backward(rec, g),)
+        rec = tc.maxpool2x2_forward(tc.to_frame(x_))
+        return tc.from_frame(rec.output), lambda g: (tc.from_frame(
+            tc.maxpool2x2_backward(rec, tc.to_frame(g))),)
 
     checks.append(("maxpool2x2",
                    tc.gradcheck(pool_op, [x], 1e-4, np.random.default_rng(2))))
@@ -262,8 +267,9 @@ def run_verification_suite(verbose: bool = True) -> bool:
     x = rng.standard_normal((1, 2, 3, 4))
 
     def up_op(x_):
-        return (tc.upsample_nearest2x(x_),
-                lambda g: (tc.upsample_nearest2x_backward(g),))
+        return (tc.from_frame(tc.upsample_nearest2x(tc.to_frame(x_))),
+                lambda g: (tc.from_frame(
+                    tc.upsample_nearest2x_backward(tc.to_frame(g))),))
 
     checks.append(("upsample_nearest2x",
                    tc.gradcheck(up_op, [x], 1e-8, np.random.default_rng(4))))
@@ -279,24 +285,28 @@ def run_verification_suite(verbose: bool = True) -> bool:
                    tc.gradcheck(ce_op, [logits], 1e-6,
                                 np.random.default_rng(5))))
 
-    cfg = unet.UNetConfig(depth=3, base_channels=2, precision="f64", seed=3)
-    model = unet.build_unet(cfg)
-    params = model.parameters()
+    # every padding mode fills and folds the ring at every level; depth 3
+    # on 8x8 keeps reflect legal at the 2x2 level
     x = rng.standard_normal((1, 1, 8, 8))
+    for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT, tc.random_pad(1.0)):
+        cfg = unet.UNetConfig(depth=3, base_channels=2, padding=mode,
+                              precision="f64", seed=3)
+        model = unet.build_unet(cfg)
+        params = model.parameters()
 
-    def model_op(x_, *ps):
-        for dst, src in zip(params, ps):
-            dst[...] = src
-        logits, tape = unet.forward(model, x_)
+        def model_op(x_, *ps, model=model, params=params):
+            for dst, src in zip(params, ps):
+                dst[...] = src
+            logits, tape = unet.forward(model, x_, np.random.default_rng(99))
 
-        def vjp(g):
-            grads, gx = unet.backward(model, tape, g)
-            return (gx, *grads)
-        return logits, vjp
+            def vjp(g):
+                grads, gx = unet.backward(model, tape, g)
+                return (gx, *grads)
+            return logits, vjp
 
-    checks.append(("whole U-Net (depth 3)",
-                   tc.gradcheck(model_op, [x] + [p.copy() for p in params],
-                                1e-3, np.random.default_rng(6))))
+        checks.append((f"whole U-Net (depth 3) {mode.kind}",
+                       tc.gradcheck(model_op, [x] + [p.copy() for p in params],
+                                    1e-3, np.random.default_rng(6))))
 
     all_ok = True
     for name, report in checks:

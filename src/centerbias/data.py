@@ -129,6 +129,8 @@ def policy_to_dict(policy: PlacementPolicy) -> dict:
 
 
 def policy_from_dict(d: dict) -> PlacementPolicy:
+    if not isinstance(d, dict):
+        raise ValueError(f"policy must be a dict with a 'kind', got {d!r}")
     kind = d["kind"]
     if kind == "allowed_central":
         return AllowedCentral(d["a"])
@@ -473,6 +475,9 @@ class DatasetConfig:
         if unknown:
             raise ValueError(f"unknown dataset config keys {sorted(unknown)}")
         bg = d.get("background", {"kind": "noise"})
+        if not isinstance(bg, dict):
+            raise ValueError(
+                f"background must be a dict with a 'kind', got {bg!r}")
         if bg["kind"] == "noise":
             background = NoisePool(bg.get("seed", 0), bg.get("smoothing", 2))
         elif bg["kind"] == "image_dir":

@@ -14,6 +14,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -121,6 +122,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        lr = self.learning_rate
+        if not (isinstance(lr, (int, float)) and not isinstance(lr, bool)
+                and math.isfinite(lr) and lr > 0):
+            raise ValueError(
+                f"learning_rate must be a finite number > 0, got {lr!r}")
         div = 2 ** (self.model.depth - 1)
         if self.dataset.height % div or self.dataset.width % div:
             raise ValueError(
@@ -228,7 +234,7 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
         for start in range(0, eval_count, EVAL_BATCH):
             xb = X[start:start + EVAL_BATCH]
             tb = T[start:start + EVAL_BATCH].astype(np.int64)
-            logits, _ = unet.forward(model, xb)
+            logits, _ = unet.forward(model, xb, keep_tape=False)
             loss, _ = tc.softmax_cross_entropy_pixelwise(logits, tb)
             total += loss * len(xb)
         row.append(total / eval_count)

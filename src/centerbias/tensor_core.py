@@ -1,4 +1,4 @@
-"""Minimal deterministic NCHW tensor engine.
+"""Minimal deterministic tensor engine on channel-major padded frames.
 
 Padded convolution (zero / circular / reflect / random borders), 2x2 max
 pooling, ReLU, nearest-neighbor upsampling, pixel-wise softmax cross-entropy,
@@ -6,32 +6,47 @@ Adam, and a central-finite-difference gradient checker.  Every operation is a
 pure function of its inputs plus an explicit RNG stream; forward ops hand back
 a tape that the matching backward op consumes.
 
-Every convolution is stride-1 and "same": an odd square kernel of size k on
-an input padded by k // 2, so the output keeps the input's height and width.
-It uses the cross-correlation convention (no kernel flip) and is implemented
-as im2col + GEMM so f32 training runs at BLAS speed.  Its input gradient is
-the same kind of GEMM: a valid cross-correlation of the extended upstream
-gradient with the flipped, channel-transposed kernel.  For a zero, random or
-circular border the upstream is extended by the pad with zeros or wrapped,
-which yields the input gradient directly at the input size.  A reflect border
-zero-extends the upstream by twice the pad, which yields the padded-input
-gradient, and folds it back with the pad's adjoint, a few slice-adds per
-axis.
+Activations and their gradients live in frames.  A frame is a
+(C, N, H + 2, W + 2) view holding every image of a batch with a 1-pixel ring
+around it; `to_frame` and `from_frame` convert from and to NCHW.  Ops read and
+write a frame's interior.  The ring is scratch space that `pad` fills in place
+before a 3x3 conv reads it.  Each channel of a frame is one row of a
+C-contiguous (C, L) buffer: a zero guard of G columns, the frame's
+N*(H+2)*(W+2) pixels, a zero tail up to the span's end, and another guard.
+The span is the frame plus its tail, a multiple of _ALIGN columns.
+
+Every convolution is stride-1 and "same": a 3x3 kernel on the ring-padded
+input, or the 1x1 head, which is one GEMM over the buffer.  It uses the
+cross-correlation convention (no kernel flip).  In the buffer, tap (di, dj)
+of a 3x3 conv reads the span shifted by (di - 1) * (W + 2) + (dj - 1)
+columns, so the conv is shift-accumulate GEMMs over contiguous slices, with
+no im2col gather (kn2row; Anderson, Vasudevan, Keane & Gregg, 2017).  Each
+conv shift-stacks its thinner side: either the nine shifted input slices
+(9*c rows, one GEMM), or the GEMM output (Z = W_taps @ X with 9*oc rows, then
+nine shifted adds).  A shift that crosses a ring reaches the guards or the
+neighbouring image only from ring and tail outputs, which are never read.
+
+The backward pass zeroes everything of the upstream gradient but its
+interior, since only interior outputs exist.  grad-W and grad-bias are GEMMs
+against the same shifted slices.  grad-input is the same conv run on the
+upstream with the flipped, transposed taps: a circular border first wraps the
+upstream's ring, which yields the input gradient directly; a reflect border
+computes the gradient over the whole frame, ring included, and folds the ring
+back onto the interior pixels it copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "PaddingMode", "ZERO", "CIRCULAR", "REFLECT", "random_pad",
-    "padding_to_dict", "padding_from_dict",
-    "ConvSpec", "ConvTape", "PoolRecord", "AdamState", "GradcheckReport",
-    "pad", "conv2d_forward", "conv2d_backward",
+    "padding_to_dict", "padding_from_dict", "new_frame", "to_frame",
+    "from_frame", "ConvSpec", "ConvTape", "PoolRecord", "AdamState",
+    "GradcheckReport", "pad", "conv2d_forward", "conv2d_backward",
     "maxpool2x2_forward", "maxpool2x2_backward",
     "relu", "relu_backward", "upsample_nearest2x", "upsample_nearest2x_backward",
     "softmax_cross_entropy_pixelwise", "adam_step", "gradcheck",
@@ -72,6 +87,8 @@ def padding_to_dict(mode: PaddingMode) -> dict:
 
 
 def padding_from_dict(d: dict) -> PaddingMode:
+    if not isinstance(d, dict):
+        raise ValueError(f"padding must be a dict with a 'kind', got {d!r}")
     return PaddingMode(d["kind"], d.get("amplitude", 1.0))
 
 
@@ -80,44 +97,126 @@ def _require_nchw(x: np.ndarray, name: str = "input") -> None:
         raise ValueError(f"{name} must be a 4-d (n, c, h, w) array")
 
 
-def pad(x: np.ndarray, amount: int, mode: PaddingMode,
-        rng: np.random.Generator | None = None) -> np.ndarray:
-    """Pad both spatial axes by `amount` pixels per side.
+# Every GEMM over pixels runs over a whole span (length a multiple of _ALIGN,
+# starting a multiple of 32 columns into the buffer) or a whole buffer row.
+# OpenBLAS computes the last (columns mod 16) pixels of a thread's range with
+# a different kernel, so without this a pixel's bits would depend on its
+# position in the batch and on the BLAS thread count; with it, two threads
+# split every GEMM on a tile boundary.
+_ALIGN = 64
 
-    The interior equals the input exactly; the border is filled per mode
-    (zero, wrap-around, mirror excluding the edge pixel, or iid uniform).
-    """
+
+def _guard(wp: int) -> int:
+    """Guard columns on each side of the span: room for a 3x3 shift."""
+    return -(-(wp + 1) // 32) * 32
+
+
+def _require_frame(x: np.ndarray, name: str = "input") -> None:
+    if not (isinstance(x, np.ndarray) and x.ndim == 4
+            and min(x.shape[2:]) >= 3):
+        raise ValueError(f"{name} must be a 4-d (c, n, h + 2, w + 2) frame")
+
+
+def _rows(f: np.ndarray, name: str = "input") -> np.ndarray:
+    """The (C, L) buffer behind a whole frame `f`."""
+    _require_frame(f, name)
+    buf = f.base
+    c, n, hp, wp = f.shape
+    item = f.itemsize
+    if not (isinstance(buf, np.ndarray) and buf.ndim == 2
+            and buf.flags.c_contiguous and buf.dtype == f.dtype
+            and buf.shape[0] == c
+            and buf.shape[1] == 2 * _guard(wp) + _span(n * hp * wp)
+            and f.strides[1:] == (hp * wp * item, wp * item, item)
+            and f.ctypes.data - buf.ctypes.data == _guard(wp) * item):
+        raise ValueError(f"{name} must be a frame made by new_frame, "
+                         f"to_frame or a tensor_core op")
+    return buf
+
+
+def _span(m: int) -> int:
+    return -(-m // _ALIGN) * _ALIGN
+
+
+def _zero_ring(f: np.ndarray) -> None:
+    f[:, :, 0] = 0
+    f[:, :, -1] = 0
+    f[:, :, 1:-1, 0] = 0
+    f[:, :, 1:-1, -1] = 0
+
+
+def _empty_frame(c: int, n: int, h: int, w: int, dtype) -> np.ndarray:
+    """A frame with zero guards and tail; ring and interior unset."""
+    hp, wp = h + 2, w + 2
+    g, m = _guard(wp), n * hp * wp
+    buf = np.empty((c, 2 * g + _span(m)), dtype=dtype)
+    buf[:, :g] = 0
+    buf[:, g + m:] = 0
+    return buf[:, g:g + m].reshape(c, n, hp, wp)
+
+
+def new_frame(c: int, n: int, h: int, w: int, dtype) -> np.ndarray:
+    """A frame with zero ring, guards and tail, and an unset interior."""
+    f = _empty_frame(c, n, h, w, dtype)
+    _zero_ring(f)
+    return f
+
+
+def to_frame(x: np.ndarray, dtype=None) -> np.ndarray:
+    """Copy an (n, c, h, w) batch into a new frame with a zero ring."""
     _require_nchw(x)
-    if amount < 0:
-        raise ValueError("pad amount must be >= 0")
-    if amount == 0:
-        return x.copy()
-    a = amount
-    widths = ((0, 0), (0, 0), (a, a), (a, a))
-    if mode.kind == "zero":
-        return _zero_pad_hw(x, a)
-    if mode.kind == "circular":
-        return np.pad(x, widths, mode="wrap")
-    if mode.kind == "reflect":
-        if a >= min(x.shape[2], x.shape[3]):
-            raise ValueError(
-                f"reflect pad {a} too large for spatial dims {x.shape[2:]}")
-        return np.pad(x, widths, mode="reflect")
-    # random
-    if rng is None:
-        raise ValueError("random padding requires an rng")
     n, c, h, w = x.shape
-    out = np.empty((n, c, h + 2 * a, w + 2 * a), dtype=x.dtype)
-    out[:, :, a:a + h, a:a + w] = x
-    border = np.ones(out.shape, dtype=bool)
-    border[:, :, a:a + h, a:a + w] = False
-    out[border] = rng.uniform(0.0, mode.amplitude, int(border.sum())).astype(x.dtype)
-    return out
+    f = new_frame(c, n, h, w, x.dtype if dtype is None else dtype)
+    f[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    return f
+
+
+def from_frame(f: np.ndarray) -> np.ndarray:
+    """A frame's interior as a new contiguous (n, c, h, w) array."""
+    _require_frame(f)
+    return np.ascontiguousarray(f[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3))
+
+
+def pad(x: np.ndarray, mode: PaddingMode,
+        rng: np.random.Generator | None = None) -> np.ndarray:
+    """Fill the ring of frame `x` in place per mode; returns `x`.
+
+    Zero, wrap-around, mirror excluding the edge pixel, or iid uniform draws
+    taken in row-major (n, c, row, col) order over the ring.
+    """
+    _require_frame(x)
+    c, n, hp, wp = x.shape
+    h, w = hp - 2, wp - 2
+    if mode.kind == "zero":
+        _zero_ring(x)
+    elif mode.kind in ("circular", "reflect"):
+        if mode.kind == "circular":
+            src = (-2, 1)
+        elif min(h, w) < 2:
+            raise ValueError(f"reflect padding needs spatial dims >= 2, "
+                             f"got {h}x{w}")
+        else:
+            src = (2, -3)
+        x[:, :, 1:-1, 0] = x[:, :, 1:-1, src[0]]
+        x[:, :, 1:-1, -1] = x[:, :, 1:-1, src[1]]
+        x[:, :, 0] = x[:, :, src[0]]
+        x[:, :, -1] = x[:, :, src[1]]
+    else:
+        if rng is None:
+            raise ValueError("random padding requires an rng")
+        draws = rng.uniform(0.0, mode.amplitude, (n, c, 2 * wp + 2 * h))
+        d = draws.astype(x.dtype).transpose(1, 0, 2)
+        sides = d[:, :, wp:wp + 2 * h].reshape(c, n, h, 2)
+        x[:, :, 0] = d[:, :, :wp]
+        x[:, :, 1:-1, 0] = sides[..., 0]
+        x[:, :, 1:-1, -1] = sides[..., 1]
+        x[:, :, -1] = d[:, :, wp + 2 * h:]
+    return x
 
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """A stride-1 "same" conv with a `size` x `size` kernel, `size` odd."""
+    """A stride-1 "same" conv: 3x3 on the ring-padded input, or 1x1."""
 
     in_channels: int
     out_channels: int
@@ -129,9 +228,8 @@ class ConvSpec:
     def __post_init__(self):
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be >= 1")
-        if self.size < 1 or self.size % 2 == 0:
-            raise ValueError(f"kernel size must be odd and >= 1, "
-                             f"got {self.size}")
+        if self.size not in (1, 3):
+            raise ValueError(f"kernel size must be 1 or 3, got {self.size}")
 
     @property
     def kernel(self) -> tuple[int, int]:
@@ -146,209 +244,277 @@ class ConvSpec:
 class ConvTape:
     """State saved by conv2d_forward for the matching backward call."""
 
-    padded: np.ndarray          # input after boundary fill
+    padded: np.ndarray          # the input frame, its ring filled
     weights: np.ndarray
     spec: ConvSpec
-    x_shape: tuple[int, int, int, int]
+    x_shape: tuple[int, int, int, int]   # the input's (n, c, h, w)
     out_hw: tuple[int, int]     # the input's (h, w)
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    n, c, hp, wp = xp.shape
-    oh, ow = hp - k + 1, wp - k + 1
-    sn, sc, sh, sw = xp.strides
-    win = as_strided(xp, (c, k, k, n, oh, ow), (sc, sh, sw, sn, sh, sw))
-    # copies into a contiguous (c*k*k, n*oh*ow) matrix: one big GEMM per
-    # layer instead of a batch of skinny ones, and the copy reads image rows
-    # sequentially
-    return win.reshape(c * k * k, n * oh * ow)
+# Column chunks of a span are sized so that one chunk's tap stack is about
+# this many bytes: it stays in cache between being built and being read.
+_CHUNK_BYTES = 1 << 20
 
 
-def _conv_gemm(xp: np.ndarray, weights: np.ndarray,
-               bias: np.ndarray | None = None) -> np.ndarray:
-    """Valid cross-correlation of `xp` with `weights`, as one im2col GEMM."""
-    oc, _, k, _ = weights.shape
-    n, _, hp, wp = xp.shape
-    cols = _im2col(xp, k)
-    y = np.matmul(weights.reshape(oc, -1), cols)
-    del cols
-    if bias is not None:
-        y += bias[:, None]
-    return np.ascontiguousarray(
-        y.reshape(oc, n, hp - k + 1, wp - k + 1).transpose(1, 0, 2, 3))
+def _chunks(span: int, column_bytes: int) -> list[tuple[int, int]]:
+    """[a, b) column ranges covering a span, each a multiple of _ALIGN."""
+    step = max(_ALIGN, _CHUNK_BYTES // column_bytes // _ALIGN * _ALIGN)
+    return [(a, min(span, a + step)) for a in range(0, span, step)]
 
 
-def _zero_pad_hw(x: np.ndarray, a: int) -> np.ndarray:
-    """np.pad(constant) without zero-filling the soon-overwritten interior."""
-    n, c, h, w = x.shape
-    out = np.empty((n, c, h + 2 * a, w + 2 * a), dtype=x.dtype)
-    out[:, :, :a, :] = 0
-    out[:, :, a + h:, :] = 0
-    out[:, :, a:a + h, :a] = 0
-    out[:, :, a:a + h, a + w:] = 0
-    out[:, :, a:a + h, a:a + w] = x
-    return out
+def _taps(rows: np.ndarray, wp: int, a: int, b: int) -> np.ndarray:
+    """(9 * c, b - a) stack of span columns [a, b) of buffer `rows`, shifted
+    by each tap's offset, taps in row-major order."""
+    c, length = rows.shape
+    s = rows.itemsize
+    shifted = np.ndarray((3, 3, c, b - a), rows.dtype, rows,
+                         (_guard(wp) - wp - 1 + a) * s,
+                         (wp * s, s, length * s, s))
+    return shifted.reshape(9 * c, b - a)
+
+
+def _conv_rows(src: np.ndarray, weights: np.ndarray, wp: int,
+               out: np.ndarray) -> None:
+    """Span of buffer `out` = 3x3 cross-correlation of buffer `src` with
+    (oc, c, 3, 3) `weights`, stacking the thinner side chunk by chunk."""
+    oc, c = weights.shape[:2]
+    g = _guard(wp)
+    span = out.shape[1] - 2 * g
+    if c <= oc:
+        w2 = weights.transpose(0, 2, 3, 1).reshape(oc, 9 * c)
+        for a, b in _chunks(span, 9 * c * src.itemsize):
+            np.matmul(w2, _taps(src, wp, a, b), out=out[:, g + a:g + b])
+        return
+    wt = weights.transpose(2, 3, 0, 1).reshape(9 * oc, c)
+    for a, b in _chunks(span, 9 * oc * src.itemsize):
+        # Z over [a, b + 2g) holds every column the shifts read; the range
+        # starts and ends on _ALIGN boundaries like every other pixel GEMM
+        z = (wt @ src[:, a:b + 2 * g]).reshape(3, 3, oc, -1)
+        dst = out[:, g + a:g + b]
+        for di in range(3):
+            for dj in range(3):
+                start = g + (di - 1) * wp + dj - 1
+                part = z[di, dj, :, start:start + b - a]
+                if di == dj == 0:
+                    np.copyto(dst, part)
+                else:
+                    dst += part
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                    spec: ConvSpec, rng: np.random.Generator | None = None
                    ) -> tuple[np.ndarray, ConvTape]:
-    """Cross-correlate the padded input with `weights`; returns (out, tape)."""
-    _require_nchw(x)
-    k = spec.size
-    if weights.shape != (spec.out_channels, spec.in_channels, k, k):
+    """Cross-correlate frame `x` with `weights`; returns (out frame, tape).
+
+    A 3x3 conv first fills the ring of `x` in place per `spec.mode`.
+    """
+    X = _rows(x)
+    k, c, oc = spec.size, spec.in_channels, spec.out_channels
+    if weights.shape != (oc, c, k, k):
         raise ValueError(
             f"weight shape {weights.shape} does not match spec {spec}")
-    if x.shape[1] != spec.in_channels:
-        raise ValueError(
-            f"input has {x.shape[1]} channels, spec wants {spec.in_channels}")
-    if bias.shape != (spec.out_channels,):
+    if x.shape[0] != c:
+        raise ValueError(f"input has {x.shape[0]} channels, spec wants {c}")
+    if bias.shape != (oc,):
         raise ValueError("bias length must equal out_channels")
-    n, _, h, w = x.shape
-    xp = pad(x, spec.pad, spec.mode, rng) if spec.pad else x
-    tape = ConvTape(xp, weights, spec, x.shape, (h, w))
+    _, n, hp, wp = x.shape
+    tape = ConvTape(x, weights, spec, (n, c, hp - 2, wp - 2), (hp - 2, wp - 2))
+    # the GEMMs write the whole span, ring and tail included
+    y = _empty_frame(oc, n, hp - 2, wp - 2, x.dtype)
+    Y = y.base
     if k == 1:
-        w2 = weights.reshape(spec.out_channels, spec.in_channels)
-        y = np.matmul(w2, xp.reshape(n, spec.in_channels, h * w))
-        y += bias[:, None]
-        return y.reshape(n, spec.out_channels, h, w), tape
-    return _conv_gemm(xp, weights, bias), tape
+        np.matmul(weights.reshape(oc, c), X, out=Y)
+    else:
+        pad(x, spec.mode, rng)
+        _conv_rows(X, weights, wp, Y)
+    Y += bias[:, None]
+    return y, tape
 
 
-def _fold_reflect(g: np.ndarray, a: int, size: int) -> np.ndarray:
-    """Adjoint of reflect-padding axis 0 of a `size`-long array by `a`.
-
-    Adds every padded slice onto the source index it was copied from, in
-    ascending padded order, so each sum adds its terms in the order of a
-    sequential scatter.  Padded j < a holds source a - j, padded
-    a + size + i holds source size - 2 - i (a < size).
-    """
-    out = np.zeros((size,) + g.shape[1:], dtype=g.dtype)
-    out[1:a + 1] += g[a - 1::-1]
-    out += g[a:a + size]
-    out[size - 1 - a:size - 1] += g[a + size:][::-1]
-    return out
-
-
-def _pad_adjoint(gxp: np.ndarray, a: int, h: int, w: int) -> np.ndarray:
-    """Accumulate reflect-padded-input gradients back onto the input."""
-    gh = _fold_reflect(gxp.transpose(2, 0, 1, 3), a, h)
-    gw = _fold_reflect(gh.transpose(3, 1, 2, 0), a, w)
-    return np.ascontiguousarray(gw.transpose(1, 2, 3, 0))
+def _fold_reflect(f: np.ndarray) -> None:
+    """Adjoint of reflect `pad`, in place: add each ring gradient onto the
+    interior pixel it copies (rows first, so corners fold twice)."""
+    f[:, :, 2] += f[:, :, 0]
+    f[:, :, -3] += f[:, :, -1]
+    f[:, :, :, 2] += f[:, :, :, 0]
+    f[:, :, :, -3] += f[:, :, :, -1]
 
 
 def conv2d_backward(tape: ConvTape, upstream: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact VJP of conv2d_forward: (grad_input, grad_weights, grad_bias)."""
+    """Exact VJP of conv2d_forward: (grad_input frame, grad_weights,
+    grad_bias).  Overwrites all of the `upstream` buffer but its interior."""
     spec = tape.spec
-    n, _, h, w = tape.x_shape
-    if upstream.shape != (n, spec.out_channels, h, w):
+    k, oc = spec.size, spec.out_channels
+    n, c, h, w = tape.x_shape
+    G = _rows(upstream, "upstream")
+    if upstream.shape != (oc, n, h + 2, w + 2):
         raise ValueError(
             f"upstream shape {upstream.shape} does not match forward output")
-    k, a = spec.size, spec.pad
-    grad_bias = upstream.sum(axis=(0, 2, 3))
-
+    weights = tape.weights
+    wp, g = w + 2, _guard(w + 2)
+    # only interior outputs exist
+    _zero_ring(upstream)
+    G[:, :g] = 0
+    G[:, g + upstream[0].size:] = 0
+    X = tape.padded.base
+    grad_bias = G.sum(axis=1)
+    gx = _empty_frame(c, n, h, w, upstream.dtype)
+    GX = gx.base
     if k == 1:
-        g3 = upstream.reshape(n, spec.out_channels, h * w)
-        x3 = tape.padded.reshape(n, spec.in_channels, h * w)
-        w2 = tape.weights.reshape(spec.out_channels, spec.in_channels)
-        grad_weights = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0)
-        grad_weights = grad_weights.reshape(tape.weights.shape)
-        gxp = np.matmul(w2.T, g3)
-        return (gxp.reshape(n, spec.in_channels, h, w), grad_weights,
-                grad_bias)
-    g_flat = np.ascontiguousarray(upstream.transpose(1, 0, 2, 3)).reshape(
-        spec.out_channels, n * h * w)
-    cols = _im2col(tape.padded, k)
-    grad_weights = (g_flat @ cols.T).reshape(tape.weights.shape)
-    del g_flat, cols
-    flipped = tape.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    # input pixel (i, j) meets upstream (i - a .. i + a, j - a .. j + a),
-    # wrapped for circular, outside the image zero otherwise
-    if spec.mode.kind == "circular":
-        ups = np.pad(upstream, ((0, 0), (0, 0), (a, a), (a, a)), mode="wrap")
-        return _conv_gemm(ups, flipped), grad_weights, grad_bias
-    if spec.mode.kind != "reflect":
-        return (_conv_gemm(_zero_pad_hw(upstream, a), flipped), grad_weights,
-                grad_bias)
-    # reflect: the gradient of the padded input, then the pad's adjoint
-    gxp = _conv_gemm(_zero_pad_hw(upstream, 2 * a), flipped)
-    return _pad_adjoint(gxp, a, h, w), grad_weights, grad_bias
+        grad_weights = (G @ X.T).reshape(weights.shape)
+        np.matmul(weights.reshape(oc, c).T, G, out=GX)
+        return gx, grad_weights, grad_bias
+
+    # output p reads input p + off(t): grad-W pairs the upstream with the
+    # shifted input, and grad-input is the conv of the upstream with the
+    # flipped taps, whose offsets are -off(t)
+    span = G.shape[1] - 2 * g
+    flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    if c < oc:
+        grad_weights = np.zeros((oc, 9 * c), dtype=G.dtype)
+        for a, b in _chunks(span, 9 * c * X.itemsize):
+            grad_weights += G[:, g + a:g + b] @ _taps(X, wp, a, b).T
+        grad_weights = grad_weights.reshape(oc, 3, 3, c).transpose(0, 3, 1, 2)
+        fused = False
+    else:
+        # the upstream's tap stack feeds grad-W (its block t pairs with tap
+        # 8 - t) and, unless the ring must first be wrapped, grad-input
+        fused = spec.mode.kind != "circular"
+        w2 = flipped.transpose(0, 2, 3, 1).reshape(c, 9 * oc)
+        grad_weights = np.zeros((9 * oc, c), dtype=G.dtype)
+        for a, b in _chunks(span, 9 * oc * G.itemsize):
+            taps = _taps(G, wp, a, b)
+            grad_weights += taps @ X[:, g + a:g + b].T
+            if fused:
+                np.matmul(w2, taps, out=GX[:, g + a:g + b])
+        grad_weights = grad_weights.reshape(3, 3, oc, c)[::-1, ::-1]
+        grad_weights = grad_weights.transpose(2, 3, 0, 1)
+    grad_weights = np.ascontiguousarray(grad_weights)
+
+    if not fused:
+        if spec.mode.kind == "circular":
+            # input pixels on one edge also feed the outputs across the wrap
+            pad(upstream, CIRCULAR)
+        _conv_rows(G, flipped, wp, GX)
+    if spec.mode.kind == "reflect":
+        _fold_reflect(gx)
+    return gx, grad_weights, grad_bias
 
 
 @dataclass
 class PoolRecord:
-    """Pooled output plus the flat input index of each window maximum."""
+    """Pooled output frame plus the window cell (0-3, row-major) of each
+    maximum."""
 
     output: np.ndarray
     argmax: np.ndarray
-    input_shape: tuple[int, int, int, int]
+    input_shape: tuple[int, int, int, int]   # the input frame's shape
+
+
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def maxpool2x2_forward(x: np.ndarray) -> PoolRecord:
-    """2x2/stride-2 max pool; ties break to the lowest flat input index."""
-    _require_nchw(x)
-    n, c, h, w = x.shape
+    """2x2/stride-2 max pool of a frame's interior into a new frame; ties
+    break to the lowest window cell."""
+    _require_frame(x)
+    c, n, hp, wp = x.shape
+    h, w = hp - 2, wp - 2
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    oh, ow = h // 2, w // 2
-    tl = x[:, :, 0::2, 0::2]
-    tr = x[:, :, 0::2, 1::2]
-    bl = x[:, :, 1::2, 0::2]
-    br = x[:, :, 1::2, 1::2]
-    out = np.maximum(np.maximum(tl, tr), np.maximum(bl, br))
-    # first window cell equal to the max, in ascending flat-input order,
-    # is the tie rule
-    k = np.where(tl == out, 0,
-                 np.where(tr == out, 1, np.where(bl == out, 2, 3)))
-    rows = 2 * np.arange(oh)[None, None, :, None] + (k >> 1)
-    cols = 2 * np.arange(ow)[None, None, None, :] + (k & 1)
-    base = (np.arange(n)[:, None, None, None] * c
-            + np.arange(c)[None, :, None, None])
-    argmax = (base * h + rows) * w + cols
-    return PoolRecord(np.ascontiguousarray(out), argmax, x.shape)
+    xi = x[:, :, 1:-1, 1:-1]
+    tl, tr, bl, br = (xi[:, :, r::2, s::2] for r, s in _WINDOW)
+    out = new_frame(c, n, h // 2, w // 2, x.dtype)
+    top, bottom = np.maximum(tl, tr), np.maximum(bl, br)
+    np.maximum(top, bottom, out=out[:, :, 1:-1, 1:-1])
+    # the first window cell equal to the max is the tie rule: the top pair
+    # wins ties with the bottom pair, the left cell with the right one
+    low = bottom > top
+    code = np.where(low, br > bl, tr > tl).view(np.uint8)
+    code += 2 * low.view(np.uint8)
+    return PoolRecord(out, code, x.shape)
 
 
 def maxpool2x2_backward(record: PoolRecord, upstream: np.ndarray) -> np.ndarray:
     """Route each upstream value to its recorded argmax cell."""
     if upstream.shape != record.output.shape:
         raise ValueError("upstream shape does not match pooled output")
-    gx = np.zeros(record.input_shape, dtype=upstream.dtype)
-    # argmax cells are distinct across windows, so plain assignment is exact
-    gx.reshape(-1)[record.argmax.reshape(-1)] = upstream.reshape(-1)
+    c, n, hp, wp = record.input_shape
+    gx = new_frame(c, n, hp - 2, wp - 2, upstream.dtype)
+    gi = gx[:, :, 1:-1, 1:-1]
+    g = upstream[:, :, 1:-1, 1:-1]
+    # each interior cell lies in exactly one window, at exactly one cell
+    for cell, (r, s) in enumerate(_WINDOW):
+        np.multiply(g, record.argmax == cell, out=gi[:, :, r::2, s::2])
     return gx
 
 
+def _as_rows(*arrays: np.ndarray) -> Sequence[np.ndarray]:
+    """2-d views of equal-shape arrays, one row per leading index, if every
+    array's memory allows one (a frame's does); else the arrays.  numpy runs
+    elementwise ops on a frame's 2-d view about twice as fast as on the 4-d
+    one."""
+    try:
+        return [a.reshape(a.shape[0], -1, copy=False) for a in arrays]
+    except ValueError:
+        return arrays
+
+
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.maximum(x, 0, out=out)
+    if out is None:
+        return np.maximum(x, 0)
+    xr, outr = _as_rows(x, out)
+    np.maximum(xr, 0, out=outr)
+    return out
 
 
 def relu_backward(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Masks upstream where the forward input was <= 0.
+    """Zeroes `upstream` in place where the forward input was <= 0, and
+    returns it.
 
     The mask is identical whether `x` holds the pre- or post-activation
     values, since relu(x) > 0 exactly where x > 0.
     """
     if upstream.shape != x.shape:
         raise ValueError("upstream shape does not match input")
-    return np.where(x > 0, upstream, np.zeros((), dtype=upstream.dtype))
+    xr, g = _as_rows(x, upstream)
+    np.multiply(g, xr > 0, out=g)
+    return upstream
 
 
-def upsample_nearest2x(x: np.ndarray) -> np.ndarray:
-    """Replicate every pixel into a 2x2 block."""
-    _require_nchw(x)
-    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+def upsample_nearest2x(x: np.ndarray, out: np.ndarray | None = None
+                       ) -> np.ndarray:
+    """Replicate every interior pixel of frame `x` into a 2x2 block of the
+    interior of `out` (a new frame by default, or a frame of the right
+    shape, such as the leading channels of a decoder's input frame)."""
+    _require_frame(x)
+    c, n, hp, wp = x.shape
+    h, w = hp - 2, wp - 2
+    if out is None:
+        out = new_frame(c, n, 2 * h, 2 * w, x.dtype)
+    elif out.shape != (c, n, 2 * h + 2, 2 * w + 2):
+        raise ValueError(f"out shape {out.shape} does not fit input {x.shape}")
+    oi, xi = out[:, :, 1:-1, 1:-1], x[:, :, 1:-1, 1:-1]
+    for r, s in _WINDOW:
+        oi[:, :, r::2, s::2] = xi
+    return out
 
 
 def upsample_nearest2x_backward(upstream: np.ndarray) -> np.ndarray:
-    """Adjoint of nearest-2x upsampling: sum each 2x2 block."""
-    _require_nchw(upstream)
-    n, c, h, w = upstream.shape
+    """Adjoint of nearest-2x upsampling: sum each 2x2 block into a new
+    frame."""
+    _require_frame(upstream, "upstream")
+    c, n, hp, wp = upstream.shape
+    h, w = hp - 2, wp - 2
     if h % 2 or w % 2:
         raise ValueError("upstream dims must be even")
-    g = upstream
-    return ((g[:, :, 0::2, 0::2] + g[:, :, 0::2, 1::2])
-            + (g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]))
+    g = upstream[:, :, 1:-1, 1:-1]
+    gx = new_frame(c, n, h // 2, w // 2, upstream.dtype)
+    gi = gx[:, :, 1:-1, 1:-1]
+    np.add(g[:, :, 0::2, 0::2], g[:, :, 0::2, 1::2], out=gi)
+    gi += g[:, :, 1::2, 0::2] + g[:, :, 1::2, 1::2]
+    return gx
 
 
 def softmax_cross_entropy_pixelwise(logits: np.ndarray, target: np.ndarray
@@ -430,16 +596,17 @@ def gradcheck(op: Callable, inputs: Sequence[np.ndarray],
     """Compare an op's VJP against central finite differences.
 
     `op(*inputs)` must return (output, vjp) where vjp(upstream) yields one
-    gradient per input.  A fixed random probe direction turns the output into
-    a scalar; each input element is then wiggled by a step scaled to the
-    input's precision.  Passes iff the max relative error < tolerance.
+    gradient per input; vjp gets a copy of the probe, since backward ops may
+    write into their upstream.  A fixed random probe direction turns the
+    output into a scalar; each input element is then wiggled by a step scaled
+    to the input's precision.  Passes iff the max relative error < tolerance.
     """
     rng = rng or np.random.default_rng(0)
     out, vjp = op(*inputs)
     probe = rng.uniform(0.5, 1.5, out.shape)
     probe *= np.where(rng.random(out.shape) < 0.5, -1.0, 1.0)
     probe = probe.astype(out.dtype)
-    analytic = vjp(probe)
+    analytic = vjp(probe.copy())
     if len(analytic) != len(inputs):
         raise ValueError("vjp must return one gradient per input")
 

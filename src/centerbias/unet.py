@@ -165,7 +165,7 @@ def build_unet(config: UNetConfig) -> Model:
 @dataclass
 class _Tape:
     conv_tapes: dict[str, tc.ConvTape] = field(default_factory=dict)
-    activations: dict[str, np.ndarray] = field(default_factory=dict)
+    activations: dict[str, np.ndarray] = field(default_factory=dict)  # frames
     pools: list[tc.PoolRecord] = field(default_factory=list)
     concat_split: list[int] = field(default_factory=list)  # upsampled channels
     input_shape: tuple = ()
@@ -173,27 +173,32 @@ class _Tape:
 
 def _conv_relu(layer: ConvLayer, x, tape, rng):
     y, ct = tc.conv2d_forward(x, layer.weight, layer.bias, layer.spec, rng)
-    y = tc.relu(y, out=y)
-    tape.conv_tapes[layer.name] = ct
-    tape.activations[layer.name] = y
+    tc.relu(y, out=y)
+    if tape is not None:
+        tape.conv_tapes[layer.name] = ct
+        tape.activations[layer.name] = y
     return y
 
 
 def forward(model: Model, batch: np.ndarray,
-            rng: np.random.Generator | None = None
-            ) -> tuple[np.ndarray, _Tape]:
-    """Run the network; returns (logits, tape).
+            rng: np.random.Generator | None = None, keep_tape: bool = True
+            ) -> tuple[np.ndarray, _Tape | None]:
+    """Run the network on an NCHW batch; returns (NCHW logits, tape).
 
-    `rng` is only consumed by random-fill padding, so runs are deterministic
-    given (weights, input) plus the seed when that mode is active.
+    Inside, every activation is a padded frame (see tensor_core).  With
+    `keep_tape=False` the tape is None and each activation is dropped once
+    its consumer has run (the skips once the decoder has used them); the
+    logits are bit-identical either way.  `rng` is only consumed by
+    random-fill padding, so runs are deterministic given (weights, input)
+    plus the seed when that mode is active.
     """
     cfg = model.config
     div = 2 ** (cfg.depth - 1)
     if batch.shape[2] % div or batch.shape[3] % div:
         raise ValueError(
             f"input dims {batch.shape[2:]} must be divisible by {div}")
-    x = batch.astype(cfg.dtype, copy=False)
-    tape = _Tape(input_shape=batch.shape)
+    x = tc.to_frame(batch, cfg.dtype)
+    tape = _Tape(input_shape=batch.shape) if keep_tape else None
     skips = []
     for lvl in range(cfg.depth):
         a, b = model.encoder[lvl]
@@ -202,26 +207,34 @@ def forward(model: Model, batch: np.ndarray,
         if lvl < cfg.depth - 1:
             skips.append(x)
             rec = tc.maxpool2x2_forward(x)
-            tape.pools.append(rec)
+            if tape is not None:
+                tape.pools.append(rec)
             x = rec.output
     for lvl in range(cfg.depth - 2, -1, -1):
-        up = tc.upsample_nearest2x(x)
-        tape.concat_split.append(up.shape[1])
-        x = np.concatenate([up, skips[lvl]], axis=1)
+        skip = skips.pop()
+        split, n, hp, wp = x.shape[0], *skip.shape[1:]
+        cat = tc.new_frame(split + skip.shape[0], n, hp - 2, wp - 2, cfg.dtype)
+        tc.upsample_nearest2x(x, out=cat[:split])
+        cat[split:] = skip
+        del skip
+        if tape is not None:
+            tape.concat_split.append(split)
         a, b = model.decoder[lvl]
-        x = _conv_relu(a, x, tape, rng)
+        x = _conv_relu(a, cat, tape, rng)
+        del cat
         x = _conv_relu(b, x, tape, rng)
     head = model.head
     logits, ct = tc.conv2d_forward(x, head.weight, head.bias, head.spec, rng)
-    tape.conv_tapes[head.name] = ct
-    return logits, tape
+    if tape is not None:
+        tape.conv_tapes[head.name] = ct
+    return tc.from_frame(logits), tape
 
 
 def backward(model: Model, tape: _Tape, grad_logits: np.ndarray
              ) -> tuple[list[np.ndarray], np.ndarray]:
-    """VJP through the whole net.
+    """VJP through the whole net, from NCHW logit gradients.
 
-    Returns (param_grads, grad_input); param_grads aligns with
+    Returns (param_grads, NCHW grad_input); param_grads aligns with
     model.parameters().
     """
     cfg = model.config
@@ -233,7 +246,8 @@ def backward(model: Model, tape: _Tape, grad_logits: np.ndarray
         grads[layer.name] = (gw, gb)
         return gx
 
-    g, gw, gb = tc.conv2d_backward(tape.conv_tapes[model.head.name], grad_logits)
+    g, gw, gb = tc.conv2d_backward(tape.conv_tapes[model.head.name],
+                                   tc.to_frame(grad_logits))
     grads[model.head.name] = (gw, gb)
 
     skip_grads: dict[int, np.ndarray] = {}
@@ -242,13 +256,12 @@ def backward(model: Model, tape: _Tape, grad_logits: np.ndarray
         g = back_conv_relu(b, g)
         g = back_conv_relu(a, g)
         split = tape.concat_split[len(tape.concat_split) - 1 - i]
-        g_up, g_skip = g[:, :split], g[:, split:]
-        skip_grads[lvl] = g_skip
-        g = tc.upsample_nearest2x_backward(np.ascontiguousarray(g_up))
+        skip_grads[lvl] = g[split:]
+        g = tc.upsample_nearest2x_backward(g[:split])
     for lvl in range(cfg.depth - 1, -1, -1):
         if lvl < cfg.depth - 1:
             g = tc.maxpool2x2_backward(tape.pools[lvl], g)
-            g = g + skip_grads[lvl]
+            g += skip_grads.pop(lvl)
         a, b = model.encoder[lvl]
         g = back_conv_relu(b, g)
         g = back_conv_relu(a, g)
@@ -258,7 +271,7 @@ def backward(model: Model, tape: _Tape, grad_logits: np.ndarray
         gw, gb = grads[layer.name]
         param_grads.append(gw)
         param_grads.append(gb)
-    return param_grads, g
+    return param_grads, tc.from_frame(g)
 
 
 def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,

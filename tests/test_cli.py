@@ -54,6 +54,26 @@ class TestConfigErrors:
                     "--out", str(tmp_path)]) == 4
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--set", 'model.padding="circular"'],
+        ["gen", "--set", 'policy="center"'],
+        ["gen", "--set", 'background="noise"'],
+    ], ids=["padding", "policy", "background"])
+    def test_non_dict_nested_value_exits_4(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path)]) == 4
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("value", ['"x"', "0", "-1e-3", "NaN", "true"])
+    def test_bad_learning_rate_exits_4_before_generation(
+            self, tmp_path, capsys, monkeypatch, value):
+        def no_samples(*args):
+            raise AssertionError("a sample was generated")
+
+        monkeypatch.setattr(data, "sample_at", no_samples)
+        assert run(["train", "--set", f"learning_rate={value}", "--workers",
+                    "1", "--out", str(tmp_path)]) == 4
+        self.assert_one_line_error(capsys)
+
     def test_checkpoint_with_unknown_config_key_exits_4(self, tmp_path,
                                                        capsys):
         path = tmp_path / "model.ckpt"

@@ -96,6 +96,25 @@ class TestEvaluateBands:
                                    dataset_template=self.template())
         assert a == b
 
+    def test_tape_free_rows_equal_taped_rows(self, monkeypatch):
+        # 40 samples: one full batch of 32 and a remainder of 8
+        bands = [Band(0.0, 0.1), Band(0.8, 1.0)]
+        row = harness.evaluate_bands(self.model(), bands, 40, seed=9,
+                                     dataset_template=self.template())
+        asked, forward = [], unet.forward
+
+        def taped(model, batch, rng=None, keep_tape=True):
+            asked.append(keep_tape)
+            logits, tape = forward(model, batch, rng)
+            assert tape is not None
+            return logits, tape
+
+        monkeypatch.setattr(unet, "forward", taped)
+        again = harness.evaluate_bands(self.model(), bands, 40, seed=9,
+                                       dataset_template=self.template())
+        assert asked == [False] * 4
+        assert np.array(again).tobytes() == np.array(row).tobytes()
+
 
 class TestRunRegionalTraining:
     def test_untrained_matrix_near_log_k(self, tmp_path):

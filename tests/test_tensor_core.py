@@ -11,31 +11,55 @@ from hypothesis import strategies as st
 from centerbias import tensor_core as tc
 
 
+def conv_nchw(x, w, b, spec, rng=None):
+    """conv2d_forward on an NCHW batch; returns (NCHW out, tape)."""
+    y, tape = tc.conv2d_forward(tc.to_frame(x), w, b, spec, rng)
+    return tc.from_frame(y), tape
+
+
+def conv_backward_nchw(tape, g):
+    """conv2d_backward from an NCHW upstream; NCHW grad-input."""
+    gx, gw, gb = tc.conv2d_backward(tape, tc.to_frame(g))
+    return tc.from_frame(gx), gw, gb
+
+
 def conv_op(spec, seed=None):
     """Wrap conv2d as a gradcheck-able (out, vjp) callable."""
     def op(x, w, b):
         rng = np.random.default_rng(seed) if seed is not None else None
-        y, tape = tc.conv2d_forward(x, w, b, spec, rng)
-        return y, lambda g: tc.conv2d_backward(tape, g)
+        y, tape = conv_nchw(x, w, b, spec, rng)
+        return y, lambda g: conv_backward_nchw(tape, g)
     return op
+
+
+def pool_backward_nchw(rec, g):
+    return tc.from_frame(tc.maxpool2x2_backward(rec, tc.to_frame(g)))
+
+
+def upsample_nchw(x):
+    return tc.from_frame(tc.upsample_nearest2x(tc.to_frame(x)))
+
+
+def upsample_backward_nchw(g):
+    return tc.from_frame(tc.upsample_nearest2x_backward(tc.to_frame(g)))
 
 
 class TestPad:
     def test_zero_row(self):
         x = np.array([1.0, 2.0, 3.0]).reshape(1, 1, 1, 3)
-        out = tc.pad(np.tile(x, (1, 1, 3, 1)), 1, tc.ZERO)
+        out = tc.pad(tc.to_frame(np.tile(x, (1, 1, 3, 1))), tc.ZERO)
         assert out.shape == (1, 1, 5, 5)
         np.testing.assert_array_equal(out[0, 0, 1], [0, 1, 2, 3, 0])
 
     def test_circular_row(self):
         x = np.tile(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 1, 3), (1, 1, 3, 1))
-        out = tc.pad(x, 1, tc.CIRCULAR)
+        out = tc.pad(tc.to_frame(x), tc.CIRCULAR)
         np.testing.assert_array_equal(out[0, 0, 1], [3, 1, 2, 3, 1])
 
     def test_reflect_row(self):
         # mirror-index oracle: index -1 -> 1, index n -> n-2
         x = np.tile(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 1, 3), (1, 1, 3, 1))
-        out = tc.pad(x, 1, tc.REFLECT)
+        out = tc.pad(tc.to_frame(x), tc.REFLECT)
         row = x[0, 0, 0]
         expected = [row[1], row[0], row[1], row[2], row[1]]
         np.testing.assert_array_equal(out[0, 0, 1], expected)
@@ -44,19 +68,22 @@ class TestPad:
         rng = np.random.default_rng(0)
         x = rng.random((2, 3, 4, 5))
         for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT, tc.random_pad(2.0)):
-            out = tc.pad(x, 2, mode, np.random.default_rng(1))
-            assert out.shape == (2, 3, 8, 9)
-            np.testing.assert_array_equal(out[:, :, 2:6, 2:7], x)
+            out = tc.pad(tc.to_frame(x), mode, np.random.default_rng(1))
+            assert out.shape == (3, 2, 6, 7)
+            np.testing.assert_array_equal(tc.from_frame(out), x)
 
     def test_reflect_too_large_rejected(self):
-        x = np.zeros((1, 1, 3, 3))
+        # a 1-pixel ring needs 2 pixels to mirror from
+        x = tc.to_frame(np.zeros((1, 1, 1, 3)))
         with pytest.raises(ValueError):
-            tc.pad(x, 3, tc.REFLECT)
+            tc.pad(x, tc.REFLECT)
 
     def test_random_border_in_range_and_seeded(self):
         x = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        a = tc.pad(x, 1, tc.random_pad(0.5), np.random.default_rng(7))
-        b = tc.pad(x, 1, tc.random_pad(0.5), np.random.default_rng(7))
+        a = tc.pad(tc.to_frame(x), tc.random_pad(0.5),
+                   np.random.default_rng(7))
+        b = tc.pad(tc.to_frame(x), tc.random_pad(0.5),
+                   np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
         border = a[a != 0]
         assert border.size > 0
@@ -64,14 +91,14 @@ class TestPad:
 
     def test_random_requires_rng(self):
         with pytest.raises(ValueError):
-            tc.pad(np.zeros((1, 1, 2, 2)), 1, tc.random_pad())
+            tc.pad(tc.to_frame(np.zeros((1, 1, 2, 2))), tc.random_pad())
 
 
 class TestConvForward:
     def test_scalar_product(self):
         x = np.array([[5.0]]).reshape(1, 1, 1, 1)
         w = np.array([[2.0]]).reshape(1, 1, 1, 1)
-        y, _ = tc.conv2d_forward(x, w, np.zeros(1), tc.ConvSpec(1, 1, 1))
+        y, _ = conv_nchw(x, w, np.zeros(1), tc.ConvSpec(1, 1, 1))
         assert y.item() == 10.0
 
     def test_identity_kernel(self):
@@ -79,24 +106,23 @@ class TestConvForward:
         x = rng.random((2, 1, 5, 6))
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        y, _ = tc.conv2d_forward(
-            x, w, np.zeros(1), tc.ConvSpec(1, 1, 3, tc.ZERO))
+        y, _ = conv_nchw(x, w, np.zeros(1), tc.ConvSpec(1, 1, 3, tc.ZERO))
         np.testing.assert_allclose(y, x, atol=1e-12)
 
     def test_channel_mismatch(self):
         x = np.zeros((1, 2, 4, 4))
         w = np.zeros((1, 3, 3, 3))
         with pytest.raises(ValueError):
-            tc.conv2d_forward(x, w, np.zeros(1), tc.ConvSpec(3, 1, 3))
+            conv_nchw(x, w, np.zeros(1), tc.ConvSpec(3, 1, 3))
 
-    @pytest.mark.parametrize("size", [0, -1, 2, 4])
+    @pytest.mark.parametrize("size", [0, -1, 2, 4, 5])
     def test_spec_rejects_even_and_nonpositive_sizes(self, size):
         with pytest.raises(ValueError):
             tc.ConvSpec(1, 1, size)
 
     def test_spec_is_stride_one_same_conv(self):
-        spec = tc.ConvSpec(2, 3, 5)
-        assert (spec.kernel, spec.pad, spec.stride) == ((5, 5), 2, 1)
+        spec = tc.ConvSpec(2, 3, 3)
+        assert (spec.kernel, spec.pad, spec.stride) == ((3, 3), 1, 1)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
@@ -108,7 +134,7 @@ class TestConvForward:
                               (tc.REFLECT, "reflect"),
                               (tc.random_pad(0.7), "constant")):
             spec = tc.ConvSpec(3, 4, 3, mode)
-            y, _ = tc.conv2d_forward(x, w, b, spec, np.random.default_rng(5))
+            y, _ = conv_nchw(x, w, b, spec, np.random.default_rng(5))
             xp = np.pad(x, widths, mode=np_mode)
             if mode.kind == "random":
                 # the border cells take consecutive draws in row-major order
@@ -132,8 +158,8 @@ class TestConvBackward:
         x = np.random.default_rng(0).random((1, 1, 4, 4))
         w = np.zeros((1, 1, 3, 3)); w[0, 0, 1, 1] = 1.0
         spec = tc.ConvSpec(1, 1, 3, tc.ZERO)
-        _, tape = tc.conv2d_forward(x, w, np.zeros(1), spec)
-        gx, _, _ = tc.conv2d_backward(tape, np.ones_like(x))
+        _, tape = conv_nchw(x, w, np.zeros(1), spec)
+        gx, _, _ = conv_backward_nchw(tape, np.ones_like(x))
         np.testing.assert_allclose(gx, np.ones_like(x), atol=1e-12)
 
     def test_grad_bias_is_channel_sum(self):
@@ -141,9 +167,9 @@ class TestConvBackward:
         x = rng.random((2, 2, 4, 4))
         w = rng.random((3, 2, 3, 3))
         spec = tc.ConvSpec(2, 3, 3, tc.ZERO)
-        _, tape = tc.conv2d_forward(x, w, np.zeros(3), spec)
+        _, tape = conv_nchw(x, w, np.zeros(3), spec)
         g = rng.random((2, 3, 4, 4))
-        _, _, gb = tc.conv2d_backward(tape, g)
+        _, _, gb = conv_backward_nchw(tape, g)
         np.testing.assert_allclose(gb, g.sum(axis=(0, 2, 3)), rtol=1e-6)
 
     @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT])
@@ -170,34 +196,68 @@ class TestConvBackward:
 
     @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
                                       tc.random_pad(0.7)])
-    def test_finite_difference_5x5_pad2(self, mode):
+    def test_finite_difference_1x1(self, mode):
         rng = np.random.default_rng(10)
-        x = rng.standard_normal((2, 2, 6, 5))
-        w = rng.standard_normal((3, 2, 5, 5))
-        b = rng.standard_normal(3)
-        spec = tc.ConvSpec(2, 3, 5, mode)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((2, 3, 1, 1))
+        b = rng.standard_normal(2)
+        spec = tc.ConvSpec(3, 2, 1, mode)
         report = tc.gradcheck(conv_op(spec, seed=42), [x, w, b], 1e-4,
                               np.random.default_rng(11))
         assert report.passed, report
 
-    def test_finite_difference_circular_wider_than_image(self):
-        # a 3-pixel wrap on a 2x3 image wraps the border more than once
+    @pytest.mark.parametrize("cin,cout", [(1, 3), (3, 3), (4, 2)])
+    def test_finite_difference_circular_one_pixel_high(self, cin, cout):
+        # on a 1-row image both ring rows copy the same row, so the wrap
+        # folds three output rows onto one input row
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((2, 2, 2, 3))
-        w = rng.standard_normal((2, 2, 7, 7))
-        b = rng.standard_normal(2)
-        spec = tc.ConvSpec(2, 2, 7, tc.CIRCULAR)
+        x = rng.standard_normal((2, cin, 1, 3))
+        w = rng.standard_normal((cout, cin, 3, 3))
+        b = rng.standard_normal(cout)
+        spec = tc.ConvSpec(cin, cout, 3, tc.CIRCULAR)
         report = tc.gradcheck(conv_op(spec), [x, w, b], 1e-4,
                               np.random.default_rng(13))
         assert report.passed, report
 
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
+                                      tc.random_pad(0.7)])
+    @pytest.mark.parametrize("cin,cout", [(1, 4), (4, 1)])
+    def test_finite_difference_both_stacking_sides(self, mode, cin, cout):
+        # thin input stacks the input slices, thin output the GEMM output
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((3, cin, 4, 3))
+        w = rng.standard_normal((cout, cin, 3, 3))
+        b = rng.standard_normal(cout)
+        spec = tc.ConvSpec(cin, cout, 3, mode)
+        report = tc.gradcheck(conv_op(spec, seed=42), [x, w, b], 1e-4,
+                              np.random.default_rng(15))
+        assert report.passed, report
+
+    def test_upstream_ring_is_ignored(self):
+        # only interior outputs exist, whatever the upstream's ring holds
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((2, 3, 3, 3))
+        g = rng.standard_normal((2, 2, 4, 5))
+        for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT):
+            spec = tc.ConvSpec(3, 2, 3, mode)
+            _, tape = tc.conv2d_forward(tc.to_frame(x), w, np.zeros(2), spec)
+            gx, gw, gb = tc.conv2d_backward(tape, tc.to_frame(g))
+            dirty = tc.to_frame(g)
+            dirty[:, :, 0] = 1e3
+            dirty[:, :, :, -1] = -1e3
+            gx2, gw2, gb2 = tc.conv2d_backward(tape, dirty)
+            np.testing.assert_array_equal(tc.from_frame(gx),
+                                          tc.from_frame(gx2), mode.kind)
+            np.testing.assert_array_equal(gw, gw2, mode.kind)
+            np.testing.assert_array_equal(gb, gb2, mode.kind)
+
     def test_upstream_shape_mismatch(self):
         x = np.zeros((1, 1, 4, 4))
         w = np.zeros((1, 1, 3, 3))
-        _, tape = tc.conv2d_forward(x, w, np.zeros(1),
-                                    tc.ConvSpec(1, 1, 3))
+        _, tape = conv_nchw(x, w, np.zeros(1), tc.ConvSpec(1, 1, 3))
         with pytest.raises(ValueError):
-            tc.conv2d_backward(tape, np.zeros((1, 1, 2, 2)))
+            conv_backward_nchw(tape, np.zeros((1, 1, 2, 2)))
 
 
 def _pad_adjoint_scatter(gxp, a, h, w):
@@ -219,14 +279,17 @@ def _pad_adjoint_scatter(gxp, a, h, w):
 
 
 class TestPadAdjoint:
-    @pytest.mark.parametrize("a,h,w", [(1, 6, 9), (2, 3, 5), (4, 5, 7)])
+    @pytest.mark.parametrize("a,h,w", [(1, 6, 9), (1, 2, 2)])
     def test_matches_scatter_reference_exactly(self, a, h, w):
         rng = np.random.default_rng(a * 100 + h * 10 + w)
         for dtype in (np.float32, np.float64):
             gxp = rng.standard_normal((2, 3, h + 2 * a, w + 2 * a)).astype(
                 dtype)
-            out = tc._pad_adjoint(gxp, a, h, w)
-            assert out.dtype == dtype and out.flags.c_contiguous
+            frame = tc.to_frame(np.zeros((2, 3, h, w), dtype=dtype))
+            frame[...] = gxp.transpose(1, 0, 2, 3)
+            tc._fold_reflect(frame)
+            out = tc.from_frame(frame)
+            assert out.dtype == dtype
             np.testing.assert_array_equal(
                 out, _pad_adjoint_scatter(gxp, a, h, w))
 
@@ -234,38 +297,38 @@ class TestPadAdjoint:
 class TestMaxPool:
     def test_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        rec = tc.maxpool2x2_forward(x)
-        assert rec.output.item() == 4.0
+        rec = tc.maxpool2x2_forward(tc.to_frame(x))
+        assert tc.from_frame(rec.output).item() == 4.0
         assert rec.argmax.item() == 3
 
     def test_tie_breaks_to_lowest_index(self):
         x = np.full((1, 1, 2, 2), 7.0)
-        rec = tc.maxpool2x2_forward(x)
-        assert rec.output.item() == 7.0
+        rec = tc.maxpool2x2_forward(tc.to_frame(x))
+        assert tc.from_frame(rec.output).item() == 7.0
         assert rec.argmax.item() == 0
 
     def test_matches_window_oracle(self):
         x = np.random.default_rng(2).standard_normal((1, 1, 4, 4))
-        rec = tc.maxpool2x2_forward(x)
+        out = tc.from_frame(tc.maxpool2x2_forward(tc.to_frame(x)).output)
         for i in range(2):
             for j in range(2):
-                assert rec.output[0, 0, i, j] == \
+                assert out[0, 0, i, j] == \
                     x[0, 0, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max()
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError):
-            tc.maxpool2x2_forward(np.zeros((1, 1, 3, 4)))
+            tc.maxpool2x2_forward(tc.to_frame(np.zeros((1, 1, 3, 4))))
 
     def test_backward_routes_to_argmax(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        rec = tc.maxpool2x2_forward(x)
-        gx = tc.maxpool2x2_backward(rec, np.array([[[[5.0]]]]))
+        rec = tc.maxpool2x2_forward(tc.to_frame(x))
+        gx = pool_backward_nchw(rec, np.array([[[[5.0]]]]))
         np.testing.assert_array_equal(gx[0, 0], [[0, 0], [0, 5]])
 
     def test_backward_tie_routes_single_cell(self):
         x = np.full((1, 1, 2, 2), 1.0)
-        rec = tc.maxpool2x2_forward(x)
-        gx = tc.maxpool2x2_backward(rec, np.array([[[[2.0]]]]))
+        rec = tc.maxpool2x2_forward(tc.to_frame(x))
+        gx = pool_backward_nchw(rec, np.array([[[[2.0]]]]))
         assert gx.sum() == 2.0
         assert (gx != 0).sum() == 1
 
@@ -273,8 +336,9 @@ class TestMaxPool:
         x = np.random.default_rng(12).standard_normal((1, 2, 4, 4))
 
         def op(x_):
-            rec = tc.maxpool2x2_forward(x_)
-            return rec.output, lambda g: (tc.maxpool2x2_backward(rec, g),)
+            rec = tc.maxpool2x2_forward(tc.to_frame(x_))
+            return (tc.from_frame(rec.output),
+                    lambda g: (pool_backward_nchw(rec, g),))
 
         assert tc.gradcheck(op, [x], 1e-4, np.random.default_rng(1)).passed
 
@@ -283,9 +347,9 @@ class TestMaxPool:
     def test_mass_conservation_property(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((2, 3, 6, 8))
-        rec = tc.maxpool2x2_forward(x)
-        g = rng.standard_normal(rec.output.shape)
-        gx = tc.maxpool2x2_backward(rec, g)
+        rec = tc.maxpool2x2_forward(tc.to_frame(x))
+        g = rng.standard_normal((2, 3, 3, 4))
+        gx = pool_backward_nchw(rec, g)
         # routing moves values verbatim: exact multiset + exact rounded sum
         assert sorted(gx[gx != 0]) == sorted(g[g != 0])
         assert math.fsum(gx.reshape(-1)) == math.fsum(g.reshape(-1))
@@ -313,23 +377,23 @@ class TestReluAndUpsample:
     def test_upsample_block(self):
         x = np.array([[5.0]]).reshape(1, 1, 1, 1)
         np.testing.assert_array_equal(
-            tc.upsample_nearest2x(x)[0, 0], [[5, 5], [5, 5]])
+            upsample_nchw(x)[0, 0], [[5, 5], [5, 5]])
 
     def test_upsample_backward_block_sum(self):
         g = np.ones((1, 1, 2, 2))
-        assert tc.upsample_nearest2x_backward(g).item() == 4.0
+        assert upsample_backward_nchw(g).item() == 4.0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_upsample_backward_matches_reshape_sum(self, dtype):
         g = np.random.default_rng(15).standard_normal((3, 4, 8, 10)).astype(
             dtype)
         ref = g.reshape(3, 4, 4, 2, 5, 2).sum(axis=(3, 5))
-        np.testing.assert_array_equal(tc.upsample_nearest2x_backward(g), ref)
+        np.testing.assert_array_equal(upsample_backward_nchw(g), ref)
 
     def test_up_then_avgpool_roundtrip(self):
         # compositional oracle: nearest-2x then 2x2 mean recovers the input
         x = np.random.default_rng(4).random((2, 3, 4, 5))
-        up = tc.upsample_nearest2x(x)
+        up = upsample_nchw(x)
         down = up.reshape(2, 3, 4, 2, 5, 2).mean(axis=(3, 5))
         np.testing.assert_allclose(down, x, rtol=1e-12)
 
@@ -416,8 +480,8 @@ class TestGradcheckHarness:
         spec = tc.ConvSpec(1, 1, 3, tc.ZERO)
 
         def op(x_):
-            y, tape = tc.conv2d_forward(x_, w, np.zeros(1), spec)
-            return y, lambda g: (tc.conv2d_backward(tape, g)[0],)
+            y, tape = conv_nchw(x_, w, np.zeros(1), spec)
+            return y, lambda g: (conv_backward_nchw(tape, g)[0],)
 
         report = tc.gradcheck(op, [x], 1e-8, np.random.default_rng(2))
         assert report.passed
@@ -429,21 +493,21 @@ class TestGradcheckHarness:
         spec = tc.ConvSpec(2, 2, 3, tc.ZERO)
 
         def op(x_):
-            y, tape = tc.conv2d_forward(x_, w, np.zeros(2), spec)
-            return y, lambda g: (tc.conv2d_backward(tape, g)[0] * 1.01,)
+            y, tape = conv_nchw(x_, w, np.zeros(2), spec)
+            return y, lambda g: (conv_backward_nchw(tape, g)[0] * 1.01,)
 
         assert not tc.gradcheck(op, [x], 1e-4, np.random.default_rng(3)).passed
 
 
 def _toy_circular_net(x, weights):
     """pad(circular)+conv stride 1, relu, then one maxpool."""
-    y = x
+    y = tc.to_frame(x)
     for w in weights:
         spec = tc.ConvSpec(w.shape[1], w.shape[0], 3, tc.CIRCULAR)
         y, _ = tc.conv2d_forward(y, w, np.zeros(w.shape[0], dtype=y.dtype),
                                  spec)
-        y = tc.relu(y)
-    return tc.maxpool2x2_forward(y).output
+        y = tc.relu(y, out=y)
+    return tc.from_frame(tc.maxpool2x2_forward(y).output)
 
 
 class TestEquivariance:
@@ -465,13 +529,13 @@ class TestEquivariance:
                    rng.standard_normal((2, 3, 3, 3))]
 
         def net(v):
-            y = v
+            y = tc.to_frame(v)
             for w in weights:
                 spec = tc.ConvSpec(w.shape[1], w.shape[0], 3, tc.ZERO)
                 y, _ = tc.conv2d_forward(
                     y, w, np.zeros(w.shape[0], dtype=y.dtype), spec)
-                y = tc.relu(y)
-            return tc.maxpool2x2_forward(y).output
+                y = tc.relu(y, out=y)
+            return tc.from_frame(tc.maxpool2x2_forward(y).output)
 
         base = net(x)
         shifted = net(np.roll(x, (4, 4), (2, 3)))
@@ -488,10 +552,9 @@ class TestFiniteness:
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
         for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT):
-            y, tape = tc.conv2d_forward(
-                x, w, b, tc.ConvSpec(2, 3, 3, mode))
+            y, tape = conv_nchw(x, w, b, tc.ConvSpec(2, 3, 3, mode))
             assert np.isfinite(y).all()
-            gx, gw, gb = tc.conv2d_backward(tape, np.ones_like(y))
+            gx, gw, gb = conv_backward_nchw(tape, np.ones_like(y))
             assert np.isfinite(gx).all()
             assert np.isfinite(gw).all()
             assert np.isfinite(gb).all()

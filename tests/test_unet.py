@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from centerbias import data, unet
 from centerbias import tensor_core as tc
-from centerbias import unet
 
 
 def small_config(**kw):
@@ -47,9 +47,14 @@ class TestBuild:
 
 
 class TestForwardBackward:
-    def test_whole_model_gradcheck_f64(self):
+    # depth 3 on 8x8 keeps reflect legal at the 2x2 level; the frozen rng
+    # makes random padding a pure function
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
+                                         tc.random_pad(1.0)],
+                             ids=["zero", "circular", "reflect", "random"])
+    def test_whole_model_gradcheck_f64(self, padding):
         cfg = unet.UNetConfig(depth=3, base_channels=2, precision="f64",
-                              seed=3)
+                              padding=padding, seed=3)
         model = unet.build_unet(cfg)
         x = np.random.default_rng(0).standard_normal((1, 1, 8, 8))
         params = model.parameters()
@@ -57,7 +62,7 @@ class TestForwardBackward:
         def op(x_, *ps):
             for dst, src in zip(params, ps):
                 dst[...] = src
-            logits, tape = unet.forward(model, x_)
+            logits, tape = unet.forward(model, x_, np.random.default_rng(99))
             def vjp(g):
                 grads, gx = unet.backward(model, tape, g)
                 return (gx, *grads)
@@ -81,6 +86,28 @@ class TestForwardBackward:
         dup = np.concatenate([x, x], axis=0)
         logits, _ = unet.forward(model, dup)
         np.testing.assert_array_equal(logits[0], logits[1])
+
+    def test_rows_match_single_image_runs(self):
+        # 3 frames of 10x10 fill 300 buffer columns, not a multiple of the
+        # BLAS tile, so this fails if a pixel's bits depend on its column
+        model = unet.build_unet(small_config(padding=tc.CIRCULAR))
+        x = np.random.default_rng(4).random((3, 1, 8, 8)).astype(np.float32)
+        logits, _ = unet.forward(model, x)
+        for i in range(3):
+            alone, _ = unet.forward(model, x[i:i + 1])
+            np.testing.assert_array_equal(alone[0], logits[i])
+
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.REFLECT,
+                                         tc.random_pad(1.0)],
+                             ids=["zero", "reflect", "random"])
+    def test_forward_without_tape_is_bit_identical(self, padding):
+        model = unet.build_unet(small_config(padding=padding, depth=3))
+        x = np.random.default_rng(5).random((2, 1, 16, 8)).astype(np.float32)
+        taped, tape = unet.forward(model, x, np.random.default_rng(1))
+        bare, none = unet.forward(model, x, np.random.default_rng(1),
+                                  keep_tape=False)
+        assert none is None and tape is not None
+        assert bare.tobytes() == taped.tobytes()
 
     def test_forward_deterministic_with_random_padding(self):
         cfg = small_config(padding=tc.random_pad(1.0))
@@ -128,6 +155,32 @@ class TestTrainStep:
             return trace
 
         assert run() == run()
+
+
+class TestPinnedLosses:
+    """f32 losses of a fixed-seed smoke run, recorded with the im2col
+    engine; a faster engine must keep them within f32 rounding."""
+
+    PINNED = {
+        "zero": [2.7619521617889404, 2.5988333225250244, 2.552443265914917,
+                 2.5279793739318848],
+        "circular": [2.745661497116089, 2.553860902786255, 2.5259220600128174,
+                     2.5115890502929688],
+    }
+
+    @pytest.mark.parametrize("kind", ["zero", "circular"])
+    def test_four_default_steps(self, kind):
+        cfg = data.DatasetConfig(policy=data.AllowedCentral(0.3), count=16,
+                                 master_seed=2024)
+        samples = list(data.iter_samples(cfg))
+        X = np.concatenate([s.input for s in samples]).astype(np.float32)
+        T = np.stack([s.target for s in samples]).astype(np.int64)
+        model = unet.build_unet(unet.UNetConfig(
+            padding=tc.PaddingMode(kind), seed=7))
+        adam = tc.AdamState.for_params([model.flat_params])
+        losses = [unet.train_step(model, X[i:i + 4], T[i:i + 4], adam)
+                  for i in range(0, 16, 4)]
+        np.testing.assert_allclose(losses, self.PINNED[kind], rtol=1e-5)
 
 
 class TestWholeModelEquivariance:

@@ -111,6 +111,11 @@ def _guard(wp: int) -> int:
     return -(-(wp + 1) // 32) * 32
 
 
+def _span(m: int) -> int:
+    """Frame columns rounded up to a multiple of _ALIGN."""
+    return -(-m // _ALIGN) * _ALIGN
+
+
 def _require_frame(x: np.ndarray, name: str = "input") -> None:
     if not (isinstance(x, np.ndarray) and x.ndim == 4
             and min(x.shape[2:]) >= 3):
@@ -132,10 +137,6 @@ def _rows(f: np.ndarray, name: str = "input") -> np.ndarray:
         raise ValueError(f"{name} must be a frame made by new_frame, "
                          f"to_frame or a tensor_core op")
     return buf
-
-
-def _span(m: int) -> int:
-    return -(-m // _ALIGN) * _ALIGN
 
 
 def _zero_ring(f: np.ndarray) -> None:
@@ -306,7 +307,8 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
                    ) -> tuple[np.ndarray, ConvTape]:
     """Cross-correlate frame `x` with `weights`; returns (out frame, tape).
 
-    A 3x3 conv first fills the ring of `x` in place per `spec.mode`.
+    A 3x3 conv first fills the ring of `x` in place per `spec.mode`.  The
+    tape holds `x` itself, so `x` must not change before the backward call.
     """
     X = _rows(x)
     k, c, oc = spec.size, spec.in_channels, spec.out_channels

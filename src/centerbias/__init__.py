@@ -1,7 +1,7 @@
 """Laboratory for measuring and mitigating the center-position bias of CNNs.
 
 Submodules:
-    tensor_core  -- NCHW tensor ops, tapes, Adam, gradient checking
+    tensor_core  -- padded-frame tensor ops, tapes, Adam, gradient checking
     unet         -- small U-Net builder, training step, checkpoints
     data         -- placement-controlled synthetic segmentation datasets
     coco_audit   -- object-position heatmaps from detection annotations

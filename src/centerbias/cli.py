@@ -312,7 +312,7 @@ def run_verification_suite(verbose: bool = True) -> bool:
     for name, report in checks:
         status = "PASS" if report.passed else "FAIL"
         if verbose:
-            print(f"{status}  {name:28s} max_rel_error={report.max_rel_error:.3e} "
+            print(f"{status}  {name:32s} max_rel_error={report.max_rel_error:.3e} "
                   f"(tol {report.tolerance:g})")
         all_ok &= report.passed
     return all_ok

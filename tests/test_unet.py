@@ -1,5 +1,9 @@
 """U-Net construction, training-step, determinism, and checkpoint oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -88,15 +92,30 @@ class TestForwardBackward:
         logits, _ = unet.forward(model, dup)
         np.testing.assert_array_equal(logits[0], logits[1])
 
-    def test_rows_match_single_image_runs(self):
-        # 3 frames of 10x10 fill 300 buffer columns, not a multiple of the
-        # BLAS tile, so this fails if a pixel's bits depend on its column
-        model = unet.build_unet(small_config(padding=tc.CIRCULAR))
-        x = np.random.default_rng(4).random((3, 1, 8, 8)).astype(np.float32)
-        logits, _ = unet.forward(model, x)
-        for i in range(3):
-            alone, _ = unet.forward(model, x[i:i + 1])
-            np.testing.assert_array_equal(alone[0], logits[i])
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # pool workers run single-threaded BLAS and the main process does
+        # not; OpenBLAS computes a thread's last (columns mod 16) pixels with
+        # another kernel, so unaligned GEMM column ranges differ in the bits
+        script = (
+            "import hashlib, numpy as np\n"
+            "from centerbias import unet, tensor_core as tc\n"
+            "m = unet.build_unet(unet.UNetConfig(padding=tc.CIRCULAR, seed=1))\n"
+            "x = np.random.default_rng(0).random((3, 1, 64, 96))\n"
+            "logits, tape = unet.forward(m, x.astype(np.float32))\n"
+            "grads, gx = unet.backward(m, tape, np.ones_like(logits))\n"
+            "arrays = [logits, gx, *grads]\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in arrays))"
+            ".hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(unet.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=300)
+            digests.add(done.stdout)
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("padding", [tc.ZERO, tc.REFLECT,
                                          tc.random_pad(1.0)],

@@ -11,9 +11,10 @@ Activations and their gradients live in frames.  A frame is a
 around it; `to_frame` and `from_frame` convert from and to NCHW.  Ops read and
 write a frame's interior.  The ring is scratch space that `pad` fills in place
 before a 3x3 conv reads it.  Each channel of a frame is one row of a
-C-contiguous (C, L) buffer: a zero guard of G columns, the frame's
-N*(H+2)*(W+2) pixels, a zero tail up to the span's end, and another guard.
-The span is the frame plus its tail, a multiple of _ALIGN columns.
+C-contiguous (C, L) buffer: a guard of G columns, the frame's N*(H+2)*(W+2)
+pixels, a tail up to the end of the span (the frame plus its tail, a multiple
+of _ALIGN columns), and another guard.  Guards and tail start at zero and
+only ever hold finite values.
 
 Every convolution is stride-1 and "same": a 3x3 kernel on the ring-padded
 input, or the 1x1 head, which is one GEMM over the buffer.  It uses the

@@ -131,6 +131,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_saliency(args) -> int:
+    grid = saliency.ShiftGrid(args.extent_x, args.extent_y, args.stride)
     model = unet.load_checkpoint(args.checkpoint)
     glyphs = data.builtin_glyphs()
     glyph = glyphs.images[args.digit]
@@ -138,7 +139,6 @@ def cmd_saliency(args) -> int:
     scene = saliency.make_scene(glyph, args.digit, (args.height, args.width),
                                 (args.extent_x, args.extent_y),
                                 background, seed=args.seed)
-    grid = saliency.ShiftGrid(args.extent_x, args.extent_y, args.stride)
     sm = saliency.saliency_shift_map(model, scene, grid)
     os.makedirs(args.out, exist_ok=True)
     saliency.export_shift_map(sm, os.path.join(args.out, "shift_map"))

@@ -7,12 +7,22 @@ background move together), re-aligns each map into object-centered
 coordinates, and reduces each shift to the mean absolute difference from the
 centered map over the overlap, finally dividing the whole matrix by its
 population standard deviation.
+
+The crops of a shift map go through the network in batches of SHIFT_BATCH
+(8), with a backward pass that computes only the input gradient.  An image's
+bits do not depend on its batch position (see tensor_core), so every map
+equals the one computed alone.  Why 8: a batch-8 taped forward and backward
+stays under the peak memory of a batch-32 evaluation forward.  At 64x96,
+after a 64-sample `evaluate_bands`, a 289-map grid left the peak RSS at
+117 MB up to batch 16 and raised it to 147 MB at batch 24 and 181 MB at
+batch 32 (2 cores), while batch 16 was no faster than batch 8.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,27 +33,38 @@ from .netpbm import to_u8, write_pgm
 from .rng import stream
 
 __all__ = [
-    "saliency_map", "CanvasScene", "make_scene", "ShiftGrid",
-    "SaliencyShiftMap", "saliency_shift_map", "dispersion_normalize",
-    "export_shift_map",
+    "saliency_maps", "saliency_map", "CanvasScene", "make_scene",
+    "ShiftGrid", "SaliencyShiftMap", "saliency_shift_map",
+    "dispersion_normalize", "export_shift_map", "SHIFT_BATCH",
 ]
+
+SHIFT_BATCH = 8
+
+
+def saliency_maps(model: unet.Model, samples: Sequence[Sample]) -> np.ndarray:
+    """Absolute input gradient of each sample's mask-mean true-class logit.
+
+    One taped forward over the stacked inputs and one input-only backward;
+    returns an (N, H, W) array.  Raises before any forward pass if a sample
+    has an empty mask.
+    """
+    masks = [s.target > 0 for s in samples]
+    for i, mask in enumerate(masks):
+        if not mask.any():
+            raise ValueError(f"sample {i} has an empty object mask")
+    logits, tape = unet.forward(model,
+                                np.concatenate([s.input for s in samples]))
+    grad_logits = np.zeros_like(logits)
+    for i, (s, mask) in enumerate(zip(samples, masks)):
+        grad_logits[i, s.meta.digit_class + 1][mask] = 1.0 / mask.sum()
+    _, grad_input = unet.backward(model, tape, grad_logits,
+                                  need_params=False)
+    return np.abs(grad_input[:, 0])
 
 
 def saliency_map(model: unet.Model, sample: Sample) -> np.ndarray:
-    """Absolute input gradient of the mask-mean true-class logit.
-
-    Returns an (H, W) array of the input's dims; errors on an empty mask.
-    """
-    mask = sample.target > 0
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("sample has an empty object mask")
-    x = sample.input.astype(model.config.dtype, copy=False)
-    logits, tape = unet.forward(model, x)
-    grad_logits = np.zeros_like(logits)
-    grad_logits[0, sample.meta.digit_class + 1][mask] = 1.0 / count
-    _, grad_input = unet.backward(model, tape, grad_logits)
-    return np.abs(grad_input[0, 0])
+    """One sample's (H, W) map.  perfbench/layers.py times this name."""
+    return saliency_maps(model, [sample])[0]
 
 
 @dataclass
@@ -109,6 +130,8 @@ class ShiftGrid:
     stride: int = 1
 
     def __post_init__(self):
+        if self.extent_x < 0 or self.extent_y < 0:
+            raise ValueError("extents must be >= 0")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         if self.extent_x % self.stride or self.extent_y % self.stride:
@@ -162,15 +185,15 @@ def saliency_shift_map(model: unet.Model, scene: CanvasScene,
     of the crop moved by (dx, dy), translated back so the object overlaps
     itself.  Entries are independent; the (0, 0) entry is exactly 0.
     """
-    s0 = saliency_map(model, scene.crop(0, 0))
-    dxs, dys = grid.dxs, grid.dys
-    raw = np.zeros((len(dys), len(dxs)), dtype=np.float64)
-    for iy, dy in enumerate(dys):
-        for ix, dx in enumerate(dxs):
-            if dx == 0 and dy == 0:
-                continue
-            s = saliency_map(model, scene.crop(dx, dy))
-            raw[iy, ix] = _overlap_mean_absdiff(s0, s, dx, dy)
+    shifts = [(dx, dy) for dy in grid.dys for dx in grid.dxs]
+    maps = np.concatenate([
+        saliency_maps(model, [scene.crop(dx, dy) for dx, dy
+                              in shifts[i:i + SHIFT_BATCH]])
+        for i in range(0, len(shifts), SHIFT_BATCH)])
+    s0 = maps[shifts.index((0, 0))]
+    raw = np.array([_overlap_mean_absdiff(s0, s, dx, dy)
+                    for s, (dx, dy) in zip(maps, shifts)])
+    raw = raw.reshape(len(grid.dys), len(grid.dxs))
     values, normalized = dispersion_normalize(raw)
     return SaliencyShiftMap(values, raw, grid, normalized)
 

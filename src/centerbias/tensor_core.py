@@ -33,7 +33,9 @@ against the same shifted slices.  grad-input is the same conv run on the
 upstream with the flipped, transposed taps: a circular border first wraps the
 upstream's ring, which yields the input gradient directly; a reflect border
 computes the gradient over the whole frame, ring included, and folds the ring
-back onto the interior pixels it copies.
+back onto the interior pixels it copies.  A caller can ask for grad-input
+alone (a saliency map) or for grad-W and grad-bias alone (the network's first
+conv in training); the other side is then skipped.
 """
 
 from __future__ import annotations
@@ -343,10 +345,14 @@ def _fold_reflect(f: np.ndarray) -> None:
     f[:, :, :, -3] += f[:, :, :, -1]
 
 
-def conv2d_backward(tape: ConvTape, upstream: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conv2d_backward(tape: ConvTape, upstream: np.ndarray, *,
+                    need_input: bool = True, need_params: bool = True
+                    ) -> tuple[np.ndarray | None, np.ndarray | None,
+                               np.ndarray | None]:
     """Exact VJP of conv2d_forward: (grad_input frame, grad_weights,
-    grad_bias).  Overwrites all of the `upstream` buffer but its interior."""
+    grad_bias).  A gradient not asked for by `need_input` / `need_params`
+    is None and is not computed.  Overwrites all of the `upstream` buffer
+    but its interior."""
     spec = tape.spec
     k, oc = spec.size, spec.out_channels
     n, c, h, w = tape.x_shape
@@ -361,12 +367,17 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray
     G[:, :g] = 0
     G[:, g + upstream[0].size:] = 0
     X = tape.padded.base
-    grad_bias = G.sum(axis=1)
-    gx = _empty_frame(c, n, h, w, upstream.dtype)
-    GX = gx.base
+    gx = grad_weights = grad_bias = None
+    if need_params:
+        grad_bias = G.sum(axis=1)
+    if need_input:
+        gx = _empty_frame(c, n, h, w, upstream.dtype)
+        GX = gx.base
     if k == 1:
-        grad_weights = (G @ X.T).reshape(weights.shape)
-        np.matmul(weights.reshape(oc, c).T, G, out=GX)
+        if need_params:
+            grad_weights = (G @ X.T).reshape(weights.shape)
+        if need_input:
+            np.matmul(weights.reshape(oc, c).T, G, out=GX)
         return gx, grad_weights, grad_bias
 
     # output p reads input p + off(t): grad-W pairs the upstream with the
@@ -374,16 +385,17 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray
     # flipped taps, whose offsets are -off(t)
     span = G.shape[1] - 2 * g
     flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    if c < oc:
+    fused = False
+    if need_params and c < oc:
         grad_weights = np.zeros((oc, 9 * c), dtype=G.dtype)
         for a, b in _chunks(span, 9 * c * X.itemsize):
             grad_weights += G[:, g + a:g + b] @ _taps(X, wp, a, b).T
         grad_weights = grad_weights.reshape(oc, 3, 3, c).transpose(0, 3, 1, 2)
-        fused = False
-    else:
+    elif need_params:
         # the upstream's tap stack feeds grad-W (its block t pairs with tap
-        # 8 - t) and, unless the ring must first be wrapped, grad-input
-        fused = spec.mode.kind != "circular"
+        # 8 - t) and, unless the ring must first be wrapped, grad-input: it
+        # is the stack _conv_rows would build, in the same chunks
+        fused = need_input and spec.mode.kind != "circular"
         w2 = flipped.transpose(0, 2, 3, 1).reshape(c, 9 * oc)
         grad_weights = np.zeros((9 * oc, c), dtype=G.dtype)
         for a, b in _chunks(span, 9 * oc * G.itemsize):
@@ -393,14 +405,15 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray
                 np.matmul(w2, taps, out=GX[:, g + a:g + b])
         grad_weights = grad_weights.reshape(3, 3, oc, c)[::-1, ::-1]
         grad_weights = grad_weights.transpose(2, 3, 0, 1)
-    grad_weights = np.ascontiguousarray(grad_weights)
+    if need_params:
+        grad_weights = np.ascontiguousarray(grad_weights)
 
-    if not fused:
+    if need_input and not fused:
         if spec.mode.kind == "circular":
             # input pixels on one edge also feed the outputs across the wrap
             pad(upstream, CIRCULAR)
         _conv_rows(G, flipped, wp, GX)
-    if spec.mode.kind == "reflect":
+    if need_input and spec.mode.kind == "reflect":
         _fold_reflect(gx)
     return gx, grad_weights, grad_bias
 

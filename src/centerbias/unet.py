@@ -230,24 +230,29 @@ def forward(model: Model, batch: np.ndarray,
     return tc.from_frame(logits), tape
 
 
-def backward(model: Model, tape: _Tape, grad_logits: np.ndarray
-             ) -> tuple[list[np.ndarray], np.ndarray]:
+def backward(model: Model, tape: _Tape, grad_logits: np.ndarray, *,
+             need_input: bool = True, need_params: bool = True
+             ) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
     """VJP through the whole net, from NCHW logit gradients.
 
     Returns (param_grads, NCHW grad_input); param_grads aligns with
-    model.parameters().
+    model.parameters().  Each side is None, and not computed, unless asked
+    for by `need_params` / `need_input`.
     """
     cfg = model.config
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def back_conv_relu(layer, g):
+    def back_conv_relu(layer, g, need_input=True):
         g = tc.relu_backward(tape.activations[layer.name], g)
-        gx, gw, gb = tc.conv2d_backward(tape.conv_tapes[layer.name], g)
+        gx, gw, gb = tc.conv2d_backward(tape.conv_tapes[layer.name], g,
+                                        need_input=need_input,
+                                        need_params=need_params)
         grads[layer.name] = (gw, gb)
         return gx
 
     g, gw, gb = tc.conv2d_backward(tape.conv_tapes[model.head.name],
-                                   tc.to_frame(grad_logits))
+                                   tc.to_frame(grad_logits),
+                                   need_params=need_params)
     grads[model.head.name] = (gw, gb)
 
     skip_grads: dict[int, np.ndarray] = {}
@@ -264,14 +269,14 @@ def backward(model: Model, tape: _Tape, grad_logits: np.ndarray
             g += skip_grads.pop(lvl)
         a, b = model.encoder[lvl]
         g = back_conv_relu(b, g)
-        g = back_conv_relu(a, g)
+        # only the first conv's input gradient is the network's
+        g = back_conv_relu(a, g, need_input or lvl > 0)
 
-    param_grads = []
-    for layer in model.layers():
-        gw, gb = grads[layer.name]
-        param_grads.append(gw)
-        param_grads.append(gb)
-    return param_grads, tc.from_frame(g)
+    param_grads = None
+    if need_params:
+        param_grads = [grad for layer in model.layers()
+                       for grad in grads[layer.name]]
+    return param_grads, None if g is None else tc.from_frame(g)
 
 
 def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
@@ -284,7 +289,7 @@ def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
     """
     logits, tape = forward(model, batch, rng)
     loss, grad_logits = tc.softmax_cross_entropy_pixelwise(logits, targets)
-    param_grads, _ = backward(model, tape, grad_logits)
+    param_grads, _ = backward(model, tape, grad_logits, need_input=False)
     flat_grads = np.concatenate([g.reshape(-1) for g in param_grads])
     tc.adam_step([model.flat_params], [flat_grads], adam)
     model.step += 1

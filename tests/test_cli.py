@@ -87,6 +87,17 @@ class TestConfigErrors:
         self.assert_one_line_error(capsys)
 
 
+    def test_negative_saliency_extent_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(
+            unet.build_unet(unet.UNetConfig(depth=1, base_channels=2)), path)
+        assert run(["saliency", "--checkpoint", str(path), "--out",
+                    str(tmp_path / "sal"), "--extent-x", "-2"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "extent" in err
+
+
 class TestGen:
     def test_emits_exact_pairs(self, tmp_path, capsys):
         out = tmp_path / "previews"

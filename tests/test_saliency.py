@@ -31,7 +31,7 @@ class TestSaliencyMap:
     def test_linear_model_analytic_oracle(self):
         model = linear_model()
         s = centered_sample()
-        m = saliency.saliency_map(model, s)
+        m = saliency.saliency_maps(model, [s])[0]
         mask = s.target > 0
         count = mask.sum()
         k = s.meta.digit_class + 1
@@ -41,27 +41,50 @@ class TestSaliencyMap:
 
     def test_gradient_linearity_under_logit_scaling(self):
         s = centered_sample()
-        m1 = saliency.saliency_map(linear_model(), s)
-        m2 = saliency.saliency_map(linear_model(scale=2.0), s)
+        m1 = saliency.saliency_maps(linear_model(), [s])[0]
+        m2 = saliency.saliency_maps(linear_model(scale=2.0), [s])[0]
         np.testing.assert_allclose(m2, 2 * m1, rtol=1e-10)
 
     def test_map_dims_match_input(self):
         model = unet.build_unet(unet.UNetConfig(depth=2, base_channels=4))
         s = centered_sample(24, 32)
-        assert saliency.saliency_map(model, s).shape == (24, 32)
+        assert saliency.saliency_maps(model, [s])[0].shape == (24, 32)
 
     def test_empty_mask_rejected(self):
         model = linear_model()
         s = centered_sample()
         s.target[...] = 0
         with pytest.raises(ValueError):
-            saliency.saliency_map(model, s)
+            saliency.saliency_maps(model, [s])[0]
 
     def test_nonnegative(self):
         model = unet.build_unet(unet.UNetConfig(depth=2, base_channels=4,
                                                 seed=3))
-        m = saliency.saliency_map(model, centered_sample(24, 32))
+        m = saliency.saliency_maps(model, [centered_sample(24, 32)])[0]
         assert (m >= 0).all()
+
+
+    def test_batch_rows_equal_single_runs(self):
+        model = unet.build_unet(unet.UNetConfig(depth=2, base_channels=4,
+                                                seed=3))
+        a = centered_sample(24, 32)
+        b = centered_sample(24, 32, size=6, cls=7)
+        maps = saliency.saliency_maps(model, [a, b, a])
+        assert maps.shape == (3, 24, 32)
+        alone = saliency.saliency_maps(model, [a])[0]
+        assert maps[0].tobytes() == maps[2].tobytes() == alone.tobytes()
+        assert not np.array_equal(maps[0], maps[1])
+
+    def test_empty_mask_named_before_any_forward(self, monkeypatch):
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        model = linear_model()
+        empty = centered_sample()
+        empty.target[...] = 0
+        monkeypatch.setattr(unet, "forward", no_forward)
+        with pytest.raises(ValueError, match="sample 1 "):
+            saliency.saliency_maps(model, [centered_sample(), empty])
 
 
 class TestDispersionNormalize:
@@ -111,6 +134,12 @@ class TestScene:
             saliency.ShiftGrid(extent_x=6, extent_y=4, stride=4)
 
 
+    @pytest.mark.parametrize("extents", [(-2, 4), (4, -2)])
+    def test_negative_extent_rejected(self, extents):
+        with pytest.raises(ValueError, match="extents must be >= 0"):
+            saliency.ShiftGrid(*extents, stride=2)
+
+
 class TestShiftMap:
     def make(self, padding, seed=0):
         cfg = unet.UNetConfig(depth=3, base_channels=4, padding=padding,
@@ -130,6 +159,21 @@ class TestShiftMap:
         grid = saliency.ShiftGrid(4, 4, 4)
         sm = saliency.saliency_shift_map(model, scene, grid)
         assert sm.raw[1, 1] == 0.0
+
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
+    def test_batches_match_crop_by_crop(self, padding):
+        model, scene = self.make(padding)
+        grid = saliency.ShiftGrid(4, 4, 2)
+        # three full batches and a last batch of one
+        assert len(grid.dxs) * len(grid.dys) == 3 * saliency.SHIFT_BATCH + 1
+        sm = saliency.saliency_shift_map(model, scene, grid)
+        s0 = saliency.saliency_maps(model, [scene.crop(0, 0)])[0]
+        ref = np.array([[saliency._overlap_mean_absdiff(
+            s0, saliency.saliency_maps(model, [scene.crop(dx, dy)])[0],
+            dx, dy) for dx in grid.dxs] for dy in grid.dys])
+        assert sm.raw.tobytes() == ref.tobytes()
+        assert sm.raw[2, 2] == 0.0
 
     def test_recompute_identical(self):
         model, scene = self.make(tc.ZERO)

@@ -252,6 +252,33 @@ class TestConvBackward:
             np.testing.assert_array_equal(gw, gw2, mode.kind)
             np.testing.assert_array_equal(gb, gb2, mode.kind)
 
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
+                                      tc.random_pad(0.7)],
+                             ids=["zero", "circular", "reflect", "random"])
+    @pytest.mark.parametrize("cin,cout,size", [(2, 8, 3), (8, 2, 3),
+                                               (3, 2, 1)])
+    def test_partial_backward_keeps_the_full_bits(self, mode, cin, cout,
+                                                  size):
+        # a gradient not asked for is None; 64x96 images make the column
+        # loops run over more than one chunk
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((3, cin, 64, 96)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, size, size)).astype(np.float32)
+        g = rng.standard_normal((3, cout, 64, 96)).astype(np.float32)
+        spec = tc.ConvSpec(cin, cout, size, mode)
+        _, tape = tc.conv2d_forward(tc.to_frame(x), w,
+                                    np.zeros(cout, np.float32), spec,
+                                    np.random.default_rng(1))
+        gx, gw, gb = tc.conv2d_backward(tape, tc.to_frame(g))
+        gx_only, no_gw, no_gb = tc.conv2d_backward(tape, tc.to_frame(g),
+                                                   need_params=False)
+        no_gx, gw_only, gb_only = tc.conv2d_backward(tape, tc.to_frame(g),
+                                                     need_input=False)
+        assert no_gw is None and no_gb is None and no_gx is None
+        assert tc.from_frame(gx_only).tobytes() == tc.from_frame(gx).tobytes()
+        assert gw_only.tobytes() == gw.tobytes()
+        assert gb_only.tobytes() == gb.tobytes()
+
     def test_upstream_shape_mismatch(self):
         x = np.zeros((1, 1, 4, 4))
         w = np.zeros((1, 1, 3, 3))

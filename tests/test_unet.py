@@ -103,7 +103,10 @@ class TestForwardBackward:
             "x = np.random.default_rng(0).random((3, 1, 64, 96))\n"
             "logits, tape = unet.forward(m, x.astype(np.float32))\n"
             "grads, gx = unet.backward(m, tape, np.ones_like(logits))\n"
-            "arrays = [logits, gx, *grads]\n"
+            "_, tape = unet.forward(m, x.astype(np.float32))\n"
+            "_, gx_only = unet.backward(m, tape, np.ones_like(logits),\n"
+            "                           need_params=False)\n"
+            "arrays = [logits, gx, gx_only, *grads]\n"
             "print(hashlib.sha256(b''.join(a.tobytes() for a in arrays))"
             ".hexdigest())\n")
         src = os.path.dirname(os.path.dirname(unet.__file__))
@@ -116,6 +119,29 @@ class TestForwardBackward:
                                   timeout=300)
             digests.add(done.stdout)
         assert len(digests) == 1
+
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
+                                         tc.random_pad(1.0)],
+                             ids=["zero", "circular", "reflect", "random"])
+    def test_partial_backward_keeps_the_full_bits(self, padding):
+        model = unet.build_unet(unet.UNetConfig(padding=padding, seed=2))
+        rng = np.random.default_rng(6)
+        x = rng.random((2, 1, 32, 48)).astype(np.float32)
+        g = rng.standard_normal((2, 11, 32, 48)).astype(np.float32)
+
+        def backward(**need):
+            # each backward gets its own tape, from equal rngs
+            _, tape = unet.forward(model, x, np.random.default_rng(1))
+            return unet.backward(model, tape, g, **need)
+
+        grads, gx = backward()
+        no_grads, gx_only = backward(need_params=False)
+        grads_only, no_gx = backward(need_input=False)
+        assert no_grads is None and no_gx is None
+        assert gx_only.tobytes() == gx.tobytes()
+        assert len(grads_only) == len(grads)
+        for a, b in zip(grads_only, grads):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("padding", [tc.ZERO, tc.REFLECT,
                                          tc.random_pad(1.0)],

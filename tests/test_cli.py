@@ -86,7 +86,6 @@ class TestConfigErrors:
         assert run(["eval", "--checkpoint", str(path), "--count", "1"]) == 4
         self.assert_one_line_error(capsys)
 
-
     def test_negative_saliency_extent_exits_4(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
         unet.save_checkpoint(

@@ -63,7 +63,6 @@ class TestSaliencyMap:
         m = saliency.saliency_maps(model, [centered_sample(24, 32)])[0]
         assert (m >= 0).all()
 
-
     def test_batch_rows_equal_single_runs(self):
         model = unet.build_unet(unet.UNetConfig(depth=2, base_channels=4,
                                                 seed=3))
@@ -132,7 +131,6 @@ class TestScene:
     def test_grid_requires_stride_alignment(self):
         with pytest.raises(ValueError):
             saliency.ShiftGrid(extent_x=6, extent_y=4, stride=4)
-
 
     @pytest.mark.parametrize("extents", [(-2, 4), (4, -2)])
     def test_negative_extent_rejected(self, extents):

@@ -1,26 +1,31 @@
 """Mitigation transforms: periodic shifts, shift-object-to-boundary, and the
 input-level edge-band drop.
 
-All transforms are pure given an explicit RNG stream.  Periodic shifts wrap
-pixel content modularly; a bounding box that straddles the wrap seam is split
-into the corresponding fragments.  `random_shift` and `boundary_shift` pick
-the shift, so array-level callers (the training harness) apply exactly the
-shifts the Sample-level transforms do.  `edge_block_drop` acts on whatever
-array it is given; the harness applies it to input images only.
+Every augmentation has one implementation: a transform
+`(x, t, rng) -> (x, t)` on an input image `x` (shape (C, H, W)) and its
+label map `t` (shape (H, W)), built by `build_augmentations` from a spec
+such as `{"name": "random_periodic_shift", "max_frac": 0.25}`.  Training
+applies these transforms to each sample; `centerbias augment` applies the
+same ones to a sample file and checks their postconditions.
+
+Periodic shifts wrap pixel content modularly and move the label map with
+the image.  `random_shift` and `boundary_shift` pick the shift;
+`edge_block_drop` zeroes a band of the input image only.  All randomness
+comes from the explicit `rng` stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import inspect
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample, SampleMeta, mask_bbox
+from .data import mask_bbox
 
 __all__ = [
-    "ShiftSpec", "EdgeDropSpec", "periodic_shift", "shift_bboxes",
-    "shift_sample", "random_shift", "random_periodic_shift", "boundary_shift",
-    "shift_object_to_boundary", "edge_block_drop",
+    "ShiftSpec", "EdgeDropSpec", "periodic_shift", "random_shift",
+    "boundary_shift", "edge_block_drop", "build_augmentations",
 ]
 
 Box = tuple[int, int, int, int]  # (x, y, w, h) in pixels
@@ -40,10 +45,23 @@ class EdgeDropSpec:
     band_width: int
 
     def __post_init__(self):
-        if not 0 <= self.probability <= 1:
-            raise ValueError("probability must lie in [0, 1]")
-        if self.band_width < 1:
-            raise ValueError("band_width must be >= 1")
+        if not _is_fraction(self.probability):
+            raise ValueError(f"probability must be a number in [0, 1], "
+                             f"got {self.probability!r}")
+        if type(self.band_width) is not int or self.band_width < 1:
+            raise ValueError(f"band_width must be an integer >= 1, "
+                             f"got {self.band_width!r}")
+
+    def check_fits(self, hw: tuple[int, int]) -> None:
+        """Raise unless a band leaves part of an (H, W) image standing."""
+        if self.band_width >= min(hw):
+            raise ValueError(f"band_width {self.band_width} too wide for "
+                             f"{hw[0]}x{hw[1]} images")
+
+
+def _is_fraction(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 <= value <= 1)
 
 
 def periodic_shift(array: np.ndarray, spec: ShiftSpec) -> np.ndarray:
@@ -52,51 +70,6 @@ def periodic_shift(array: np.ndarray, spec: ShiftSpec) -> np.ndarray:
     if array.ndim < 2:
         raise ValueError("need at least 2 spatial dims")
     return np.roll(array, (spec.dy, spec.dx), axis=(-2, -1))
-
-
-def _split_segments(start: int, length: int, size: int) -> list[tuple[int, int]]:
-    """Wrap an interval modularly; returns up to two (start, length) pieces."""
-    start %= size
-    if start + length <= size:
-        return [(start, length)]
-    first = size - start
-    return [(start, first), (0, length - first)]
-
-
-def shift_bboxes(boxes: list[Box], spec: ShiftSpec, width: int, height: int
-                 ) -> tuple[list[Box], list[int]]:
-    """Move boxes with the image; seam-straddling boxes split into pieces.
-
-    Returns (boxes, origins) where origins[i] is the index of the input box
-    each output box came from, so labels can be replicated alongside.
-    """
-    out: list[Box] = []
-    origins: list[int] = []
-    for idx, (x, y, w, h) in enumerate(boxes):
-        for sx, sw in _split_segments(x + spec.dx, w, width):
-            for sy, sh in _split_segments(y + spec.dy, h, height):
-                out.append((sx, sy, sw, sh))
-                origins.append(idx)
-    return out, origins
-
-
-def shift_sample(sample: Sample, spec: ShiftSpec) -> Sample:
-    """Periodic shift of a Sample's image and label map together.
-
-    The offset/r bookkeeping is only meaningful for an unwrapped object: it
-    is kept when the shifted mask stays in one piece and cleared otherwise.
-    """
-    img = periodic_shift(sample.input, spec)
-    target = periodic_shift(sample.target, spec)
-    H, W = target.shape
-    meta = sample.meta
-    offset = r = None
-    bbox = mask_bbox(target > 0)
-    if meta.bbox is not None:
-        pieces, _ = shift_bboxes([meta.bbox], spec, W, H)
-        if len(pieces) > 1:
-            bbox = None  # wrapped: no single tight box describes the object
-    return Sample(img, target, SampleMeta(meta.digit_class, offset, r, bbox))
 
 
 def random_shift(hw: tuple[int, int], rng: np.random.Generator,
@@ -108,13 +81,6 @@ def random_shift(hw: tuple[int, int], rng: np.random.Generator,
     dx = int(rng.integers(-mx, mx + 1)) if mx else 0
     dy = int(rng.integers(-my, my + 1)) if my else 0
     return ShiftSpec(dx, dy)
-
-
-def random_periodic_shift(sample: Sample, rng: np.random.Generator,
-                          max_frac: float = 0.25) -> Sample:
-    """Shift by uniform dx, dy up to +-floor(max_frac * dim) pixels."""
-    return shift_sample(sample,
-                        random_shift(sample.target.shape, rng, max_frac))
 
 
 _SIDE_ORDER = ("left", "right", "top", "bottom")
@@ -142,50 +108,102 @@ def boundary_shift(box: Box, hw: tuple[int, int]) -> ShiftSpec:
         dy=-d if side == "top" else d if side == "bottom" else 0)
 
 
-def shift_object_to_boundary(image: np.ndarray, bboxes: list[Box],
-                             labels: list, rng: np.random.Generator
-                             ) -> tuple[np.ndarray, list[Box], list]:
-    """Periodically shift so one random object's box lands on the image edge.
-
-    The box is drawn uniformly from `bboxes`; `boundary_shift` picks the
-    shift.
-    """
-    if not bboxes:
-        raise ValueError("need at least one bounding box")
-    H, W = image.shape[-2], image.shape[-1]
-    spec = boundary_shift(bboxes[int(rng.integers(len(bboxes)))], (H, W))
-    shifted = periodic_shift(image, spec)
-    boxes, origins = shift_bboxes(bboxes, spec, W, H)
-    return shifted, boxes, [labels[i] for i in origins]
-
-
-def edge_block_drop(activation: np.ndarray, spec: EdgeDropSpec,
+def edge_block_drop(x: np.ndarray, spec: EdgeDropSpec,
                     rng: np.random.Generator) -> np.ndarray:
     """Zero a full band on one random side, rescaling survivors.
 
     With probability `probability` every channel loses a band_width-wide
-    strip on a uniformly drawn side; the remaining values are scaled by
-    total/kept cell count so the expected mass is preserved.  Otherwise the
-    input is returned as is.  The training harness applies it to input
-    images (an input-level augmentation), not to hidden activations.
+    strip of the last two axes on a uniformly drawn side; the remaining
+    values are scaled by total/kept cell count so the expected mass is
+    preserved.  Otherwise the input is returned as is.  Training applies it
+    to input images (an input-level augmentation), not to hidden
+    activations.
     """
-    n, c, h, w = activation.shape
-    if spec.band_width >= min(h, w):
-        raise ValueError(
-            f"band_width {spec.band_width} too wide for {h}x{w} activation")
+    h, w = x.shape[-2:]
+    spec.check_fits((h, w))
     if rng.random() >= spec.probability:
-        return activation
+        return x
     side = _SIDE_ORDER[int(rng.integers(4))]
     b = spec.band_width
     total = h * w
     kept = total - (b * h if side in ("left", "right") else b * w)
-    out = activation * (total / kept)
+    out = x * (total / kept)
     if side == "left":
-        out[:, :, :, :b] = 0
+        out[..., :, :b] = 0
     elif side == "right":
-        out[:, :, :, w - b:] = 0
+        out[..., :, w - b:] = 0
     elif side == "top":
-        out[:, :, :b, :] = 0
+        out[..., :b, :] = 0
     else:
-        out[:, :, h - b:, :] = 0
+        out[..., h - b:, :] = 0
     return out
+
+
+# --------------------------------------------------------------------------
+# registry of (x, t, rng) -> (x, t) transforms, referenced by name in
+# config JSON; each factory takes the image size and the spec's parameters
+
+def _shift_pair(x, t, spec):
+    return periodic_shift(x, spec), periodic_shift(t, spec)
+
+
+def _build_random_shift(hw, max_frac=0.25):
+    if not _is_fraction(max_frac):
+        raise ValueError(
+            f"max_frac must be a number in [0, 1], got {max_frac!r}")
+
+    def apply(x, t, rng):
+        return _shift_pair(x, t, random_shift(t.shape, rng, max_frac))
+
+    return apply
+
+
+def _build_boundary_shift(hw):
+    # one object per sample: its box is the mask's tight bbox, so no box is
+    # drawn and `rng` is left untouched
+    def apply(x, t, rng):
+        box = mask_bbox(t > 0)
+        if box is None:
+            return x, t
+        return _shift_pair(x, t, boundary_shift(box, t.shape))
+
+    return apply
+
+
+def _build_edge_drop(hw, probability=0.5, band_width=4):
+    spec = EdgeDropSpec(probability, band_width)
+    spec.check_fits(hw)
+
+    def apply(x, t, rng):
+        return edge_block_drop(x, spec, rng), t
+
+    return apply
+
+
+_AUGMENTS = {
+    "random_periodic_shift": _build_random_shift,
+    "shift_object_to_boundary": _build_boundary_shift,
+    "edge_block_drop": _build_edge_drop,
+}
+
+
+def build_augmentations(specs, hw: tuple[int, int]) -> list:
+    """One `(x, t, rng) -> (x, t)` transform per spec, for (H, W) images.
+
+    Raises ValueError for an unknown name, an unknown parameter key or a
+    parameter out of range.
+    """
+    fns = []
+    for spec in specs:
+        name = spec.get("name") if isinstance(spec, dict) else None
+        if not isinstance(name, str) or name not in _AUGMENTS:
+            raise ValueError(f"unknown augmentation {spec!r}")
+        factory = _AUGMENTS[name]
+        params = {k: v for k, v in spec.items() if k != "name"}
+        allowed = list(inspect.signature(factory).parameters)[1:]
+        unknown = sorted(set(params) - set(allowed))
+        if unknown:
+            raise ValueError(f"augmentation {name!r} has unknown parameters "
+                             f"{unknown}; allowed: {allowed}")
+        fns.append(factory(hw, **params))
+    return fns

@@ -19,8 +19,7 @@ import sys
 
 import numpy as np
 
-from . import coco_audit, data, harness, netpbm, saliency, unet
-from . import augment as augment_mod
+from . import augment, coco_audit, data, harness, netpbm, saliency, unet
 from . import tensor_core as tc
 
 EXIT_OK = 0
@@ -149,55 +148,51 @@ def cmd_saliency(args) -> int:
     return EXIT_OK
 
 
-def _load_sample_pair(image_path, label_path) -> data.Sample:
+def _load_sample_pair(image_path, label_path):
+    """An (x, t) pair: a (1, H, W) float32 image in [0, 1] and its class
+    map."""
     img = netpbm.read_pnm(image_path).astype(np.float32) / 255.0
     lab = netpbm.read_pnm(label_path)
     if lab.ndim != 2 or img.shape != lab.shape:
         raise ValueError("sample and label dims disagree")
-    target = (lab // LABEL_SCALE).astype(np.int64)
-    classes = np.unique(target[target > 0])
-    digit_class = int(classes[0]) - 1 if classes.size else 0
-    meta = data.SampleMeta(digit_class, None, None,
-                           data.mask_bbox(target > 0))
-    H, W = img.shape
-    return data.Sample(img.reshape(1, 1, H, W), target, meta)
+    return img[None], (lab // LABEL_SCALE).astype(np.int64)
+
+
+# `augment --transform` choice -> the registry spec (as training runs it)
+# built from the command's flags
+AUGMENT_SPECS = {
+    "random-shift": lambda a: {"name": "random_periodic_shift",
+                               "max_frac": a.max_frac},
+    "to-boundary": lambda a: {"name": "shift_object_to_boundary"},
+    "edge-drop": lambda a: {"name": "edge_block_drop", "probability": 1.0,
+                            "band_width": a.band_width},
+}
 
 
 def cmd_augment(args) -> int:
-    sample = _load_sample_pair(args.input, args.label)
-    rng = np.random.default_rng(args.seed)
+    x, t = _load_sample_pair(args.input, args.label)
+    H, W = t.shape
+    if args.transform == "to-boundary" and not (t > 0).any():
+        raise ValueError("label map has no object to shift")
+    (transform,) = augment.build_augmentations(
+        [AUGMENT_SPECS[args.transform](args)], (H, W))
+    out_x, out_t = transform(x, t, np.random.default_rng(args.seed))
     checks = []
     if args.transform == "random-shift":
-        out = augment_mod.random_periodic_shift(sample, rng, args.max_frac)
         checks.append(("mask pixel count preserved",
-                       int((out.target > 0).sum())
-                       == int((sample.target > 0).sum())))
+                       int((out_t > 0).sum()) == int((t > 0).sum())))
     elif args.transform == "to-boundary":
-        box = sample.meta.bbox
-        if box is None:
-            raise ValueError("label map has no object to shift")
-        img, boxes, _ = augment_mod.shift_object_to_boundary(
-            sample.input, [box], [sample.meta.digit_class], rng)
-        spec = augment_mod.boundary_shift(box, sample.target.shape)
-        out = augment_mod.shift_sample(sample, spec)
-        H, W = sample.target.shape
-        dmin = min(min(x, W - (x + w), y, H - (y + h))
-                   for x, y, w, h in boxes)
+        bx, by, bw, bh = data.mask_bbox(out_t > 0)
+        dmin = min(bx, W - (bx + bw), by, H - (by + bh))
         checks.append(("selected box edge distance is exactly 0", dmin == 0))
-        checks.append(("image matches box transform",
-                       bool(np.array_equal(img, out.input))))
     else:  # edge-drop
-        spec = augment_mod.EdgeDropSpec(1.0, args.band_width)
-        dropped = augment_mod.edge_block_drop(sample.input, spec, rng)
-        out = data.Sample(dropped, sample.target, sample.meta)
-        H, W = sample.target.shape
         b = args.band_width
         strips = {"left": (slice(None), slice(0, b)),
                   "right": (slice(None), slice(W - b, W)),
                   "top": (slice(0, b), slice(None)),
                   "bottom": (slice(H - b, H), slice(None))}
         side = next((s for s, ix in strips.items()
-                     if not dropped[0, 0][ix].any()), None)
+                     if not out_x[0][ix].any()), None)
         checks.append(("one full side band zeroed", side is not None))
         if side is not None:
             kept_cells = H * W - (b * H if side in ("left", "right")
@@ -206,15 +201,15 @@ def cmd_augment(args) -> int:
             survivors[strips[side]] = False
             checks.append((
                 "survivors rescaled by total/kept",
-                bool(np.allclose(dropped[0, 0][survivors],
-                                 sample.input[0, 0][survivors]
-                                 * (H * W / kept_cells), rtol=1e-5))))
+                bool(np.allclose(out_x[0][survivors],
+                                 x[0][survivors] * (H * W / kept_cells),
+                                 rtol=1e-5))))
     os.makedirs(args.out, exist_ok=True)
     netpbm.write_pgm(os.path.join(args.out, "augmented.pgm"),
-                     np.round(np.clip(out.input[0, 0], 0, 1) * 255)
+                     np.round(np.clip(out_x[0], 0, 1) * 255)
                      .astype(np.uint8))
     netpbm.write_pgm(os.path.join(args.out, "augmented_label.pgm"),
-                     (out.target * LABEL_SCALE).astype(np.uint8))
+                     (out_t * LABEL_SCALE).astype(np.uint8))
     ok = True
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
@@ -394,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="sample PGM")
     p.add_argument("--label", required=True, help="label PGM")
     p.add_argument("--transform", required=True,
-                   choices=("random-shift", "to-boundary", "edge-drop"))
+                   choices=tuple(AUGMENT_SPECS))
     p.add_argument("--max-frac", type=float, default=0.25)
     p.add_argument("--band-width", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)

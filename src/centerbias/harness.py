@@ -40,63 +40,6 @@ EVAL_BATCH = 32
 
 
 # --------------------------------------------------------------------------
-# sample-level augmentation registry (referenced by name in config JSON)
-
-def _shift_pair(x, t, spec):
-    return augment.periodic_shift(x, spec), augment.periodic_shift(t, spec)
-
-
-def _aug_random_shift(params):
-    max_frac = float(params.get("max_frac", 0.25))
-
-    def apply(x, t, rng):
-        return _shift_pair(x, t, augment.random_shift(t.shape, rng, max_frac))
-
-    return apply
-
-
-def _aug_shift_to_boundary(params):
-    # single-object samples: the chosen box is the mask's tight bbox, so
-    # no box is drawn and `rng` is left untouched
-    def apply(x, t, rng):
-        box = data.mask_bbox(t > 0)
-        if box is None:
-            return x, t
-        return _shift_pair(x, t, augment.boundary_shift(box, t.shape))
-
-    return apply
-
-
-def _aug_edge_block_drop(params):
-    spec = augment.EdgeDropSpec(float(params.get("probability", 0.5)),
-                                int(params.get("band_width", 4)))
-
-    def apply(x, t, rng):
-        x4 = x[None] if x.ndim == 3 else x
-        out = augment.edge_block_drop(x4, spec, rng)
-        return (out[0] if x.ndim == 3 else out), t
-
-    return apply
-
-
-_AUGMENTS = {
-    "random_periodic_shift": _aug_random_shift,
-    "shift_object_to_boundary": _aug_shift_to_boundary,
-    "edge_block_drop": _aug_edge_block_drop,
-}
-
-
-def build_augmentations(specs: list[dict]):
-    fns = []
-    for spec in specs:
-        name = spec["name"]
-        if name not in _AUGMENTS:
-            raise ValueError(f"unknown augmentation {name!r}")
-        fns.append(_AUGMENTS[name](spec))
-    return fns
-
-
-# --------------------------------------------------------------------------
 # configuration
 
 @dataclass(frozen=True)
@@ -140,7 +83,8 @@ class ExperimentConfig:
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported schema_version {self.schema_version}")
-        build_augmentations(list(self.augmentations))  # validate names early
+        augment.build_augmentations(  # validate before any job starts
+            self.augmentations, (self.dataset.height, self.dataset.width))
 
     def to_dict(self) -> dict:
         return {
@@ -163,12 +107,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - {f.name for f in fields(cls)} - {"train_policy"}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        d = dict(d)
-        if "train_policy" in d and "train_policies" not in d:
-            d["train_policies"] = [d.pop("train_policy")]
+        augmentations = d.get("augmentations", [])
+        if not isinstance(augmentations, list):
+            raise ValueError(
+                f"augmentations must be a list, got {augmentations!r}")
         return cls(
             schema_version=d.get("schema_version", SCHEMA_VERSION),
             dataset=data.DatasetConfig.from_dict(d["dataset"]),
@@ -183,7 +128,7 @@ class ExperimentConfig:
             eval_count=d["eval_count"],
             repeats=d["repeats"],
             master_seed=d.get("master_seed", 0),
-            augmentations=tuple(d.get("augmentations", ())),
+            augmentations=tuple(augmentations),
             learning_rate=d.get("learning_rate", 1e-3),
             output_dir=d.get("output_dir", "runs/experiment"),
         )
@@ -267,7 +212,8 @@ def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
     model = unet.build_unet(replace(config.model, seed=model_seed))
     adam = tc.AdamState.for_params([model.flat_params],
                                    lr=config.learning_rate)
-    augmentations = build_augmentations(list(config.augmentations))
+    augmentations = augment.build_augmentations(
+        config.augmentations, (config.dataset.height, config.dataset.width))
 
     trace = []
     for epoch in range(config.epochs):

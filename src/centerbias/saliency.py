@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import unet
-from .data import (BackgroundSpec, Sample, SampleMeta, mask_bbox,
-                   generate_background)
+from .data import (BackgroundSpec, Sample, SampleMeta, composite_sample,
+                   generate_background, mask_bbox)
 from .netpbm import to_u8, write_pgm
 from .rng import stream
 
@@ -113,12 +113,8 @@ def make_scene(glyph: np.ndarray, digit_class: int, crop_hw: tuple[int, int],
         canvas = np.zeros((ch, cw), dtype=np.float32)
     else:
         canvas = generate_background(background, (ch, cw), stream(seed))
-    target = np.zeros((ch, cw), dtype=np.int64)
-    oy, ox = (ch - gh) // 2, (cw - gw) // 2
-    mask = glyph > 0.5
-    canvas[oy:oy + gh, ox:ox + gw][mask] = 1.0
-    target[oy:oy + gh, ox:ox + gw][mask] = digit_class + 1
-    return CanvasScene(canvas, target, digit_class, crop_hw)
+    scene = composite_sample(glyph, digit_class, canvas, (0, 0))
+    return CanvasScene(scene.input[0, 0], scene.target, digit_class, crop_hw)
 
 
 @dataclass(frozen=True)

@@ -22,19 +22,10 @@ class TestPeriodicShift:
         np.testing.assert_array_equal(out, img)
 
     def test_roundtrip_identity(self):
-        rng = np.random.default_rng(1)
-        img = rng.random((2, 3, 8, 10))
-        boxes = [(1, 2, 3, 4), (5, 0, 2, 2)]
-        labels = ["a", "b"]
-        fwd = ShiftSpec(dx=3, dy=-2)
-        inv = ShiftSpec(dx=-3, dy=2)
-        mid = augment.periodic_shift(img, fwd)
-        back = augment.periodic_shift(mid, inv)
+        img = np.random.default_rng(1).random((2, 3, 8, 10))
+        mid = augment.periodic_shift(img, ShiftSpec(dx=3, dy=-2))
+        back = augment.periodic_shift(mid, ShiftSpec(dx=-3, dy=2))
         np.testing.assert_array_equal(back, img)
-        moved, origins = augment.shift_bboxes(boxes, fwd, 10, 8)
-        assert origins == [0, 1]  # no seam straddle with these shifts
-        back_boxes, _ = augment.shift_bboxes(moved, inv, 10, 8)
-        assert back_boxes == boxes
 
     @given(st.integers(-30, 30), st.integers(-30, 30),
            st.integers(-30, 30), st.integers(-30, 30))
@@ -47,17 +38,10 @@ class TestPeriodicShift:
         b = augment.periodic_shift(img, ShiftSpec(dx1 + dx2, dy1 + dy2))
         np.testing.assert_array_equal(a, b)
 
-    def test_seam_straddle_splits(self):
-        boxes, origins = augment.shift_bboxes([(6, 2, 4, 3)], ShiftSpec(2, 0),
-                                              10, 8)
-        assert origins == [0, 0]
-        assert (8, 2, 2, 3) in boxes and (0, 2, 2, 3) in boxes
-        assert sum(w * h for _, _, w, h in boxes) == 12
 
-    def test_double_straddle_splits_into_four(self):
-        boxes, _ = augment.shift_bboxes([(6, 5, 4, 4)], ShiftSpec(2, 2), 10, 8)
-        assert len(boxes) == 4
-        assert sum(w * h for _, _, w, h in boxes) == 16
+def transform(hw, **spec):
+    (fn,) = augment.build_augmentations([spec], hw)
+    return fn
 
 
 class TestRandomPeriodicShift:
@@ -67,113 +51,131 @@ class TestRandomPeriodicShift:
                                  background=data.NoisePool(smoothing=0))
         return data.sample_at(cfg, 0)
 
+    def shift(self, s, rng, max_frac):
+        fn = transform(s.target.shape, name="random_periodic_shift",
+                       max_frac=max_frac)
+        return fn(s.input[0], s.target, rng)
+
     def test_max_frac_zero_is_identity(self):
         s = self.make_sample()
-        out = augment.random_periodic_shift(s, np.random.default_rng(0), 0.0)
-        np.testing.assert_array_equal(out.input, s.input)
-        np.testing.assert_array_equal(out.target, s.target)
+        x, t = self.shift(s, np.random.default_rng(0), 0.0)
+        np.testing.assert_array_equal(x, s.input[0])
+        np.testing.assert_array_equal(t, s.target)
 
     def test_bound_check_10k(self):
         rng = np.random.default_rng(1)
-        W, H = 96, 64
-        mx, my = int(0.25 * W), int(0.25 * H)
-        for _ in range(10_000):
-            dx = int(rng.integers(-mx, mx + 1))
-            dy = int(rng.integers(-my, my + 1))
-            assert abs(dx) <= 24 and abs(dy) <= 16
+        shifts = [augment.random_shift((64, 96), rng, 0.25)
+                  for _ in range(10_000)]
+        dxs = [s.dx for s in shifts]
+        dys = [s.dy for s in shifts]
+        # floor(0.25 * 96) = 24 and floor(0.25 * 64) = 16, both ends reached
+        assert (min(dxs), max(dxs)) == (-24, 24)
+        assert (min(dys), max(dys)) == (-16, 16)
 
     def test_dx_distribution_uniform_4sigma(self):
-        # chi-square-style bound: each of the 2*mx+1 values within 4 sigma
-        s = self.make_sample()
+        # each of the 2*24+1 dx values within 4 sigma of its expected count
         rng = np.random.default_rng(2)
-        W = s.target.shape[1]
-        mx = int(0.25 * W)
-        n_vals = 2 * mx + 1
         draws = 10_000
-        counts = np.zeros(n_vals, dtype=int)
-        for _ in range(draws):
-            out = augment.random_periodic_shift(s, rng, 0.25)
-            # recover dx by correlating shifted target with the original
-            # cheaper: redo the draw logic — instead track via rng clone
-        # direct distribution check on the underlying integer draws
-        rng = np.random.default_rng(3)
-        for _ in range(draws):
-            counts[int(rng.integers(-mx, mx + 1)) + mx] += 1
-        p = 1 / n_vals
+        dxs = [augment.random_shift((64, 96), rng, 0.25).dx
+               for _ in range(draws)]
+        counts = np.bincount(np.asarray(dxs) + 24, minlength=49)
+        assert counts.size == 49
+        p = 1 / 49
         sigma = np.sqrt(draws * p * (1 - p))
         assert np.abs(counts - draws * p).max() <= 4 * sigma
 
+    def test_dx_drawn_before_dy(self):
+        for seed in range(20):
+            spec = augment.random_shift((64, 96), np.random.default_rng(seed))
+            ref = np.random.default_rng(seed)
+            dx = int(ref.integers(-24, 25))
+            dy = int(ref.integers(-16, 17))
+            assert (spec.dx, spec.dy) == (dx, dy)
+
     def test_labels_move_with_pixels(self):
         s = self.make_sample()
-        out = augment.random_periodic_shift(s, np.random.default_rng(4), 0.25)
+        x, t = self.shift(s, np.random.default_rng(4), 0.25)
         # mask pixels still carry intensity 1.0 and the same class count
-        mask = out.target > 0
+        mask = t > 0
         assert mask.sum() == (s.target > 0).sum()
+        assert data.mask_bbox(mask) != s.meta.bbox  # the pair did move
         np.testing.assert_array_equal(
-            out.input[0, 0][mask], np.ones(int(mask.sum()), dtype=np.float32))
+            x[0][mask], np.ones(int(mask.sum()), dtype=np.float32))
+
+
+def box_pair(hw, box, digit=5):
+    """A (1, H, W) image and label map holding one filled box."""
+    x0, y0, w, h = box
+    x = np.zeros((1,) + hw)
+    t = np.zeros(hw, dtype=np.int64)
+    x[0, y0:y0 + h, x0:x0 + w] = 1.0
+    t[y0:y0 + h, x0:x0 + w] = digit + 1
+    return x, t
 
 
 class TestShiftObjectToBoundary:
+    def shift(self, x, t, rng=None):
+        fn = transform(t.shape, name="shift_object_to_boundary")
+        return fn(x, t, rng or np.random.default_rng(0))
+
     def test_left_distance_selected(self):
-        img = np.zeros((1, 1, 480, 640))
-        boxes = [(100, 200, 80, 60)]
-        out, moved, labels = augment.shift_object_to_boundary(
-            img, boxes, [5], np.random.default_rng(0))
-        assert moved == [(0, 200, 80, 60)]
-        assert labels == [5]
+        x, t = self.shift(*box_pair((480, 640), (100, 200, 80, 60)))
+        assert data.mask_bbox(t > 0) == (0, 200, 80, 60)
+        assert set(np.unique(t)) == {0, 6}  # the label moves, unchanged
 
     def test_already_touching_zero_shift(self):
-        img = np.zeros((1, 1, 100, 100))
-        boxes = [(0, 40, 10, 10)]
-        _, moved, _ = augment.shift_object_to_boundary(
-            img, boxes, [1], np.random.default_rng(1))
-        assert moved == boxes
+        x0, t0 = box_pair((100, 100), (0, 40, 10, 10))
+        x, t = self.shift(x0, t0)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(t, t0)
 
     def test_tie_picks_left(self):
-        img = np.zeros((1, 1, 100, 100))
-        boxes = [(40, 40, 20, 20)]  # all four distances equal 40
-        _, moved, _ = augment.shift_object_to_boundary(
-            img, boxes, [1], np.random.default_rng(2))
-        assert moved == [(0, 40, 20, 20)]
+        # all four distances equal 40
+        _, t = self.shift(*box_pair((100, 100), (40, 40, 20, 20)))
+        assert data.mask_bbox(t > 0) == (0, 40, 20, 20)
 
-    def test_empty_boxes_rejected(self):
-        with pytest.raises(ValueError):
-            augment.shift_object_to_boundary(
-                np.zeros((1, 1, 8, 8)), [], [], np.random.default_rng(0))
+    def test_empty_mask_leaves_pair_unchanged(self):
+        x0 = np.random.default_rng(0).random((1, 8, 8))
+        t0 = np.zeros((8, 8), dtype=np.int64)
+        x, t = self.shift(x0, t0)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(t, t0)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_selected_box_lands_on_edge(self, seed):
         rng = np.random.default_rng(seed)
         W, H = 64, 48
-        boxes = []
-        for _ in range(rng.integers(1, 4)):
-            w = int(rng.integers(4, 16)); h = int(rng.integers(4, 16))
-            x = int(rng.integers(0, W - w + 1))
-            y = int(rng.integers(0, H - h + 1))
-            boxes.append((x, y, w, h))
-        img = rng.random((1, 1, H, W))
-        pick = np.random.default_rng(seed)  # same stream as the op will use
-        chosen = boxes[int(pick.integers(len(boxes)))]
-        out, moved, origins_labels = augment.shift_object_to_boundary(
-            img, boxes, list(range(len(boxes))), np.random.default_rng(seed))
-        # exact-integer postcondition: some piece of the chosen box has
-        # min edge distance 0
-        pieces = [b for b, l in zip(moved, origins_labels)
-                  if l == boxes.index(chosen)]
-        dmin = min(min(x, W - (x + w), y, H - (y + h))
-                   for x, y, w, h in pieces)
-        assert dmin == 0
+        w = int(rng.integers(4, 16)); h = int(rng.integers(4, 16))
+        box = (int(rng.integers(0, W - w + 1)),
+               int(rng.integers(0, H - h + 1)), w, h)
+        _, t = self.shift(*box_pair((H, W), box))
+        # exact-integer postcondition: the moved box has min edge distance 0
+        x, y, w, h = data.mask_bbox(t > 0)
+        assert (w, h) == box[2:]
+        assert min(x, W - (x + w), y, H - (y + h)) == 0
 
     def test_pixels_shift_with_boxes(self):
-        img = np.zeros((1, 1, 32, 32))
-        img[0, 0, 10:14, 20:24] = 1.0
-        boxes = [(20, 10, 4, 4)]
-        out, moved, _ = augment.shift_object_to_boundary(
-            img, boxes, [0], np.random.default_rng(3))
-        (x, y, w, h) = moved[0]
-        assert out[0, 0, y:y + h, x:x + w].sum() == 16.0
-        assert out.sum() == 16.0
+        x0, t0 = box_pair((32, 32), (20, 10, 4, 4))
+        x0 += np.random.default_rng(3).random(x0.shape) * 0.5
+        x, t = self.shift(x0, t0)
+        (bx, by, bw, bh) = data.mask_bbox(t > 0)
+        assert (bx, by) == (28, 10)  # right edge is nearest
+        np.testing.assert_array_equal(x[0, by:by + bh, bx:bx + bw],
+                                      x0[0, 10:14, 20:24])
+        np.testing.assert_allclose(x.sum(), x0.sum())
+
+    def test_draws_nothing_from_rng(self):
+        cfg = data.DatasetConfig(height=32, width=48, count=20,
+                                 policy=data.AllowedCentral(0.6),
+                                 background=data.NoisePool(smoothing=0))
+        for seed, s in enumerate(data.iter_samples(cfg)):
+            rng = np.random.default_rng(seed)
+            _, t = self.shift(s.input[0], s.target, rng)
+            x, y, w, h = data.mask_bbox(t > 0)
+            assert min(x, 48 - (x + w), y, 32 - (y + h)) == 0
+            assert (rng.bit_generator.state
+                    == np.random.default_rng(seed).bit_generator.state)
 
 
 class TestEdgeBlockDrop:
@@ -222,3 +224,51 @@ class TestEdgeBlockDrop:
         spec = augment.EdgeDropSpec(probability=1.0, band_width=2)
         out = augment.edge_block_drop(x, spec, np.random.default_rng(5))
         np.testing.assert_allclose(out.sum(), x.sum(), rtol=1e-12)
+
+    def test_pair_transform_drops_input_only(self):
+        # training hands the transform a (C, H, W) image; the drop equals the
+        # one on the (1, C, H, W) batch and the label map is left as it is
+        x0 = np.random.default_rng(6).random((2, 8, 12))
+        t0 = np.ones((8, 12), dtype=np.int64)
+        fn = transform((8, 12), name="edge_block_drop", probability=1.0,
+                       band_width=3)
+        x, t = fn(x0, t0, np.random.default_rng(7))
+        ref = augment.edge_block_drop(
+            x0[None], augment.EdgeDropSpec(1.0, 3), np.random.default_rng(7))
+        np.testing.assert_array_equal(x, ref[0])
+        assert t is t0
+        assert (x == 0).sum() in (2 * 3 * 8, 2 * 3 * 12)
+
+
+class TestBuildAugmentations:
+    def test_defaults_build(self):
+        fns = augment.build_augmentations(
+            [{"name": "random_periodic_shift"},
+             {"name": "shift_object_to_boundary"},
+             {"name": "edge_block_drop"}], (64, 96))
+        assert len(fns) == 3
+
+    @pytest.mark.parametrize("spec", [
+        {"name": "mystery"},
+        "random_periodic_shift",
+        {"max_frac": 0.25},
+        {"name": "random_periodic_shift", "max_fraq": 0.25},
+        {"name": "shift_object_to_boundary", "max_frac": 0.25},
+        {"name": "random_periodic_shift", "max_frac": -0.5},
+        {"name": "random_periodic_shift", "max_frac": 1.5},
+        {"name": "random_periodic_shift", "max_frac": float("nan")},
+        {"name": "random_periodic_shift", "max_frac": "0.25"},
+        {"name": "random_periodic_shift", "max_frac": True},
+        {"name": "edge_block_drop", "probability": 2.0},
+        {"name": "edge_block_drop", "band_width": 0},
+        {"name": "edge_block_drop", "band_width": 2.5},
+        {"name": "edge_block_drop", "band_width": 32},
+        {"name": "edge_block_drop", "band_width": 100},
+    ])
+    def test_bad_spec_rejected(self, spec):
+        with pytest.raises(ValueError):
+            augment.build_augmentations([spec], (32, 48))
+
+    def test_widest_band_accepted(self):
+        augment.build_augmentations(
+            [{"name": "edge_block_drop", "band_width": 31}], (32, 48))

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from centerbias import cli, data, netpbm, unet
+from centerbias import augment, cli, data, netpbm, unet
 
 
 def run(argv):
@@ -72,6 +72,26 @@ class TestConfigErrors:
         monkeypatch.setattr(data, "sample_at", no_samples)
         assert run(["train", "--set", f"learning_rate={value}", "--workers",
                     "1", "--out", str(tmp_path)]) == 4
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("override", [
+        'augmentations=[{"name": "random_periodic_shift", "max_frac": -0.5}]',
+        'augmentations=[{"name": "random_periodic_shift", "max_fraq": 0.5}]',
+        'augmentations=[{"name": "edge_block_drop", "band_width": 100}]',
+        'augmentations=[{"name": "edge_block_drop", "band_width": 64}]',
+        'augmentations=["random_periodic_shift"]',
+        'augmentations=5',
+        'train_policy={"kind": "unrestricted"}',
+    ], ids=["negative-max-frac", "typo-key", "band-100", "band-64",
+            "bare-name", "not-a-list", "train-policy-alias"])
+    def test_bad_augmentation_or_key_exits_4_before_generation(
+            self, tmp_path, capsys, monkeypatch, override):
+        def no_samples(*args):
+            raise AssertionError("a sample was generated")
+
+        monkeypatch.setattr(data, "sample_at", no_samples)
+        assert run(["train", "--set", override, "--workers", "1",
+                    "--out", str(tmp_path)]) == 4
         self.assert_one_line_error(capsys)
 
     def test_checkpoint_with_unknown_config_key_exits_4(self, tmp_path,
@@ -228,6 +248,27 @@ class TestAugmentCommand:
         assert "PASS" in captured.out and "FAIL" not in captured.out
         assert (out / "augmented.pgm").exists()
         assert (out / "augmented_label.pgm").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--transform", "random-shift", "--max-frac", "1.5"],
+        ["--transform", "edge-drop", "--band-width", "32"],
+    ])
+    def test_out_of_range_flag_exits_4(self, tmp_path, flags, capsys):
+        img, lab = self.make_pair(tmp_path)
+        assert run(["augment", "--input", str(img), "--label", str(lab),
+                    "--out", str(tmp_path / "aug")] + flags) == 4
+
+    def test_every_registered_transform_has_a_choice(self):
+        # each --transform choice builds a different registry transform and
+        # every registered transform has a choice, so none skips its probe
+        parser = cli.build_parser()
+        names = []
+        for choice, spec_of in cli.AUGMENT_SPECS.items():
+            args = parser.parse_args(["augment", "--input", "a", "--label",
+                                      "b", "--transform", choice,
+                                      "--out", "o"])
+            names.append(spec_of(args)["name"])
+        assert sorted(names) == sorted(augment._AUGMENTS)
 
 
 class TestGradcheckCommand:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from centerbias import augment, data, harness, unet
+from centerbias import data, harness, unet
 from centerbias import tensor_core as tc
 from centerbias.data import Band, ForbiddenCentral, Unrestricted
 
@@ -37,12 +37,6 @@ class TestConfig:
             {"name": "random_periodic_shift", "max_frac": 0.25},))
         assert harness.ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_singular_train_policy_accepted(self, tmp_path):
-        d = tiny_config(tmp_path).to_dict()
-        d["train_policy"] = d.pop("train_policies")[0]
-        cfg = harness.ExperimentConfig.from_dict(d)
-        assert cfg.train_policies == (Unrestricted(),)
-
     def test_batch_larger_than_count_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_config(tmp_path, batch_size=64, train_count=32)
@@ -50,6 +44,15 @@ class TestConfig:
     def test_unknown_augmentation_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_config(tmp_path, augmentations=({"name": "mystery"},))
+
+    @pytest.mark.parametrize("spec", [
+        {"name": "random_periodic_shift", "max_frac": -0.5},
+        {"name": "random_periodic_shift", "max_fraq": 0.5},
+        {"name": "edge_block_drop", "band_width": 32},  # the 32x32 images
+    ])
+    def test_augmentation_parameters_checked_at_build(self, tmp_path, spec):
+        with pytest.raises(ValueError):
+            tiny_config(tmp_path, augmentations=(spec,))
 
     def test_hash_ignores_output_dir(self, tmp_path):
         a = tiny_config(tmp_path, output_dir=str(tmp_path / "a"))
@@ -153,39 +156,6 @@ class TestRunRegionalTraining:
             {"name": "random_periodic_shift", "max_frac": 0.25},))
         record = harness.run_regional_training(cfg, workers=1)
         assert np.isfinite(record.raw).all()
-
-
-class TestAugmentations:
-    """The harness's array-level augmentations equal the Sample-level ones."""
-
-    def samples(self):
-        cfg = data.DatasetConfig(height=32, width=48, count=20,
-                                 policy=data.AllowedCentral(0.6),
-                                 background=data.NoisePool(smoothing=0))
-        return list(data.iter_samples(cfg))
-
-    def test_random_periodic_shift_matches_augment(self):
-        (fn,) = harness.build_augmentations(
-            [{"name": "random_periodic_shift", "max_frac": 0.3}])
-        for seed, s in enumerate(self.samples()):
-            x, t = fn(s.input[0], s.target, np.random.default_rng(seed))
-            ref = augment.random_periodic_shift(
-                s, np.random.default_rng(seed), 0.3)
-            np.testing.assert_array_equal(x, ref.input[0])
-            np.testing.assert_array_equal(t, ref.target)
-
-    def test_shift_to_boundary_matches_augment_without_drawing(self):
-        (fn,) = harness.build_augmentations(
-            [{"name": "shift_object_to_boundary"}])
-        for seed, s in enumerate(self.samples()):
-            rng = np.random.default_rng(seed)
-            x, t = fn(s.input[0], s.target, rng)
-            ref = augment.shift_sample(
-                s, augment.boundary_shift(s.meta.bbox, s.target.shape))
-            np.testing.assert_array_equal(x, ref.input[0])
-            np.testing.assert_array_equal(t, ref.target)
-            assert (rng.bit_generator.state
-                    == np.random.default_rng(seed).bit_generator.state)
 
 
 class TestWorkerPool:

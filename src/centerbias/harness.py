@@ -110,25 +110,27 @@ class ExperimentConfig:
         unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        augmentations = d.get("augmentations", [])
-        if not isinstance(augmentations, list):
-            raise ValueError(
-                f"augmentations must be a list, got {augmentations!r}")
+        lists = {"train_policies": d["train_policies"],
+                 "eval_bands": d["eval_bands"],
+                 "augmentations": d.get("augmentations", [])}
+        for key, value in lists.items():
+            if not isinstance(value, list):
+                raise ValueError(f"{key} must be a list, got {value!r}")
         return cls(
             schema_version=d.get("schema_version", SCHEMA_VERSION),
             dataset=data.DatasetConfig.from_dict(d["dataset"]),
             model=unet.UNetConfig.from_dict(d["model"]),
             train_policies=tuple(data.policy_from_dict(p)
-                                 for p in d["train_policies"]),
+                                 for p in lists["train_policies"]),
             eval_bands=tuple(data.policy_from_dict(p)
-                             for p in d["eval_bands"]),
+                             for p in lists["eval_bands"]),
             epochs=d["epochs"],
             batch_size=d["batch_size"],
             train_count=d["train_count"],
             eval_count=d["eval_count"],
             repeats=d["repeats"],
             master_seed=d.get("master_seed", 0),
-            augmentations=tuple(augmentations),
+            augmentations=tuple(lists["augmentations"]),
             learning_rate=d.get("learning_rate", 1e-3),
             output_dir=d.get("output_dir", "runs/experiment"),
         )
@@ -259,18 +261,20 @@ _WORKER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 def _worker_pool(workers: int):
     """A spawned process pool whose workers run single-threaded BLAS.
 
-    Each worker trains its own job, so BLAS threads inside a worker would
-    only contend with the other workers for the cores.  If the user has set
-    either thread variable, both are passed on as they are: OpenBLAS lets
-    OPENBLAS_NUM_THREADS override OMP_NUM_THREADS.
+    Each worker trains its own job, so BLAS threads or a shard thread (see
+    unet) inside a worker would only contend with the other workers for the
+    cores; workers run both shards of a batch on their one thread.  If the
+    user has set either thread variable, both are passed on as they are:
+    OpenBLAS lets OPENBLAS_NUM_THREADS override OMP_NUM_THREADS.
     """
     user_set = any(k in os.environ for k in _WORKER_THREAD_VARS)
     added = () if user_set else _WORKER_THREAD_VARS
     for k in added:
         os.environ[k] = "1"
     try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=mp.get_context("spawn")) as pool:
+        with ProcessPoolExecutor(
+                max_workers=workers, mp_context=mp.get_context("spawn"),
+                initializer=unet.disable_shard_thread) as pool:
             yield pool
     finally:
         for k in added:

@@ -9,13 +9,16 @@ centered map over the overlap, finally dividing the whole matrix by its
 population standard deviation.
 
 The crops of a shift map go through the network in batches of SHIFT_BATCH
-(8), with a backward pass that computes only the input gradient.  An image's
-bits do not depend on its batch position (see tensor_core), so every map
-equals the one computed alone.  Why 8: a batch-8 taped forward and backward
-stays under the peak memory of a batch-32 evaluation forward.  At 64x96,
-after a 64-sample `evaluate_bands`, a 289-map grid left the peak RSS at
-117 MB up to batch 16 and raised it to 147 MB at batch 24 and 181 MB at
-batch 32 (2 cores), while batch 16 was no faster than batch 8.
+(8), each run as two shards of 4 (see unet), with a backward pass that
+computes only the input gradient.  An image's bits do not depend on its
+batch position (see tensor_core), so every map equals the one computed
+alone.  Why 8: it is the fastest batch, and a batch-8 taped forward and
+backward stays under the peak memory of a batch-32 evaluation forward.  At
+64x96 on 2 cores, a 64-sample `evaluate_bands` over 3 bands and then a
+289-map grid (best of 3, fresh process per batch size) took 1.26 / 0.89 /
+0.70 / 0.62 / 0.72 / 0.70 / 0.68 s of map time at batch 1 / 2 / 4 / 8 / 16
+/ 24 / 32, and left the peak RSS at 111-113 MB up to batch 8, 117 MB at
+batch 16, 149 MB at 24 and 185 MB at 32.
 """
 
 from __future__ import annotations
@@ -44,22 +47,27 @@ SHIFT_BATCH = 8
 def saliency_maps(model: unet.Model, samples: Sequence[Sample]) -> np.ndarray:
     """Absolute input gradient of each sample's mask-mean true-class logit.
 
-    One taped forward over the stacked inputs and one input-only backward;
-    returns an (N, H, W) array.  Raises before any forward pass if a sample
-    has an empty mask.
+    The samples run as two shards (see unet), each one taped forward over
+    its stacked inputs and one input-only backward; returns an (N, H, W)
+    array.  Raises before any forward pass if a sample has an empty mask.
     """
     masks = [s.target > 0 for s in samples]
     for i, mask in enumerate(masks):
         if not mask.any():
             raise ValueError(f"sample {i} has an empty object mask")
-    logits, tape = unet.forward(model,
-                                np.concatenate([s.input for s in samples]))
-    grad_logits = np.zeros_like(logits)
-    for i, (s, mask) in enumerate(zip(samples, masks)):
-        grad_logits[i, s.meta.digit_class + 1][mask] = 1.0 / mask.sum()
-    _, grad_input = unet.backward(model, tape, grad_logits,
-                                  need_params=False)
-    return np.abs(grad_input[:, 0])
+
+    def shard(lo, hi):
+        logits, tape = unet.forward(
+            model, np.concatenate([s.input for s in samples[lo:hi]]))
+        grad_logits = np.zeros_like(logits)
+        for i in range(lo, hi):
+            k = samples[i].meta.digit_class + 1
+            grad_logits[i - lo, k][masks[i]] = 1.0 / masks[i].sum()
+        _, grad_input = unet.backward(model, tape, grad_logits,
+                                      need_params=False)
+        return np.abs(grad_input[:, 0])
+
+    return np.concatenate(unet.run_shards(shard, len(samples)))
 
 
 def saliency_map(model: unet.Model, sample: Sample) -> np.ndarray:

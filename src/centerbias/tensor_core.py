@@ -533,12 +533,15 @@ def upsample_nearest2x_backward(upstream: np.ndarray) -> np.ndarray:
     return gx
 
 
-def softmax_cross_entropy_pixelwise(logits: np.ndarray, target: np.ndarray
+def softmax_cross_entropy_pixelwise(logits: np.ndarray, target: np.ndarray,
+                                    npix: int | None = None
                                     ) -> tuple[float, np.ndarray]:
     """Mean per-pixel cross-entropy and its gradient w.r.t. the logits.
 
     `target` holds class indices shaped (n, h, w); the loss is the mean over
-    all n*h*w pixels of -log softmax(logits)[target].
+    all n*h*w pixels of -log softmax(logits)[target].  A shard of a larger
+    batch passes the whole batch's pixel count as `npix`, so the shards'
+    losses and gradients add up to the batch's.
     """
     _require_nchw(logits)
     n, k, h, w = logits.shape
@@ -551,7 +554,8 @@ def softmax_cross_entropy_pixelwise(logits: np.ndarray, target: np.ndarray
     e = np.exp(z)
     denom = e.sum(axis=1, keepdims=True)
     logp_t = np.take_along_axis(z, t, axis=1) - np.log(denom)
-    npix = n * h * w
+    if npix is None:
+        npix = n * h * w
     loss = float(-logp_t.sum() / npix)
     grad = e / denom
     np.put_along_axis(grad, t, np.take_along_axis(grad, t, axis=1) - 1, axis=1)

@@ -5,11 +5,29 @@ Encoder levels are [conv3x3, relu, conv3x3, relu] followed by 2x2 max pooling
 skip connection, and applies two more conv3x3+relu pairs; a 1x1 conv head
 emits per-pixel class logits.  The padding mode of every 3x3 conv is a config
 knob, which is the whole point of this laboratory.
+
+Every batch of n >= 2 images runs as two shards: the first n // 2 images and
+the rest.  The split depends on n alone, never on the machine, and an
+image's bits do not depend on its batch position (see tensor_core), so a
+shard's images come out as they would in the whole batch.  The second shard
+runs on one lazily started worker thread while the calling thread runs the
+first, each with one OpenBLAS thread (numpy releases the GIL in its kernels,
+so the two shards use two cores).  Without numpy's bundled OpenBLAS hook,
+inside a shard, or in a process that owns a single core (the experiment
+pool's workers), both shards run one after the other on the calling thread,
+with the same bits.  `train_step` sums the two shards' parameter gradients;
+the tape-free `forward` and `saliency.saliency_maps` concatenate the shards'
+outputs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -20,7 +38,8 @@ from .rng import stream
 __all__ = [
     "UNetConfig", "ConvLayer", "Model",
     "build_unet", "param_count", "forward", "backward", "train_step",
-    "save_checkpoint", "load_checkpoint",
+    "run_shards", "disable_shard_thread", "save_checkpoint",
+    "load_checkpoint",
 ]
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -162,6 +181,98 @@ def build_unet(config: UNetConfig) -> Model:
     return Model(config, encoder, decoder, layers["head"], flat)
 
 
+# --------------------------------------------------------------------------
+# two-shard runner
+
+_blas_setter = None       # openblas_set_num_threads_local, False if missing
+_shard_thread = True      # False in processes that own a single core
+_shard_pool: ThreadPoolExecutor | None = None
+_shard_lock = threading.Lock()  # held while two shards run; shards never nest
+
+
+def _blas_threads_hook():
+    """numpy's bundled OpenBLAS thread-count setter, looked up once."""
+    global _blas_setter
+    if _blas_setter is None:
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                            "numpy.libs", "libscipy_openblas*.so")
+        _blas_setter = False
+        for path in sorted(glob.glob(libs)):
+            try:
+                setter = ctypes.CDLL(path).openblas_set_num_threads_local
+            except (OSError, AttributeError):
+                continue
+            setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+            _blas_setter = setter
+            break
+    return _blas_setter
+
+
+def _forget_shard_thread() -> None:
+    # a forked child has no worker thread and must not wait for one
+    global _shard_pool, _shard_lock
+    _shard_pool, _shard_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_shard_thread)
+
+
+def disable_shard_thread() -> None:
+    """Run both shards of every later batch on the calling thread.
+
+    For processes that already own one core each, such as the experiment
+    pool's workers; results do not change.
+    """
+    global _shard_thread
+    _shard_thread = False
+
+
+# numpy's bundled OpenBLAS 0.3.31 applies the "local" setting to the whole
+# process, so run_shards sets it before the worker starts and restores it
+# only after the worker is done; the worker sets its own too, for builds
+# where the setting is per thread.
+def _one_blas_thread(setter, shard, lo: int, hi: int):
+    prev = setter(1)
+    try:
+        return shard(lo, hi)
+    finally:
+        setter(prev)
+
+
+def run_shards(shard, n: int) -> list:
+    """[shard(0, n // 2), shard(n // 2, n)] for n >= 2, else [shard(0, n)].
+
+    `shard(lo, hi)` handles images lo..hi-1.  The second shard runs on the
+    worker thread while this thread runs the first, each with one BLAS
+    thread; both run here, one after the other, when there is no BLAS hook,
+    in a single-core process, or when called from inside a shard.
+    """
+    global _shard_pool
+    if n < 2:
+        return [shard(0, n)]
+    h = n // 2
+    setter = _blas_threads_hook() if _shard_thread else None
+    if not setter or not _shard_lock.acquire(blocking=False):
+        return [shard(0, h), shard(h, n)]
+    try:
+        if _shard_pool is None:
+            _shard_pool = ThreadPoolExecutor(1,
+                                             thread_name_prefix="unet-shard")
+        prev = setter(1)
+        try:
+            second = _shard_pool.submit(_one_blas_thread, setter, shard, h, n)
+            try:
+                first = shard(0, h)
+            finally:
+                wait([second])
+            return [first, second.result()]
+        finally:
+            setter(prev)
+    finally:
+        _shard_lock.release()
+
+
 @dataclass
 class _Tape:
     conv_tapes: dict[str, tc.ConvTape] = field(default_factory=dict)
@@ -186,17 +297,30 @@ def forward(model: Model, batch: np.ndarray,
     """Run the network on an NCHW batch; returns (NCHW logits, tape).
 
     Inside, every activation is a padded frame (see tensor_core).  With
-    `keep_tape=False` the tape is None and each activation is dropped once
-    its consumer has run (the skips once the decoder has used them); the
-    logits are bit-identical either way.  `rng` is only consumed by
-    random-fill padding, so runs are deterministic given (weights, input)
-    plus the seed when that mode is active.
+    `keep_tape=False` the tape is None, each activation is dropped once its
+    consumer has run (the skips once the decoder has used them), and the
+    batch runs as two shards (see the module docstring); the logits are
+    bit-identical either way.  `rng` is only consumed by random-fill
+    padding, so runs are deterministic given (weights, input) plus the seed
+    when that mode is active.  A random-padding batch runs whole, so its
+    draws land where a taped forward puts them.
     """
     cfg = model.config
     div = 2 ** (cfg.depth - 1)
     if batch.shape[2] % div or batch.shape[3] % div:
         raise ValueError(
             f"input dims {batch.shape[2:]} must be divisible by {div}")
+    if keep_tape or cfg.padding.kind == "random":
+        return _forward(model, batch, rng, keep_tape)
+    shards = run_shards(
+        lambda lo, hi: _forward(model, batch[lo:hi], rng, False)[0],
+        len(batch))
+    return (shards[0] if len(shards) == 1 else np.concatenate(shards)), None
+
+
+def _forward(model: Model, batch: np.ndarray, rng, keep_tape: bool
+             ) -> tuple[np.ndarray, _Tape | None]:
+    cfg = model.config
     x = tc.to_frame(batch, cfg.dtype)
     tape = _Tape(input_shape=batch.shape) if keep_tape else None
     skips = []
@@ -285,12 +409,28 @@ def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
     """One forward/backward/Adam cycle; returns the pre-update loss.
 
     `adam` holds one moment pair for the flat parameter buffer:
-    AdamState.for_params([model.flat_params]).
+    AdamState.for_params([model.flat_params]).  The batch runs as two shards
+    (see the module docstring), each scaling its loss and gradient by the
+    whole batch's pixel count; the step adds shard 1's gradient to shard 0's
+    and the two losses.  With random padding, each shard's stream is seeded
+    from `rng`, in shard order, before either shard runs.
     """
-    logits, tape = forward(model, batch, rng)
-    loss, grad_logits = tc.softmax_cross_entropy_pixelwise(logits, targets)
-    param_grads, _ = backward(model, tape, grad_logits, need_input=False)
-    flat_grads = np.concatenate([g.reshape(-1) for g in param_grads])
+    n = len(batch)
+    shard_rngs = [rng, rng]
+    if rng is not None and n >= 2:
+        shard_rngs = [stream(int(s)) for s in rng.integers(2 ** 63, size=2)]
+
+    def shard(lo, hi):
+        logits, tape = forward(model, batch[lo:hi], shard_rngs[lo > 0])
+        loss, grad_logits = tc.softmax_cross_entropy_pixelwise(
+            logits, targets[lo:hi], npix=targets.size)
+        param_grads, _ = backward(model, tape, grad_logits, need_input=False)
+        return loss, np.concatenate([g.reshape(-1) for g in param_grads])
+
+    (loss, flat_grads), *rest = run_shards(shard, n)
+    for shard_loss, grads in rest:
+        loss += shard_loss
+        flat_grads += grads
     tc.adam_step([model.flat_params], [flat_grads], adam)
     model.step += 1
     return loss

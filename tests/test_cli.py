@@ -94,6 +94,19 @@ class TestConfigErrors:
                     "--out", str(tmp_path)]) == 4
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("key", ["train_policies", "eval_bands"])
+    def test_non_list_policies_exit_4_naming_the_key(
+            self, tmp_path, capsys, monkeypatch, key):
+        def no_samples(*args):
+            raise AssertionError("a sample was generated")
+
+        monkeypatch.setattr(data, "sample_at", no_samples)
+        assert run(["train", "--set", key + '={"kind": "unrestricted"}',
+                    "--workers", "1", "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be a list, got " \
+            "{'kind': 'unrestricted'}\n"
+
     def test_checkpoint_with_unknown_config_key_exits_4(self, tmp_path,
                                                        capsys):
         path = tmp_path / "model.ckpt"

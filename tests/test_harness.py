@@ -2,6 +2,7 @@
 asymmetry ratios, and artifact round trips."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -167,6 +168,14 @@ class TestWorkerPool:
                     for k in harness._WORKER_THREAD_VARS]
         assert seen == ["1", "1"]
         assert not any(k in os.environ for k in harness._WORKER_THREAD_VARS)
+
+    def test_pool_workers_start_no_shard_thread(self, tmp_path):
+        cfg = tiny_config(tmp_path)  # batches of 8 images: two shards each
+        with harness._worker_pool(1) as pool:
+            job = pool.submit(harness._train_job, cfg.to_dict(), 0, 0)
+            assert len(job.result(timeout=120)["trace"]) == cfg.epochs
+            assert pool.submit(threading.active_count).result(
+                timeout=120) == 1
 
     def test_pool_keeps_user_thread_setting(self, monkeypatch):
         for k in harness._WORKER_THREAD_VARS:

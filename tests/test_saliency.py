@@ -74,6 +74,18 @@ class TestSaliencyMap:
         assert maps[0].tobytes() == maps[2].tobytes() == alone.tobytes()
         assert not np.array_equal(maps[0], maps[1])
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_shard_rows_equal_single_runs(self, n):
+        model = unet.build_unet(unet.UNetConfig(depth=2, base_channels=4,
+                                                padding=tc.REFLECT, seed=3))
+        samples = [centered_sample(24, 32, size=2 + i, cls=i)
+                   for i in range(n)]
+        maps = saliency.saliency_maps(model, samples)
+        assert maps.shape == (n, 24, 32)
+        for s, m in zip(samples, maps):
+            alone = saliency.saliency_maps(model, [s])[0]
+            assert m.tobytes() == alone.tobytes()
+
     def test_empty_mask_named_before_any_forward(self, monkeypatch):
         def no_forward(*args, **kwargs):
             raise AssertionError("a forward pass ran")

@@ -1,8 +1,11 @@
 """U-Net construction, training-step, determinism, and checkpoint oracles."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +204,166 @@ class TestTrainStep:
             return trace
 
         assert run() == run()
+
+
+def shard_threads(monkeypatch):
+    """Record the thread of every unet.forward call."""
+    seen = []
+    forward = unet.forward
+
+    def recording(*args, **kwargs):
+        seen.append(threading.current_thread().name)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(unet, "forward", recording)
+    return seen
+
+
+def require_blas_hook():
+    setter = unet._blas_threads_hook()
+    if not setter:
+        pytest.skip("numpy's OpenBLAS has no openblas_set_num_threads_local")
+    return setter
+
+
+class TestShards:
+    def test_split_is_fixed_first_half_on_calling_thread(self):
+        require_blas_hook()
+        for n, bounds in ((1, [(0, 1)]), (2, [(0, 1), (1, 2)]),
+                          (5, [(0, 2), (2, 5)])):
+            runs = unet.run_shards(
+                lambda lo, hi: (lo, hi, threading.current_thread()), n)
+            assert [r[:2] for r in runs] == bounds
+            assert runs[0][2] is threading.current_thread()
+            if n >= 2:
+                assert runs[1][2].name.startswith("unet-shard")
+
+    def test_nested_shards_run_on_the_calling_thread(self):
+        require_blas_hook()
+        nested = unet.run_shards(
+            lambda lo, hi: unet.run_shards(
+                lambda a, b: threading.current_thread(), 2), 2)
+        assert nested[0][0] is not nested[1][0]
+        for pair in nested:
+            assert pair[0] is pair[1]
+
+    def test_first_shard_error_waits_for_the_second(self):
+        require_blas_hook()
+        done = []
+
+        def shard(lo, hi):
+            if lo == 0:
+                raise RuntimeError("shard 0 failed")
+            time.sleep(0.2)
+            done.append(hi)
+            return hi
+
+        with pytest.raises(RuntimeError, match="shard 0"):
+            unet.run_shards(shard, 4)
+        assert done == [4]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_runs_shards(self):
+        # the parent's worker thread does not exist in a forked child
+        require_blas_hook()
+        unet.run_shards(lambda lo, hi: hi, 2)
+        child = multiprocessing.get_context("fork").Process(
+            target=unet.run_shards, args=(lambda lo, hi: hi, 2))
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+    def test_concurrent_callers_keep_shards_and_blas_setting(self):
+        # more calling threads than cores, switching often: each caller
+        # gets its own shards, and the BLAS thread count ends as it began
+        setter = require_blas_hook()
+        original = setter(2)
+        errors = []
+
+        def caller(k):
+            try:
+                for _ in range(200):
+                    n = 2 + k
+                    assert unet.run_shards(lambda lo, hi: (k, lo, hi), n) \
+                        == [(k, 0, n // 2), (k, n // 2, n)]
+            except BaseException as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(k,))
+                       for k in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            after = setter(original)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == []
+        assert after == 2
+
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR,
+                                         tc.random_pad(1.0)],
+                             ids=["zero", "circular", "random"])
+    def test_train_step_threaded_equals_serial(self, monkeypatch, padding):
+        # random padding: each shard's stream is drawn from the step's rng
+        # before either shard runs, so thread timing cannot move the draws
+        require_blas_hook()
+        rng = np.random.default_rng(3)
+        x = rng.random((5, 1, 16, 24)).astype(np.float32)
+        t = rng.integers(0, 11, (5, 16, 24))
+
+        def run():
+            model = unet.build_unet(small_config(padding=padding, seed=4))
+            adam = tc.AdamState.for_params([model.flat_params])
+            losses = [unet.train_step(model, x, t, adam,
+                                      np.random.default_rng(step))
+                      for step in range(3)]
+            return losses, model.flat_params.tobytes()
+
+        threads = shard_threads(monkeypatch)
+        threaded = run()
+        assert threaded == run()
+        assert {name.startswith("unet-shard") for name in threads} == \
+            {True, False}
+        threads.clear()
+        monkeypatch.setattr(unet, "_blas_setter", False)
+        assert run() == threaded
+        assert set(threads) == {threading.current_thread().name}
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_tape_free_rows_equal_single_runs(self, n):
+        model = unet.build_unet(small_config(padding=tc.CIRCULAR, depth=3))
+        x = np.random.default_rng(8).random((n, 1, 16, 24)).astype(np.float32)
+        logits, tape = unet.forward(model, x, keep_tape=False)
+        assert tape is None and logits.shape == (n, 11, 16, 24)
+        for i in range(n):
+            alone, _ = unet.forward(model, x[i:i + 1], keep_tape=False)
+            assert logits[i].tobytes() == alone[0].tobytes()
+
+    def test_step_gradient_and_loss_are_the_whole_batch_ones(self):
+        # f64, odd batch: the shards' gradients and losses, each scaled by
+        # the whole batch's pixel count, add up to the whole batch's; a
+        # fresh Adam state holds (1 - beta1) * gradient after one step
+        model = unet.build_unet(small_config(precision="f64", seed=6))
+        rng = np.random.default_rng(2)
+        x = rng.random((5, 1, 8, 8))
+        t = rng.integers(0, 11, (5, 8, 8))
+        logits, tape = unet.forward(model, x)
+        loss, grad_logits = tc.softmax_cross_entropy_pixelwise(logits, t)
+        grads, _ = unet.backward(model, tape, grad_logits)
+        whole = np.concatenate([g.reshape(-1) for g in grads])
+        adam = tc.AdamState.for_params([model.flat_params])
+        assert unet.train_step(model, x, t, adam) == pytest.approx(
+            loss, rel=1e-12)
+        np.testing.assert_allclose(adam.m[0] / (1 - tc.ADAM_BETA1), whole,
+                                   rtol=1e-9, atol=1e-15)
 
 
 class TestPinnedLosses:

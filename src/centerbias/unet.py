@@ -226,6 +226,30 @@ def disable_shard_thread() -> None:
     """
     global _shard_thread
     _shard_thread = False
+    _keep_freed_heap()
+
+
+# glibc's malloc gives the free top of a heap back to the system once it
+# passes a trim threshold that follows the largest block freed so far (a few
+# MB here).  Every train step frees its tapes (tens of MB per shard), so each
+# step page-faulted them back in: about 10k faults and a sixth of the CPU
+# time of a default two-thread step, and most of its spread from one run to
+# the next; a fifth of the time of a pool worker's step.  run_shards (when
+# it starts its thread) and disable_shard_thread pin both thresholds at the
+# maxima glibc's own rule would reach on 64-bit (mmap 32 MiB, trim twice
+# that), so freed tapes stay mapped for the next step.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], \
+        ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 # numpy's bundled OpenBLAS 0.3.31 applies the "local" setting to the whole
@@ -257,6 +281,7 @@ def run_shards(shard, n: int) -> list:
         return [shard(0, h), shard(h, n)]
     try:
         if _shard_pool is None:
+            _keep_freed_heap()
             _shard_pool = ThreadPoolExecutor(1,
                                              thread_name_prefix="unet-shard")
         prev = setter(1)

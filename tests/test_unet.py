@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -336,6 +337,37 @@ class TestShards:
         monkeypatch.setattr(unet, "_blas_setter", False)
         assert run() == threaded
         assert set(threads) == {threading.current_thread().name}
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="heap thresholds are set through glibc")
+    @pytest.mark.parametrize("setup", ["", "unet.disable_shard_thread()"],
+                             ids=["shard_thread", "pool_worker"])
+    def test_steps_reuse_the_freed_tapes(self, setup):
+        # the tapes a step frees stay mapped for the next step; with glibc's
+        # default thresholds a default step faulted 10k-15k pages back in.
+        # A fresh interpreter each, since the thresholds are process-wide.
+        require_blas_hook()
+        script = (
+            "import resource, numpy as np\n"
+            "from centerbias import unet, tensor_core as tc\n"
+            f"{setup}\n"
+            "m = unet.build_unet(unet.UNetConfig(seed=1))\n"
+            "adam = tc.AdamState.for_params([m.flat_params])\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.random((16, 1, 64, 96)).astype(np.float32)\n"
+            "t = rng.integers(0, 11, (16, 64, 96))\n"
+            "for step in range(5):\n"
+            "    if step == 2:\n"
+            "        before = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "    unet.train_step(m, x, t, adam)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "print(after.ru_minflt - before.ru_minflt)\n")
+        src = os.path.dirname(os.path.dirname(unet.__file__))
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True,
+                              timeout=300)
+        assert int(done.stdout) < 3 * 1000
 
     @pytest.mark.parametrize("n", [1, 5])
     def test_tape_free_rows_equal_single_runs(self, n):

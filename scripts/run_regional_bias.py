@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from centerbias import data, harness, unet
+from centerbias import tensor_core as tc
 
 
 def build_configs(args):
@@ -19,8 +20,7 @@ def build_configs(args):
         glyph_source=args.glyphs)
     common = dict(
         dataset=dataset,
-        model=unet.UNetConfig(padding=harness.tc.padding_from_dict(
-            {"kind": args.padding})),
+        model=unet.UNetConfig(padding=tc.PaddingMode(args.padding)),
         eval_bands=(data.Band(0.0, 0.1), data.Band(0.8, 1.0)),
         epochs=args.epochs, batch_size=args.batch_size,
         train_count=args.train_count, eval_count=args.eval_count,

@@ -3,6 +3,7 @@
 summary that contrasts center-trained and edge-trained models."""
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -45,12 +46,11 @@ def main(argv=None):
                                 (args.extent_x, args.extent_y),
                                 background, seed=args.seed)
     grid = saliency.ShiftGrid(args.extent_x, args.extent_y, args.stride)
+    os.makedirs(args.out, exist_ok=True)
     for path in args.checkpoints:
         model = unet.load_checkpoint(path)
         sm = saliency.saliency_shift_map(model, scene, grid)
         stem = f"{args.out}/{path.rsplit('/', 1)[-1].removesuffix('.ckpt')}"
-        import os
-        os.makedirs(args.out, exist_ok=True)
         saliency.export_shift_map(sm, stem)
         print(f"{path}: outer/inner ring ratio {ring_ratio(sm):.2f} "
               f"-> {stem}.csv")

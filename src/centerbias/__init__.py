@@ -8,6 +8,7 @@ Submodules:
     augment      -- periodic-shift and edge-drop mitigation transforms
     saliency     -- gradient saliency and saliency-shift maps
     harness      -- seeded regional-bias experiments and artifact export
+    config       -- the one dict codec of every config record
     cli          -- command-line entry point
 """
 

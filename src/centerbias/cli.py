@@ -21,6 +21,7 @@ import numpy as np
 
 from . import augment, coco_audit, data, harness, netpbm, saliency, unet
 from . import tensor_core as tc
+from .config import from_dict, to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,18 +45,21 @@ def _set_dotted(d: dict, key: str, value: str) -> None:
         node[parts[-1]] = value
 
 
-def _load_config_dict(path: str | None, overrides: list[str],
-                      default: dict) -> dict:
-    doc = dict(default)
+def _load_config(record_type, path: str | None, overrides: list[str],
+                 **fixed):
+    """The defaults or a JSON file, then --set overrides, then `fixed`."""
+    doc = to_dict(record_type())
     if path:
         with open(path) as f:
             doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path} must hold a JSON object")
     for item in overrides or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ValueError(f"override {item!r} is not KEY=VALUE")
         _set_dotted(doc, key, value)
-    return doc
+    return from_dict(record_type, {**doc, **fixed})
 
 
 def cmd_audit(args) -> int:
@@ -76,10 +80,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    doc = _load_config_dict(args.config, args.set,
-                            data.DatasetConfig().to_dict())
-    doc["count"] = args.count
-    cfg = data.DatasetConfig.from_dict(doc)
+    cfg = _load_config(data.DatasetConfig, args.config, args.set,
+                       count=args.count)
     os.makedirs(args.out, exist_ok=True)
     for i, sample in enumerate(data.iter_samples(cfg)):
         img = np.round(sample.input[0, 0] * 255).astype(np.uint8)
@@ -91,11 +93,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_config_dict(args.config, args.set,
-                            harness.ExperimentConfig().to_dict())
-    if args.out:
-        doc["output_dir"] = args.out
-    config = harness.ExperimentConfig.from_dict(doc)
+    fixed = {"output_dir": args.out} if args.out else {}
+    config = _load_config(harness.ExperimentConfig, args.config, args.set,
+                          **fixed)
     record = harness.run_regional_training(config, workers=args.workers)
     paths = harness.export_results(record)
     print(f"config {record.config_hash}: trained "
@@ -112,9 +112,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = unet.load_checkpoint(args.checkpoint)
     policies = [data.parse_policy(tok) for tok in args.bands.split(",")]
-    template = data.DatasetConfig.from_dict(
-        _load_config_dict(args.dataset_config, args.set,
-                          data.DatasetConfig().to_dict()))
+    template = _load_config(data.DatasetConfig, args.dataset_config, args.set)
     row = harness.evaluate_bands(model, policies, args.count, args.seed,
                                  template)
     for policy, loss in zip(policies, row):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
@@ -23,7 +23,6 @@ from .rng import splitmix64, stream
 __all__ = [
     "AllowedCentral", "Band", "ForbiddenCentral", "Unrestricted",
     "PlacementPolicy", "admits", "policy_label", "parse_policy",
-    "policy_to_dict", "policy_from_dict",
     "GlyphSet", "parse_idx", "load_glyph_dir", "builtin_glyphs",
     "NoisePool", "ImageDir", "generate_background",
     "normalized_offset", "sample_placement", "composite_sample",
@@ -39,6 +38,7 @@ BACKGROUND_CAP = 0.95  # keeps the pasted object the unique maximum intensity
 
 @dataclass(frozen=True)
 class AllowedCentral:
+    KIND = "allowed_central"
     a: float
 
     def __post_init__(self):
@@ -48,6 +48,7 @@ class AllowedCentral:
 
 @dataclass(frozen=True)
 class Band:
+    KIND = "band"
     lo: float
     hi: float
 
@@ -58,6 +59,7 @@ class Band:
 
 @dataclass(frozen=True)
 class ForbiddenCentral:
+    KIND = "forbidden_central"
     c: float
 
     def __post_init__(self):
@@ -67,7 +69,7 @@ class ForbiddenCentral:
 
 @dataclass(frozen=True)
 class Unrestricted:
-    pass
+    KIND = "unrestricted"
 
 
 PlacementPolicy = Union[AllowedCentral, Band, ForbiddenCentral, Unrestricted]
@@ -116,31 +118,6 @@ def parse_policy(token: str) -> PlacementPolicy:
     if kind == "forbidden":
         return ForbiddenCentral(float(arg))
     raise ValueError(f"cannot parse placement policy {token!r}")
-
-
-def policy_to_dict(policy: PlacementPolicy) -> dict:
-    if isinstance(policy, AllowedCentral):
-        return {"kind": "allowed_central", "a": policy.a}
-    if isinstance(policy, Band):
-        return {"kind": "band", "lo": policy.lo, "hi": policy.hi}
-    if isinstance(policy, ForbiddenCentral):
-        return {"kind": "forbidden_central", "c": policy.c}
-    return {"kind": "unrestricted"}
-
-
-def policy_from_dict(d: dict) -> PlacementPolicy:
-    if not isinstance(d, dict):
-        raise ValueError(f"policy must be a dict with a 'kind', got {d!r}")
-    kind = d["kind"]
-    if kind == "allowed_central":
-        return AllowedCentral(d["a"])
-    if kind == "band":
-        return Band(d["lo"], d["hi"])
-    if kind == "forbidden_central":
-        return ForbiddenCentral(d["c"])
-    if kind == "unrestricted":
-        return Unrestricted()
-    raise ValueError(f"unknown policy kind {kind!r}")
 
 
 # --------------------------------------------------------------------------
@@ -303,12 +280,14 @@ def sample_placement(policy: PlacementPolicy, image_hw: tuple[int, int],
 
 @dataclass(frozen=True)
 class NoisePool:
+    KIND = "noise"
     seed: int = 0
     smoothing: int = 2
 
 
 @dataclass(frozen=True)
 class ImageDir:
+    KIND = "image_dir"
     path: str
 
 
@@ -447,51 +426,8 @@ class DatasetConfig:
     glyph_source: str = "builtin"
 
     def __post_init__(self):
-        for name in ("height", "width", "count", "master_seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"dataset.{name} must be an integer, "
-                                 f"got {value!r}")
         if self.count < 1:
             raise ValueError("count must be >= 1")
-
-    def to_dict(self) -> dict:
-        bg = ({"kind": "noise", "seed": self.background.seed,
-               "smoothing": self.background.smoothing}
-              if isinstance(self.background, NoisePool)
-              else {"kind": "image_dir", "path": self.background.path})
-        return {
-            "height": self.height, "width": self.width,
-            "policy": policy_to_dict(self.policy),
-            "background": bg,
-            "count": self.count,
-            "master_seed": self.master_seed,
-            "glyph_source": self.glyph_source,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown dataset config keys {sorted(unknown)}")
-        bg = d.get("background", {"kind": "noise"})
-        if not isinstance(bg, dict):
-            raise ValueError(
-                f"background must be a dict with a 'kind', got {bg!r}")
-        if bg["kind"] == "noise":
-            background = NoisePool(bg.get("seed", 0), bg.get("smoothing", 2))
-        elif bg["kind"] == "image_dir":
-            background = ImageDir(bg["path"])
-        else:
-            raise ValueError(f"unknown background kind {bg['kind']!r}")
-        return cls(
-            height=d["height"], width=d["width"],
-            policy=policy_from_dict(d["policy"]),
-            background=background,
-            count=d.get("count", 1),
-            master_seed=d.get("master_seed", 0),
-            glyph_source=d.get("glyph_source", "builtin"),
-        )
 
 
 def sample_at(config: DatasetConfig, index: int) -> Sample:

@@ -18,13 +18,14 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import multiprocessing as mp
 
 import numpy as np
 
 from . import augment, data, tensor_core as tc, unet
+from .config import from_dict, to_dict
 from .rng import splitmix64, stream
 
 __all__ = [
@@ -44,100 +45,52 @@ EVAL_BATCH = 32
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    schema_version: int = SCHEMA_VERSION
     dataset: data.DatasetConfig = data.DatasetConfig()
     model: unet.UNetConfig = unet.UNetConfig()
-    train_policies: tuple = (data.Unrestricted(),)
-    eval_bands: tuple = (data.Band(0.0, 0.1), data.Band(0.9, 1.0))
+    train_policies: tuple[data.PlacementPolicy, ...] = (data.Unrestricted(),)
+    eval_bands: tuple[data.PlacementPolicy, ...] = (data.Band(0.0, 0.1),
+                                                    data.Band(0.9, 1.0))
     epochs: int = 4
     batch_size: int = 16
     train_count: int = 6000
     eval_count: int = 512
     repeats: int = 3
     master_seed: int = 0
-    augmentations: tuple = ()
+    augmentations: tuple[dict, ...] = ()
     learning_rate: float = 1e-3
     output_dir: str = "runs/experiment"
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "train_count", "eval_count",
-                     "repeats", "master_seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        lr = self.learning_rate
-        if not (isinstance(lr, (int, float)) and not isinstance(lr, bool)
-                and math.isfinite(lr) and lr > 0):
-            raise ValueError(
-                f"learning_rate must be a finite number > 0, got {lr!r}")
-        div = 2 ** (self.model.depth - 1)
-        if self.dataset.height % div or self.dataset.width % div:
-            raise ValueError(
-                f"dataset height and width ({self.dataset.height}x"
-                f"{self.dataset.width}) must be divisible by {div}, "
-                f"2**(model.depth-1)")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if self.batch_size > self.train_count:
-            raise ValueError("batch_size must not exceed train_count")
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported schema_version {self.schema_version}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a finite number > 0, "
+                             f"got {self.learning_rate!r}")
+        h, w = self.dataset.height, self.dataset.width
+        div = 2 ** (self.model.depth - 1)
+        if h % div or w % div:
+            raise ValueError(f"dataset height and width ({h}x{w}) must be "
+                             f"divisible by {div}, 2**(model.depth-1)")
+        m = self.model  # the samples: one gray channel, background + 10 digits
+        if (m.in_channels, m.num_classes) != (1, 11):
+            raise ValueError("model.in_channels and model.num_classes must be "
+                             f"1 and 11, got {m.in_channels}, {m.num_classes}")
+        for name in ("epochs", "batch_size", "eval_count", "repeats"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.batch_size > self.train_count:
+            raise ValueError("batch_size must not exceed train_count")
+        for name in ("train_policies", "eval_bands"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         augment.build_augmentations(  # validate before any job starts
-            self.augmentations, (self.dataset.height, self.dataset.width))
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "dataset": self.dataset.to_dict(),
-            "model": self.model.to_dict(),
-            "train_policies": [data.policy_to_dict(p)
-                               for p in self.train_policies],
-            "eval_bands": [data.policy_to_dict(p) for p in self.eval_bands],
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "train_count": self.train_count,
-            "eval_count": self.eval_count,
-            "repeats": self.repeats,
-            "master_seed": self.master_seed,
-            "augmentations": list(self.augmentations),
-            "learning_rate": self.learning_rate,
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
-        lists = {"train_policies": d["train_policies"],
-                 "eval_bands": d["eval_bands"],
-                 "augmentations": d.get("augmentations", [])}
-        for key, value in lists.items():
-            if not isinstance(value, list):
-                raise ValueError(f"{key} must be a list, got {value!r}")
-        return cls(
-            schema_version=d.get("schema_version", SCHEMA_VERSION),
-            dataset=data.DatasetConfig.from_dict(d["dataset"]),
-            model=unet.UNetConfig.from_dict(d["model"]),
-            train_policies=tuple(data.policy_from_dict(p)
-                                 for p in lists["train_policies"]),
-            eval_bands=tuple(data.policy_from_dict(p)
-                             for p in lists["eval_bands"]),
-            epochs=d["epochs"],
-            batch_size=d["batch_size"],
-            train_count=d["train_count"],
-            eval_count=d["eval_count"],
-            repeats=d["repeats"],
-            master_seed=d.get("master_seed", 0),
-            augmentations=tuple(lists["augmentations"]),
-            learning_rate=d.get("learning_rate", 1e-3),
-            output_dir=d.get("output_dir", "runs/experiment"),
-        )
+            self.augmentations, (h, w))
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    payload = config.to_dict()
+    payload = to_dict(config)
     payload.pop("output_dir")  # location does not affect results
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -198,7 +151,7 @@ def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
     Top-level and argument-picklable so it can run in a worker process; all
     randomness derives from (master_seed, ti, rep).
     """
-    config = ExperimentConfig.from_dict(config_dict)
+    config = from_dict(ExperimentConfig, config_dict)
     policy = config.train_policies[ti]
     rep_seed = _repeat_seed(config, ti, rep)
     model_seed = splitmix64(rep_seed, 1)
@@ -320,10 +273,10 @@ def run_regional_training(config: ExperimentConfig,
     results = {}
     if workers <= 1 or len(jobs) == 1:
         for ti, rep in jobs:
-            results[(ti, rep)] = _train_job(config.to_dict(), ti, rep)
+            results[(ti, rep)] = _train_job(to_dict(config), ti, rep)
     else:
         with _worker_pool(workers) as pool:
-            futures = {(ti, rep): pool.submit(_train_job, config.to_dict(),
+            futures = {(ti, rep): pool.submit(_train_job, to_dict(config),
                                               ti, rep)
                        for ti, rep in jobs}
             for key, fut in futures.items():
@@ -439,7 +392,7 @@ def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
 
     payload = {
         "schema_version": record.config.schema_version,
-        "config": record.config.to_dict(),
+        "config": to_dict(record.config),
         "config_hash": record.config_hash,
         "train_labels": record.train_labels,
         "eval_labels": record.eval_labels,
@@ -477,7 +430,7 @@ def load_results(path) -> RunRecord:
     with open(path) as f:
         payload = json.load(f)
     return RunRecord(
-        config=ExperimentConfig.from_dict(payload["config"]),
+        config=from_dict(ExperimentConfig, payload["config"], "config"),
         config_hash=payload["config_hash"],
         train_labels=payload["train_labels"],
         eval_labels=payload["eval_labels"],

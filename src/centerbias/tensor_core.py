@@ -46,12 +46,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "PaddingMode", "ZERO", "CIRCULAR", "REFLECT", "random_pad",
-    "padding_to_dict", "padding_from_dict", "new_frame", "to_frame",
-    "from_frame", "ConvSpec", "ConvTape", "PoolRecord", "AdamState",
-    "GradcheckReport", "pad", "conv2d_forward", "conv2d_backward",
-    "maxpool2x2_forward", "maxpool2x2_backward",
-    "relu", "relu_backward", "upsample_nearest2x", "upsample_nearest2x_backward",
+    "PaddingMode", "ZERO", "CIRCULAR", "REFLECT", "random_pad", "new_frame",
+    "to_frame", "from_frame", "ConvSpec", "ConvTape", "PoolRecord",
+    "AdamState", "GradcheckReport", "pad", "conv2d_forward", "conv2d_backward",
+    "maxpool2x2_forward", "maxpool2x2_backward", "relu", "relu_backward",
+    "upsample_nearest2x", "upsample_nearest2x_backward",
     "softmax_cross_entropy_pixelwise", "adam_step", "gradcheck",
 ]
 
@@ -60,15 +59,20 @@ _PAD_KINDS = ("zero", "circular", "reflect", "random")
 
 @dataclass(frozen=True)
 class PaddingMode:
-    """Border fill rule. `amplitude` only matters for kind="random"."""
+    """Border fill rule; only kind="random" has an amplitude (default 1.0)."""
 
     kind: str
-    amplitude: float = 1.0
+    amplitude: float | None = None
 
     def __post_init__(self):
         if self.kind not in _PAD_KINDS:
             raise ValueError(f"unknown padding kind {self.kind!r}")
-        if self.kind == "random" and not self.amplitude >= 0:
+        if self.kind != "random":
+            if self.amplitude is not None:
+                raise ValueError(f"{self.kind} padding takes no amplitude")
+        elif self.amplitude is None:
+            object.__setattr__(self, "amplitude", 1.0)
+        elif not self.amplitude >= 0:
             raise ValueError("random padding amplitude must be >= 0")
 
 
@@ -80,19 +84,6 @@ REFLECT = PaddingMode("reflect")
 def random_pad(amplitude: float = 1.0) -> PaddingMode:
     """Padding that fills the border with iid U[0, amplitude) draws."""
     return PaddingMode("random", amplitude)
-
-
-def padding_to_dict(mode: PaddingMode) -> dict:
-    d = {"kind": mode.kind}
-    if mode.kind == "random":
-        d["amplitude"] = mode.amplitude
-    return d
-
-
-def padding_from_dict(d: dict) -> PaddingMode:
-    if not isinstance(d, dict):
-        raise ValueError(f"padding must be a dict with a 'kind', got {d!r}")
-    return PaddingMode(d["kind"], d.get("amplitude", 1.0))
 
 
 def _require_nchw(x: np.ndarray, name: str = "input") -> None:

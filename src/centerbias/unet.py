@@ -28,11 +28,12 @@ import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor_core as tc
+from .config import from_dict, to_dict
 from .rng import stream
 
 __all__ = [
@@ -59,12 +60,6 @@ class UNetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("depth", "base_channels", "in_channels", "num_classes",
-                     "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"model.{name} must be an integer, "
-                                 f"got {value!r}")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.precision not in _DTYPES:
@@ -73,26 +68,6 @@ class UNetConfig:
     @property
     def dtype(self) -> np.dtype:
         return np.dtype(_DTYPES[self.precision])
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "base_channels": self.base_channels,
-            "in_channels": self.in_channels,
-            "num_classes": self.num_classes,
-            "padding": tc.padding_to_dict(self.padding),
-            "precision": self.precision,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UNetConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown model config keys {sorted(unknown)}")
-        d = dict(d)
-        d["padding"] = tc.padding_from_dict(d["padding"])
-        return cls(**d)
 
 
 @dataclass
@@ -467,7 +442,7 @@ def save_checkpoint(model: Model, path) -> None:
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": to_dict(model.config),
         "precision": model.config.precision,
         "step": model.step,
         "param_shapes": [list(p.shape) for p in params],
@@ -490,7 +465,7 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"corrupt checkpoint header: {e}") from e
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a centerbias U-Net checkpoint")
-    config = UNetConfig.from_dict(header["config"])
+    config = from_dict(UNetConfig, header["config"], "config")
     if header["precision"] != config.precision:
         raise ValueError("header precision disagrees with config")
     model = build_unet(config)

@@ -33,9 +33,51 @@ class TestUsage:
 class TestConfigErrors:
     """Bad config input exits 4 with a one-line error, not a traceback."""
 
+    @pytest.fixture
+    def no_samples(self, monkeypatch):
+        def no_samples(*args):
+            raise AssertionError("a sample was generated")
+
+        monkeypatch.setattr(data, "sample_at", no_samples)
+
     def assert_one_line_error(self, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("override, key", [
+        ('dataset.background.smoothing="x"', "dataset.background.smoothing"),
+        ("dataset.background.smoothing=2.5", "dataset.background.smoothing"),
+        ('dataset.background.seed="x"', "dataset.background.seed"),
+        ('dataset.policy.lo="a"', "dataset.policy.lo"),
+        ('model.padding.amplitude="x"', "model.padding.amplitude"),
+        ("dataset.glyph_source=5", "dataset.glyph_source"),
+        ("output_dir=5", "output_dir"),
+        ('train_policies=[{"kind": "allowed_central", "a": "x"}]',
+         "train_policies[0].a"),
+        ("model.padding={}", "model.padding.kind"),
+        ('train_policies=[{"kind": "band"}]', "train_policies[0].lo"),
+    ])
+    def test_bad_value_exits_4_naming_the_key(self, tmp_path, capsys,
+                                              monkeypatch, no_samples,
+                                              override, key):
+        monkeypatch.chdir(tmp_path)  # no --out, so output_dir is read
+        assert run(["train", "--set", override, "--workers", "1"]) == 4
+        assert key in self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("override, key", [
+        ("epochs=0", "epochs"), ("batch_size=0", "batch_size"),
+        ("eval_count=0", "eval_count"),
+        ("train_policies=[]", "train_policies"),
+        ("eval_bands=[]", "eval_bands"),
+        ("model.in_channels=3", "model.in_channels"),
+        ("model.num_classes=10", "model.num_classes"),
+    ])
+    def test_out_of_range_value_exits_4_before_generation(
+            self, tmp_path, capsys, no_samples, override, key):
+        assert run(["train", "--set", override, "--workers", "1",
+                    "--out", str(tmp_path)]) == 4
+        assert key in self.assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("override", ['model.depth="abc"',
                                           'batch_size="x"'])
@@ -45,11 +87,7 @@ class TestConfigErrors:
         self.assert_one_line_error(capsys)
 
     def test_indivisible_dims_exit_4_before_generation(self, tmp_path,
-                                                       capsys, monkeypatch):
-        def no_samples(*args):
-            raise AssertionError("a sample was generated")
-
-        monkeypatch.setattr(data, "sample_at", no_samples)
+                                                       capsys, no_samples):
         assert run(["train", "--set", "dataset.width=90", "--workers", "1",
                     "--out", str(tmp_path)]) == 4
         self.assert_one_line_error(capsys)
@@ -65,11 +103,7 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("value", ['"x"', "0", "-1e-3", "NaN", "true"])
     def test_bad_learning_rate_exits_4_before_generation(
-            self, tmp_path, capsys, monkeypatch, value):
-        def no_samples(*args):
-            raise AssertionError("a sample was generated")
-
-        monkeypatch.setattr(data, "sample_at", no_samples)
+            self, tmp_path, capsys, no_samples, value):
         assert run(["train", "--set", f"learning_rate={value}", "--workers",
                     "1", "--out", str(tmp_path)]) == 4
         self.assert_one_line_error(capsys)
@@ -85,27 +119,26 @@ class TestConfigErrors:
     ], ids=["negative-max-frac", "typo-key", "band-100", "band-64",
             "bare-name", "not-a-list", "train-policy-alias"])
     def test_bad_augmentation_or_key_exits_4_before_generation(
-            self, tmp_path, capsys, monkeypatch, override):
-        def no_samples(*args):
-            raise AssertionError("a sample was generated")
-
-        monkeypatch.setattr(data, "sample_at", no_samples)
+            self, tmp_path, capsys, no_samples, override):
         assert run(["train", "--set", override, "--workers", "1",
                     "--out", str(tmp_path)]) == 4
         self.assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("key", ["train_policies", "eval_bands"])
     def test_non_list_policies_exit_4_naming_the_key(
-            self, tmp_path, capsys, monkeypatch, key):
-        def no_samples(*args):
-            raise AssertionError("a sample was generated")
-
-        monkeypatch.setattr(data, "sample_at", no_samples)
+            self, tmp_path, capsys, no_samples, key):
         assert run(["train", "--set", key + '={"kind": "unrestricted"}',
                     "--workers", "1", "--out", str(tmp_path)]) == 4
         err = capsys.readouterr().err
         assert err == f"error: {key} must be a list, got " \
             "{'kind': 'unrestricted'}\n"
+
+    def test_config_file_without_an_object_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert run(["train", "--config", str(path), "--out",
+                    str(tmp_path)]) == 4
+        assert "JSON object" in self.assert_one_line_error(capsys)
 
     def test_checkpoint_with_unknown_config_key_exits_4(self, tmp_path,
                                                        capsys):

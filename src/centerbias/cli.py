@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -45,21 +46,22 @@ def _set_dotted(d: dict, key: str, value: str) -> None:
         node[parts[-1]] = value
 
 
-def _load_config(record_type, path: str | None, overrides: list[str],
-                 **fixed):
-    """The defaults or a JSON file, then --set overrides, then `fixed`."""
-    doc = to_dict(record_type())
+def _load_config(start, path: str | None, overrides: list[str], **fixed):
+    """The record `start` with a JSON file's top-level keys over it, then
+    --set overrides, then `fixed`."""
+    doc = to_dict(start)
     if path:
         with open(path) as f:
-            doc = json.load(f)
-        if not isinstance(doc, dict):
+            loaded = json.load(f)
+        if not isinstance(loaded, dict):
             raise ValueError(f"{path} must hold a JSON object")
+        doc.update(loaded)
     for item in overrides or []:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ValueError(f"override {item!r} is not KEY=VALUE")
         _set_dotted(doc, key, value)
-    return from_dict(record_type, {**doc, **fixed})
+    return from_dict(type(start), {**doc, **fixed})
 
 
 def cmd_audit(args) -> int:
@@ -80,7 +82,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_config(data.DatasetConfig, args.config, args.set,
+    cfg = _load_config(data.DatasetConfig(), args.config, args.set,
                        count=args.count)
     os.makedirs(args.out, exist_ok=True)
     for i, sample in enumerate(data.iter_samples(cfg)):
@@ -94,7 +96,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     fixed = {"output_dir": args.out} if args.out else {}
-    config = _load_config(harness.ExperimentConfig, args.config, args.set,
+    config = _load_config(harness.ExperimentConfig(), args.config, args.set,
                           **fixed)
     record = harness.run_regional_training(config, workers=args.workers)
     paths = harness.export_results(record)
@@ -109,10 +111,65 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+# `asymmetry` starts from the default experiment with a 0.8-1.0 edge band;
+# --quick is a smoke-scale preset that --set overrides
+ASYMMETRY_START = harness.ExperimentConfig(
+    eval_bands=(data.Band(0.0, 0.1), data.Band(0.8, 1.0)))
+ASYMMETRY_QUICK = ["epochs=1", "train_count=256", "eval_count=32",
+                   "repeats=1"]
+
+
+def asymmetry_arms(args) -> tuple[harness.ExperimentConfig, ...]:
+    """The center, edge and center_shifted configs of `asymmetry`."""
+    base = _load_config(ASYMMETRY_START, args.config,
+                        (ASYMMETRY_QUICK if args.quick else [])
+                        + (args.set or []))
+
+    def arm(name, policy, **extra):
+        return replace(base, train_policies=(policy,),
+                       output_dir=f"{args.out}/{name}", **extra)
+
+    return (arm("center", data.AllowedCentral(0.3)),
+            arm("edge", data.ForbiddenCentral(0.7)),
+            arm("center_shifted", data.AllowedCentral(0.3),
+                augmentations=({"name": "random_periodic_shift",
+                                "max_frac": 0.25},)))
+
+
+def cmd_asymmetry(args) -> int:
+    center, edge, shifted = asymmetry_arms(args)
+
+    def train(config):
+        record = harness.run_regional_training(config, workers=args.workers)
+        harness.export_results(record)
+        return record
+
+    print(f"training center-restricted models ({center.repeats} repeats)...")
+    rec_center = train(center)
+    print("training edge-restricted models...")
+    rec_edge = train(edge)
+    print(f"\nmean loss (eval bands {rec_center.eval_labels}):")
+    print(f"  center-trained: {rec_center.raw[0]}")
+    print(f"  edge-trained:   {rec_edge.raw[0]}")
+    ratios = harness.summarize_asymmetry(rec_center, rec_edge)
+    print(f"  center-trained edge/center ratio: "
+          f"{ratios['center_to_edge_ratio']:.1f}")
+    print(f"  edge-trained center/edge ratio:   "
+          f"{ratios['edge_to_center_ratio']:.2f}")
+    if args.with_mitigation:
+        print("\ntraining center-restricted + random periodic shift...")
+        aug_ratio = harness.summarize_asymmetry(
+            train(shifted), rec_edge)["center_to_edge_ratio"]
+        print(f"  augmented edge/center ratio: {aug_ratio:.2f} "
+              f"(unaugmented: {ratios['center_to_edge_ratio']:.1f})")
+    return EXIT_OK
+
+
 def cmd_eval(args) -> int:
     model = unet.load_checkpoint(args.checkpoint)
     policies = [data.parse_policy(tok) for tok in args.bands.split(",")]
-    template = _load_config(data.DatasetConfig, args.dataset_config, args.set)
+    template = _load_config(data.DatasetConfig(), args.dataset_config,
+                            args.set)
     row = harness.evaluate_bands(model, policies, args.count, args.seed,
                                  template)
     for policy, loss in zip(policies, row):
@@ -143,6 +200,7 @@ def cmd_saliency(args) -> int:
     print(f"shift map {sm.values.shape[0]}x{sm.values.shape[1]} ({norm}); "
           f"origin raw value {sm.raw[len(grid.dys) // 2, len(grid.dxs) // 2]:g}"
           f" -> {args.out}/shift_map.csv")
+    print(f"outer/inner ring ratio {saliency.ring_ratio(sm):.2f}")
     return EXIT_OK
 
 
@@ -330,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Measure, reproduce, and mitigate the center-position "
                     "bias of convolutional networks.",
         epilog="Exit codes: 0 ok, 2 usage, 3 missing file, 4 invalid "
-               "config/input, 5 validation failed.  CENTERBIAS_WORKERS sets "
-               "the default training worker count.")
+               "config/input, 5 validation failed.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("audit", help="object-position heatmaps from "
@@ -357,6 +414,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="override config output_dir")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_train)
+
+    p = sub.add_parser(
+        "asymmetry", help="center/edge cross-test: train center- and "
+                          "edge-restricted models, print the loss ratios")
+    p.add_argument("--config", help="ExperimentConfig JSON")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    p.add_argument("--out", default="runs/regional_bias",
+                   help="each arm writes under OUT/<arm>")
+    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--quick", action="store_true",
+                   help="smoke scale: " + ", ".join(ASYMMETRY_QUICK))
+    p.add_argument("--with-mitigation", action="store_true",
+                   help="also train the center arm with random periodic "
+                        "shifts")
+    p.set_defaults(fn=cmd_asymmetry)
 
     p = sub.add_parser("eval", help="band-wise losses of a checkpoint")
     p.add_argument("--checkpoint", required=True)

@@ -428,6 +428,10 @@ class DatasetConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        gh, gw = _glyphs_for(self.glyph_source).images.shape[1:]
+        if gh > self.height or gw > self.width:
+            raise ValueError(f"glyph {gh}x{gw} does not fit a "
+                             f"{self.height}x{self.width} image")
 
 
 def sample_at(config: DatasetConfig, index: int) -> Sample:

@@ -235,9 +235,6 @@ def _worker_pool(workers: int):
 
 
 def default_workers() -> int:
-    env = os.environ.get("CENTERBIAS_WORKERS")
-    if env:
-        return max(1, int(env))
     return min(2, os.cpu_count() or 1)
 
 

@@ -38,7 +38,7 @@ from .rng import stream
 __all__ = [
     "saliency_maps", "saliency_map", "CanvasScene", "make_scene",
     "ShiftGrid", "SaliencyShiftMap", "saliency_shift_map",
-    "dispersion_normalize", "export_shift_map", "SHIFT_BATCH",
+    "dispersion_normalize", "ring_ratio", "export_shift_map", "SHIFT_BATCH",
 ]
 
 SHIFT_BATCH = 8
@@ -200,6 +200,24 @@ def saliency_shift_map(model: unet.Model, scene: CanvasScene,
     raw = raw.reshape(len(grid.dys), len(grid.dxs))
     values, normalized = dispersion_normalize(raw)
     return SaliencyShiftMap(values, raw, grid, normalized)
+
+
+def ring_ratio(shift_map: SaliencyShiftMap) -> float:
+    """Mean raw entry of the outer ring (r > 0.8) over the inner (r < 0.2).
+
+    A shift's r is the larger of |dx| / extent_x and |dy| / extent_y, an
+    axis of zero extent counting as 0.  inf when the inner mean is 0; nan
+    when both extents are 0, which leaves no outer ring.
+    """
+    grid = shift_map.grid
+    ry = np.abs(grid.dys) / (grid.extent_y or 1)
+    rx = np.abs(grid.dxs) / (grid.extent_x or 1)
+    r = np.maximum(ry[:, None], rx[None, :])
+    outer = shift_map.raw[r > 0.8]
+    if not outer.size:
+        return float("nan")
+    inner = shift_map.raw[r < 0.2].mean()
+    return float(outer.mean() / inner) if inner > 0 else float("inf")
 
 
 def export_shift_map(shift_map: SaliencyShiftMap, stem) -> None:

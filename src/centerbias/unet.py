@@ -62,6 +62,8 @@ class UNetConfig:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
+        if self.base_channels < 1:
+            raise ValueError("base_channels must be >= 1")
         if self.precision not in _DTYPES:
             raise ValueError(f"precision must be one of {tuple(_DTYPES)}")
 

@@ -2,11 +2,12 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from centerbias import augment, cli, data, netpbm, unet
+from centerbias import augment, cli, data, harness, netpbm, unet
 
 
 def run(argv):
@@ -23,6 +24,11 @@ class TestUsage:
     def test_missing_file_exits_3(self, tmp_path, capsys):
         assert run(["audit", "--annotations", str(tmp_path / "nope.json"),
                     "--category", "x", "--out", str(tmp_path)]) == 3
+
+    def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
+        assert run(["saliency", "--checkpoint", str(tmp_path / "no.ckpt"),
+                    "--out", str(tmp_path / "sal")]) == 3
+        assert capsys.readouterr().err.startswith("error: missing file")
 
     def test_invalid_config_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -72,6 +78,8 @@ class TestConfigErrors:
         ("eval_bands=[]", "eval_bands"),
         ("model.in_channels=3", "model.in_channels"),
         ("model.num_classes=10", "model.num_classes"),
+        ("model.base_channels=0", "base_channels"),
+        ("dataset.height=16", "glyph 28x28 does not fit a 16x96 image"),
     ])
     def test_out_of_range_value_exits_4_before_generation(
             self, tmp_path, capsys, no_samples, override, key):
@@ -85,6 +93,29 @@ class TestConfigErrors:
         assert run(["train", "--set", override, "--out",
                     str(tmp_path)]) == 4
         self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("sets, message", [
+        (["height=16"], "glyph 28x28 does not fit a 16x96 image"),
+        (["glyph_source=builtin:14", "width=12"],
+         "glyph 14x14 does not fit a 64x12 image"),
+    ])
+    def test_glyph_larger_than_image_exits_4_before_generation(
+            self, tmp_path, capsys, monkeypatch, no_samples, sets, message):
+        def no_files(*args):
+            raise AssertionError("a glyph file was read")
+
+        monkeypatch.setattr(data, "load_glyph_dir", no_files)
+        argv = ["gen", "--out", str(tmp_path)]
+        for item in sets:
+            argv += ["--set", item]
+        assert run(argv) == 4
+        assert message in self.assert_one_line_error(capsys)
+
+    def test_asymmetry_bad_value_exits_4_before_generation(
+            self, tmp_path, capsys, no_samples):
+        assert run(["asymmetry", "--set", "train_count=0", "--workers", "1",
+                    "--out", str(tmp_path)]) == 4
+        assert "train_count" in self.assert_one_line_error(capsys)
 
     def test_indivisible_dims_exit_4_before_generation(self, tmp_path,
                                                        capsys, no_samples):
@@ -270,6 +301,58 @@ class TestTrainEvalReport:
         assert (out / "shift_map.pgm").exists()
 
 
+class TestAsymmetry:
+    @staticmethod
+    def arms(*argv):
+        args = cli.build_parser().parse_args(["asymmetry", *argv])
+        return cli.asymmetry_arms(args)
+
+    @pytest.mark.parametrize("flags, hashes", [
+        ([], ["a2343bda1fef5b85", "fc74196ceb8ae6da", "3e654e52db5e6a69"]),
+        (["--quick"],
+         ["a834bea1cbfd6be0", "13d3ef1aca96a762", "53010daa1e1680db"]),
+    ], ids=["default", "quick"])
+    def test_arm_config_hashes_are_pinned(self, flags, hashes):
+        assert [harness.config_hash(c) for c in self.arms(*flags)] == hashes
+
+    def test_arms_override_only_policy_output_and_augmentations(self):
+        center, edge, shifted = self.arms("--out", "o", "--set", "epochs=2")
+        assert [c.output_dir for c in (center, edge, shifted)] == \
+            ["o/center", "o/edge", "o/center_shifted"]
+        assert edge.train_policies == (data.ForbiddenCentral(0.7),)
+        assert shifted.augmentations == (
+            {"name": "random_periodic_shift", "max_frac": 0.25},)
+        base = cli.ASYMMETRY_START
+        assert replace(center, output_dir=base.output_dir) == replace(
+            base, epochs=2, train_policies=(data.AllowedCentral(0.3),))
+
+    def test_set_wins_over_quick_and_file_keeps_the_start(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"learning_rate": 0.01}))
+        center = self.arms("--quick", "--config", str(path),
+                           "--set", "repeats=2")[0]
+        assert (center.epochs, center.train_count, center.repeats) == \
+            (1, 256, 2)
+        assert center.learning_rate == 0.01
+        assert center.eval_bands == cli.ASYMMETRY_START.eval_bands
+
+    def test_tiny_run_writes_every_arm(self, tmp_path, capsys):
+        sets = ["dataset.height=32", "dataset.width=32",
+                "dataset.glyph_source=builtin:14", "model.depth=2",
+                "model.base_channels=2", "train_count=8", "batch_size=8",
+                "eval_count=2", "epochs=1", "repeats=1"]
+        argv = ["asymmetry", "--with-mitigation", "--workers", "1",
+                "--out", str(tmp_path)]
+        for item in sets:
+            argv += ["--set", item]
+        assert run(argv) == 0
+        for arm in ("center", "edge", "center_shifted"):
+            assert (tmp_path / arm / "results.json").exists(), arm
+        out = capsys.readouterr().out
+        assert "center-trained edge/center ratio" in out
+        assert "augmented edge/center ratio" in out
+
+
 class TestAugmentCommand:
     def make_pair(self, tmp_path):
         out = tmp_path / "pair"
@@ -320,6 +403,10 @@ class TestAugmentCommand:
 class TestGradcheckCommand:
     def test_clean_build_passes(self, capsys):
         assert run(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 8
+        lines = capsys.readouterr().out.splitlines()
+        modes = ("zero", "circular", "reflect", "random")
+        assert [line[:38].rstrip() for line in lines] == [
+            *(f"PASS  conv3x3 {m} padding" for m in modes),
+            "PASS  maxpool2x2", "PASS  relu", "PASS  upsample_nearest2x",
+            "PASS  softmax cross-entropy",
+            *(f"PASS  whole U-Net (depth 3) {m}" for m in modes)]

@@ -60,6 +60,8 @@ class TestIdx:
         gs = data.load_glyph_dir(tmp_path)
         np.testing.assert_array_equal(gs.labels, [3, 7])
         np.testing.assert_allclose(gs.images, imgs / 255.0)
+        with pytest.raises(ValueError, match="glyph 4x4 does not fit"):
+            data.DatasetConfig(height=3, glyph_source=str(tmp_path))
 
 
 class TestBuiltinGlyphs:

@@ -223,3 +223,33 @@ class TestShiftMap:
                          for r in rows[1:]])
         np.testing.assert_allclose(back, sm.values, rtol=1e-6)
         assert (tmp_path / "probe.pgm").exists()
+
+
+class TestRingRatio:
+    def shift_map(self, grid, raw):
+        raw = np.asarray(raw, dtype=float)
+        return saliency.SaliencyShiftMap(raw, raw, grid, False)
+
+    def test_closed_form(self):
+        # r = max(|dy| / 2, |dx| / 4): the dy = +-2 rows and (dx, dy) =
+        # (+-4, 0) are outer, the origin alone is inner, (+-2, 0) neither
+        grid = saliency.ShiftGrid(4, 2, 2)
+        raw = [[abs(dx) + abs(dy) + 1 for dx in grid.dxs] for dy in grid.dys]
+        # outer: 2 rows of 7 5 3 5 7, plus two 5s -> 64 / 12; inner: 1
+        assert saliency.ring_ratio(self.shift_map(grid, raw)) == \
+            pytest.approx(64 / 12)
+
+    def test_zero_extent_axis_counts_as_r_zero(self):
+        grid = saliency.ShiftGrid(0, 2, 1)  # one column, r = |dy| / 2
+        raw = [[5.0], [100.0], [2.0], [100.0], [3.0]]
+        assert saliency.ring_ratio(self.shift_map(grid, raw)) == 2.0
+
+    def test_zero_inner_mean_is_inf(self):
+        grid = saliency.ShiftGrid(2, 2, 2)
+        raw = np.ones((3, 3))
+        raw[1, 1] = 0.0
+        assert saliency.ring_ratio(self.shift_map(grid, raw)) == np.inf
+
+    def test_zero_extent_grid_has_no_ratio(self):
+        grid = saliency.ShiftGrid(0, 0)
+        assert np.isnan(saliency.ring_ratio(self.shift_map(grid, [[0.0]])))

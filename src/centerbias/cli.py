@@ -23,6 +23,7 @@ import numpy as np
 from . import augment, coco_audit, data, harness, netpbm, saliency, unet
 from . import tensor_core as tc
 from .config import from_dict, to_dict
+from .rng import AUGMENT, stream
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -232,7 +233,7 @@ def cmd_augment(args) -> int:
         raise ValueError("label map has no object to shift")
     (transform,) = augment.build_augmentations(
         [AUGMENT_SPECS[args.transform](args)], (H, W))
-    out_x, out_t = transform(x, t, np.random.default_rng(args.seed))
+    out_x, out_t = transform(x, t, stream(args.seed, AUGMENT))
     checks = []
     if args.transform == "random-shift":
         checks.append(("mask pixel count preserved",

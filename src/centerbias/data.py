@@ -3,8 +3,8 @@
 Digit glyphs are pasted at policy-constrained positions over procedural-noise
 or image-pool backgrounds; every non-background pixel is set to the maximum
 intensity and labeled with its digit class + 1.  Sample i of a dataset is a
-pure function of splitmix64(master_seed, i), so streams are identical across
-generation order and worker counts.
+pure function of its SAMPLE and BACKGROUND streams (see rng), so datasets
+are identical across generation order and worker counts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .netpbm import read_pnm_gray
-from .rng import splitmix64, stream
+from .rng import BACKGROUND, SAMPLE, stream
 
 __all__ = [
     "AllowedCentral", "Band", "ForbiddenCentral", "Unrestricted",
@@ -281,7 +281,6 @@ def sample_placement(policy: PlacementPolicy, image_hw: tuple[int, int],
 @dataclass(frozen=True)
 class NoisePool:
     KIND = "noise"
-    seed: int = 0
     smoothing: int = 2
 
 
@@ -437,16 +436,13 @@ class DatasetConfig:
 def sample_at(config: DatasetConfig, index: int) -> Sample:
     """Sample `index` of the stream, reproducible in isolation."""
     glyphs = _glyphs_for(config.glyph_source)
-    sub_seed = splitmix64(config.master_seed, index)
-    rng = stream(sub_seed)
+    rng = stream(config.master_seed, SAMPLE, index)
     k = int(rng.integers(len(glyphs.images)))
     glyph = glyphs.images[k]
     hw = (config.height, config.width)
     dx, dy = sample_placement(config.policy, hw, glyph.shape, rng)
-    bg_seed = (config.background.seed
-               if isinstance(config.background, NoisePool) else 0)
-    background = generate_background(config.background, hw,
-                                     stream(sub_seed, bg_seed))
+    background = generate_background(
+        config.background, hw, stream(config.master_seed, BACKGROUND, index))
     return composite_sample(glyph, int(glyphs.labels[k]), background,
                             (dx, dy))
 

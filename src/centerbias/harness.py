@@ -3,7 +3,7 @@
 A run trains `repeats` independently seeded U-Nets per training placement
 policy, evaluates each on freshly generated samples under every evaluation
 policy, and aggregates the arithmetic mean loss matrix.  Every random choice
-derives from the experiment's master seed, so identical configs reproduce
+is a stream of the seed tree (see rng), so identical configs reproduce
 identical matrices bit for bit; training jobs are independent and may run in
 parallel worker processes without changing any result.
 """
@@ -26,7 +26,8 @@ import numpy as np
 
 from . import augment, data, tensor_core as tc, unet
 from .config import from_dict, to_dict
-from .rng import splitmix64, stream
+from .rng import (AUGMENT, EPOCH_ORDER, EVAL_FORWARD, EVAL_SAMPLES, REPEAT,
+                  TRAIN_FORWARD, derive, stream)
 
 __all__ = [
     "ExperimentConfig", "RunRecord", "run_regional_training",
@@ -35,7 +36,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EVAL_BATCH = 32
 
@@ -73,10 +74,6 @@ class ExperimentConfig:
         if h % div or w % div:
             raise ValueError(f"dataset height and width ({h}x{w}) must be "
                              f"divisible by {div}, 2**(model.depth-1)")
-        m = self.model  # the samples: one gray channel, background + 10 digits
-        if (m.in_channels, m.num_classes) != (1, 11):
-            raise ValueError("model.in_channels and model.num_classes must be "
-                             f"1 and 11, got {m.in_channels}, {m.num_classes}")
         for name in ("epochs", "batch_size", "eval_count", "repeats"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -110,61 +107,50 @@ def _materialize(ds_cfg: data.DatasetConfig):
     return X, T
 
 
-def _policy_seed(policy) -> int:
-    digest = hashlib.sha256(data.policy_label(policy).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
                    seed: int,
                    dataset_template: data.DatasetConfig | None = None
                    ) -> list[float]:
     """Mean per-pixel cross-entropy on fresh samples under each policy.
 
-    Each cell's dataset seed derives from the policy itself, so duplicate
+    Each cell's streams are named after the policy's label, so duplicate
     policies in the list produce identical cells.
     """
     template = dataset_template or data.DatasetConfig()
     row = []
     for policy in eval_policies:
+        label = data.policy_label(policy)
         ds_cfg = replace(template, policy=policy, count=eval_count,
-                         master_seed=splitmix64(seed, _policy_seed(policy)))
+                         master_seed=derive(seed, EVAL_SAMPLES, label))
         X, T = _materialize(ds_cfg)
         total = 0.0
-        for start in range(0, eval_count, EVAL_BATCH):
+        for b, start in enumerate(range(0, eval_count, EVAL_BATCH)):
             xb = X[start:start + EVAL_BATCH]
             tb = T[start:start + EVAL_BATCH].astype(np.int64)
-            logits, _ = unet.forward(model, xb, keep_tape=False)
+            logits, _ = unet.forward(model, xb,
+                                     stream(seed, EVAL_FORWARD, label, b),
+                                     keep_tape=False)
             loss, _ = tc.softmax_cross_entropy_pixelwise(logits, tb)
             total += loss * len(xb)
         row.append(total / eval_count)
     return row
 
 
-def _repeat_seed(config: ExperimentConfig, ti: int, rep: int) -> int:
-    return splitmix64(splitmix64(config.master_seed, ti), rep)
-
-
 def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
     """Train one (policy, repeat) model and evaluate it on every band.
 
-    Top-level and argument-picklable so it can run in a worker process; all
-    randomness derives from (master_seed, ti, rep).
+    Top-level and argument-picklable so it can run in a worker process;
+    every stream is named under the repeat's seed, never `ti` (see rng).
     """
     config = from_dict(ExperimentConfig, config_dict)
     policy = config.train_policies[ti]
-    rep_seed = _repeat_seed(config, ti, rep)
-    model_seed = splitmix64(rep_seed, 1)
-    data_seed = splitmix64(rep_seed, 2)
-    eval_seed = splitmix64(rep_seed, 3)
-    aug_seed = splitmix64(rep_seed, 4)
+    seed = derive(config.master_seed, REPEAT, rep)
 
-    started = time.time()
     ds_cfg = replace(config.dataset, policy=policy, count=config.train_count,
-                     master_seed=data_seed)
+                     master_seed=seed)
     X, T = _materialize(ds_cfg)
 
-    model = unet.build_unet(replace(config.model, seed=model_seed))
+    model = unet.build_unet(replace(config.model, seed=seed))
     adam = tc.AdamState.for_params([model.flat_params],
                                    lr=config.learning_rate)
     augmentations = augment.build_augmentations(
@@ -172,24 +158,23 @@ def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
 
     trace = []
     for epoch in range(config.epochs):
-        order = stream(rep_seed, 1000 + epoch).permutation(config.train_count)
+        order = stream(seed, EPOCH_ORDER, epoch).permutation(
+            config.train_count)
         losses = []
-        for start in range(0, config.train_count, config.batch_size):
+        for b, start in enumerate(range(0, config.train_count,
+                                        config.batch_size)):
             idx = order[start:start + config.batch_size]
             xb = X[idx]
             tb = T[idx].astype(np.int64)
             if augmentations:
                 for j, i_sample in enumerate(idx):
-                    rng = stream(aug_seed,
-                                 epoch * config.train_count + int(i_sample))
+                    rng = stream(seed, AUGMENT, epoch, int(i_sample))
                     xj, tj = xb[j], tb[j]
                     for fn in augmentations:
                         xj, tj = fn(xj, tj, rng)
                     xb[j], tb[j] = xj, tj
-            fwd_rng = (stream(rep_seed, 5_000_000 + len(losses)
-                              + epoch * 1_000_000)
-                       if config.model.padding.kind == "random" else None)
-            losses.append(unet.train_step(model, xb, tb, adam, fwd_rng))
+            losses.append(unet.train_step(
+                model, xb, tb, adam, stream(seed, TRAIN_FORWARD, epoch, b)))
         trace.append(float(np.mean(losses)))
 
     ckpt_dir = os.path.join(config.output_dir, "checkpoints")
@@ -198,11 +183,8 @@ def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
     unet.save_checkpoint(model, ckpt_path)
 
     row = evaluate_bands(model, list(config.eval_bands), config.eval_count,
-                         eval_seed, config.dataset)
-    return {
-        "ti": ti, "rep": rep, "seed": rep_seed, "row": row, "trace": trace,
-        "checkpoint": ckpt_path, "seconds": time.time() - started,
-    }
+                         seed, config.dataset)
+    return {"row": row, "trace": trace, "checkpoint": ckpt_path}
 
 
 # BLAS reads its thread count when numpy loads, so the limit has to be in a
@@ -249,7 +231,6 @@ class RunRecord:
     normalized: dict[str, np.ndarray] = field(default_factory=dict)
     traces: list = field(default_factory=list)      # [row][repeat][epoch]
     checkpoints: list = field(default_factory=list)  # [row][repeat] paths
-    repeat_seeds: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
 
 
@@ -267,29 +248,18 @@ def run_regional_training(config: ExperimentConfig,
     jobs = [(ti, rep) for ti in range(len(config.train_policies))
             for rep in range(config.repeats)]
     started = time.time()
-    results = {}
     if workers <= 1 or len(jobs) == 1:
-        for ti, rep in jobs:
-            results[(ti, rep)] = _train_job(to_dict(config), ti, rep)
+        results = {job: _train_job(to_dict(config), *job) for job in jobs}
     else:
         with _worker_pool(workers) as pool:
-            futures = {(ti, rep): pool.submit(_train_job, to_dict(config),
-                                              ti, rep)
-                       for ti, rep in jobs}
-            for key, fut in futures.items():
-                results[key] = fut.result()
+            futures = {job: pool.submit(_train_job, to_dict(config), *job)
+                       for job in jobs}
+            results = {job: fut.result() for job, fut in futures.items()}
 
-    rows = len(config.train_policies)
-    per_repeat = np.zeros((rows, config.repeats, len(config.eval_bands)))
-    traces = [[None] * config.repeats for _ in range(rows)]
-    checkpoints = [[None] * config.repeats for _ in range(rows)]
-    repeat_seeds = [[0] * config.repeats for _ in range(rows)]
-    for (ti, rep), res in results.items():
-        per_repeat[ti, rep] = res["row"]
-        traces[ti][rep] = res["trace"]
-        checkpoints[ti][rep] = res["checkpoint"]
-        repeat_seeds[ti][rep] = res["seed"]
-
+    grid = [[results[ti, rep] for rep in range(config.repeats)]
+            for ti in range(len(config.train_policies))]
+    per_repeat = np.array([[job["row"] for job in row] for row in grid],
+                          dtype=np.float64)  # (rows, repeats, bands)
     raw = per_repeat.mean(axis=1)
     record = RunRecord(
         config=config,
@@ -298,9 +268,8 @@ def run_regional_training(config: ExperimentConfig,
         eval_labels=[data.policy_label(p) for p in config.eval_bands],
         per_repeat=per_repeat,
         raw=raw,
-        traces=traces,
-        checkpoints=checkpoints,
-        repeat_seeds=repeat_seeds,
+        traces=[[job["trace"] for job in row] for row in grid],
+        checkpoints=[[job["checkpoint"] for job in row] for row in grid],
         wall_clock={"total_seconds": time.time() - started,
                     "workers": workers},
     )
@@ -398,7 +367,6 @@ def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
         "normalized": {k: v.tolist() for k, v in record.normalized.items()},
         "traces": record.traces,
         "checkpoints": record.checkpoints,
-        "repeat_seeds": record.repeat_seeds,
         "wall_clock": record.wall_clock,
     }
     with open(paths["results"], "w") as f:
@@ -437,6 +405,5 @@ def load_results(path) -> RunRecord:
                     for k, v in payload["normalized"].items()},
         traces=payload["traces"],
         checkpoints=payload["checkpoints"],
-        repeat_seeds=payload["repeat_seeds"],
         wall_clock=payload["wall_clock"],
     )

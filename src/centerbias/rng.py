@@ -1,27 +1,49 @@
-"""Deterministic seed derivation for independent per-index random streams."""
+"""The seed tree: the one module that decides how random streams derive.
+
+A stream is named (seed, purpose, *index) and built from numpy's
+SeedSequence(seed, spawn_key=(purpose, *index)), so streams of different
+names are independent and each can be re-derived alone: generation order
+and worker counts never change results.  A string index (a placement-policy
+label) enters as the integer of its UTF-8 bytes.
+
+An experiment job names every stream under its repeat's seed,
+derive(master_seed, REPEAT, rep), which is also its model's seed, its
+training dataset's master seed and its evaluation seed.  The train policy
+enters no name, so the arms of a repeat (the train policies of one config,
+or the arms of `centerbias asymmetry`) share initial weights, glyph
+sequence, backgrounds and evaluation inputs, and differ only in placement
+and augmentation.
+"""
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
+# purposes and the indices each takes; saved results depend on the numbers
+REPEAT = 0         # rep: the seed of one repeat of an experiment
+SAMPLE = 1         # i: glyph and placement of dataset sample i
+BACKGROUND = 2     # i: background of sample i; none for a saliency canvas
+MODEL_INIT = 3     # none: initial weights, from UNetConfig.seed
+EPOCH_ORDER = 4    # epoch: order of the training samples
+AUGMENT = 5        # epoch, i: augmentation of training sample i; none
+#                    for the `centerbias augment` probe
+TRAIN_FORWARD = 6  # epoch, batch: random padding of a train step
+EVAL_SAMPLES = 7   # label: the dataset seed of an evaluation band
+EVAL_FORWARD = 8   # label, batch: random padding of an evaluation batch;
+#                    batch: of a saliency-shift batch, under the model seed
 
 
-def splitmix64(seed: int, index: int) -> int:
-    """Mix (seed, index) into a decorrelated 64-bit sub-seed.
-
-    splitmix64 finalizer applied to seed + (index + 1) * gamma.  Any item of a
-    stream can be re-derived in isolation, so generation order and worker
-    count never change results.
-    """
-    z = (seed + (index + 1) * _GAMMA) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
+def _node(seed: int, purpose: int, index) -> np.random.SeedSequence:
+    key = [int.from_bytes(i.encode(), "big") if isinstance(i, str) else i
+           for i in index]
+    return np.random.SeedSequence(seed, spawn_key=(purpose, *key))
 
 
-def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """PCG64 generator seeded from splitmix64(seed, index)."""
-    return np.random.Generator(np.random.PCG64(splitmix64(seed, index)))
+def stream(seed: int, purpose: int, *index: int | str
+           ) -> np.random.Generator:
+    """The PCG64 generator named (seed, purpose, *index)."""
+    return np.random.Generator(np.random.PCG64(_node(seed, purpose, index)))
+
+
+def derive(seed: int, purpose: int, *index: int | str) -> int:
+    """The 64-bit seed named (seed, purpose, *index), for a record that
+    carries its own seed (a dataset's master_seed, a model's seed)."""
+    return int(_node(seed, purpose, index).generate_state(1, np.uint64)[0])

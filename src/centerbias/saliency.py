@@ -12,7 +12,8 @@ The crops of a shift map go through the network in batches of SHIFT_BATCH
 (8), each run as two shards of 4 (see unet), with a backward pass that
 computes only the input gradient.  An image's bits do not depend on its
 batch position (see tensor_core), so every map equals the one computed
-alone.  Why 8: it is the fastest batch, and a batch-8 taped forward and
+alone, unless the padding is random.
+Why 8: it is the fastest batch, and a batch-8 taped forward and
 backward stays under the peak memory of a batch-32 evaluation forward.  At
 64x96 on 2 cores, a 64-sample `evaluate_bands` over 3 bands and then a
 289-map grid (best of 3, fresh process per batch size) took 1.26 / 0.89 /
@@ -33,7 +34,7 @@ from . import unet
 from .data import (BackgroundSpec, Sample, SampleMeta, composite_sample,
                    generate_background, mask_bbox)
 from .netpbm import to_u8, write_pgm
-from .rng import stream
+from .rng import BACKGROUND, EVAL_FORWARD, stream
 
 __all__ = [
     "saliency_maps", "saliency_map", "CanvasScene", "make_scene",
@@ -44,21 +45,25 @@ __all__ = [
 SHIFT_BATCH = 8
 
 
-def saliency_maps(model: unet.Model, samples: Sequence[Sample]) -> np.ndarray:
+def saliency_maps(model: unet.Model, samples: Sequence[Sample],
+                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Absolute input gradient of each sample's mask-mean true-class logit.
 
     The samples run as two shards (see unet), each one taped forward over
     its stacked inputs and one input-only backward; returns an (N, H, W)
-    array.  Raises before any forward pass if a sample has an empty mask.
+    array.  With random padding, each shard pads from its own child of
+    `rng`.  Raises before any forward pass if a sample has an empty mask.
     """
     masks = [s.target > 0 for s in samples]
     for i, mask in enumerate(masks):
         if not mask.any():
             raise ValueError(f"sample {i} has an empty object mask")
+    shard_rngs = [None, None] if rng is None else rng.spawn(2)
 
     def shard(lo, hi):
         logits, tape = unet.forward(
-            model, np.concatenate([s.input for s in samples[lo:hi]]))
+            model, np.concatenate([s.input for s in samples[lo:hi]]),
+            shard_rngs[lo > 0])
         grad_logits = np.zeros_like(logits)
         for i in range(lo, hi):
             k = samples[i].meta.digit_class + 1
@@ -120,7 +125,8 @@ def make_scene(glyph: np.ndarray, digit_class: int, crop_hw: tuple[int, int],
     if background is None:
         canvas = np.zeros((ch, cw), dtype=np.float32)
     else:
-        canvas = generate_background(background, (ch, cw), stream(seed))
+        canvas = generate_background(background, (ch, cw),
+                                     stream(seed, BACKGROUND))
     scene = composite_sample(glyph, digit_class, canvas, (0, 0))
     return CanvasScene(scene.input[0, 0], scene.target, digit_class, crop_hw)
 
@@ -188,12 +194,14 @@ def saliency_shift_map(model: unet.Model, scene: CanvasScene,
     Entry (dy, dx) compares the centered crop's saliency with the saliency
     of the crop moved by (dx, dy), translated back so the object overlaps
     itself.  Entries are independent; the (0, 0) entry is exactly 0.
+    Random padding draws from (model seed, EVAL_FORWARD, batch) streams.
     """
     shifts = [(dx, dy) for dy in grid.dys for dx in grid.dxs]
     maps = np.concatenate([
         saliency_maps(model, [scene.crop(dx, dy) for dx, dy
-                              in shifts[i:i + SHIFT_BATCH]])
-        for i in range(0, len(shifts), SHIFT_BATCH)])
+                              in shifts[i:i + SHIFT_BATCH]],
+                      stream(model.config.seed, EVAL_FORWARD, b))
+        for b, i in enumerate(range(0, len(shifts), SHIFT_BATCH))])
     s0 = maps[shifts.index((0, 0))]
     raw = np.array([_overlap_mean_absdiff(s0, s, dx, dy)
                     for s, (dx, dy) in zip(maps, shifts)])

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import tensor_core as tc
 from .config import from_dict, to_dict
-from .rng import stream
+from .rng import MODEL_INIT, stream
 
 __all__ = [
     "UNetConfig", "ConvLayer", "Model",
@@ -46,18 +46,20 @@ __all__ = [
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 CHECKPOINT_FORMAT = "centerbias-unet"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class UNetConfig:
     depth: int = 3
     base_channels: int = 8
-    in_channels: int = 1
-    num_classes: int = 11
     padding: tc.PaddingMode = tc.ZERO
     precision: str = "f32"
     seed: int = 0
+    # constants, not fields: the samples' one gray channel, and background
+    # plus ten digit classes (see data)
+    in_channels = 1
+    num_classes = 11
 
     def __post_init__(self):
         if self.depth < 1:
@@ -131,7 +133,7 @@ def param_count(config: UNetConfig) -> int:
 
 def build_unet(config: UNetConfig) -> Model:
     """He-uniform initialized model; bit-identical for equal seeds."""
-    rng = stream(config.seed)
+    rng = stream(config.seed, MODEL_INIT)
     dtype = config.dtype
     flat = np.empty(param_count(config), dtype=dtype)
     layers = {}
@@ -414,13 +416,11 @@ def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
     AdamState.for_params([model.flat_params]).  The batch runs as two shards
     (see the module docstring), each scaling its loss and gradient by the
     whole batch's pixel count; the step adds shard 1's gradient to shard 0's
-    and the two losses.  With random padding, each shard's stream is seeded
-    from `rng`, in shard order, before either shard runs.
+    and the two losses.  With random padding, each shard pads from its own
+    child of `rng`, spawned before either shard runs.
     """
     n = len(batch)
-    shard_rngs = [rng, rng]
-    if rng is not None and n >= 2:
-        shard_rngs = [stream(int(s)) for s in rng.integers(2 ** 63, size=2)]
+    shard_rngs = [None, None] if rng is None else rng.spawn(2)
 
     def shard(lo, hi):
         logits, tape = forward(model, batch[lo:hi], shard_rngs[lo > 0])
@@ -467,6 +467,9 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"corrupt checkpoint header: {e}") from e
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a centerbias U-Net checkpoint")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"checkpoint version {header.get('version')!r}: "
+                         f"this build reads version {CHECKPOINT_VERSION}")
     config = from_dict(UNetConfig, header["config"], "config")
     if header["precision"] != config.precision:
         raise ValueError("header precision disagrees with config")

@@ -183,6 +183,18 @@ class TestConfigErrors:
         assert run(["eval", "--checkpoint", str(path), "--count", "1"]) == 4
         self.assert_one_line_error(capsys)
 
+    def test_checkpoint_of_another_version_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(
+            unet.build_unet(unet.UNetConfig(depth=1, base_channels=2)), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["version"] = 1
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        assert run(["eval", "--checkpoint", str(path), "--count", "1"]) == 4
+        assert "checkpoint version 1: this build reads version 2" in \
+            self.assert_one_line_error(capsys)
+
     def test_negative_saliency_extent_exits_4(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
         unet.save_checkpoint(
@@ -246,9 +258,9 @@ def trained(tmp_path_factory):
                     "policy": {"kind": "unrestricted"},
                     "background": {"kind": "noise", "smoothing": 0},
                     "glyph_source": "builtin:14"},
-        "model": {"depth": 2, "base_channels": 2, "in_channels": 1,
-                  "num_classes": 11, "padding": {"kind": "zero"},
-                  "precision": "f32", "seed": 0},
+        "model": {"depth": 2, "base_channels": 2,
+                  "padding": {"kind": "zero"}, "precision": "f32",
+                  "seed": 0},
         "train_policies": [{"kind": "unrestricted"}],
         "eval_bands": [{"kind": "band", "lo": 0.0, "hi": 0.1},
                        {"kind": "band", "lo": 0.9, "hi": 1.0}],
@@ -301,6 +313,38 @@ class TestTrainEvalReport:
         assert (out / "shift_map.pgm").exists()
 
 
+class TestRandomPadding:
+    """A random-padding model trains, evaluates and maps its saliency, each
+    the same on a rerun: every forward pass draws from the seed tree."""
+
+    def test_train_eval_and_saliency_are_deterministic(self, tmp_path,
+                                                       capsys):
+        per_repeat, rows, maps = [], [], []
+        for i in range(2):
+            out = tmp_path / f"run{i}"
+            argv = ["train", "--workers", "1", "--out", str(out)]
+            for item in ('model.padding={"kind": "random"}',
+                         "train_count=16", "eval_count=2", "epochs=1",
+                         "repeats=1"):
+                argv += ["--set", item]
+            assert run(argv) == 0
+            per_repeat.append(json.dumps(json.loads(
+                (out / "results.json").read_text())["per_repeat"]))
+        ckpt = tmp_path / "run0" / "checkpoints" / "train0_rep0.ckpt"
+        for i in range(2):
+            out = tmp_path / f"eval{i}"
+            assert run(["eval", "--checkpoint", str(ckpt), "--count", "2",
+                        "--out", str(out)]) == 0
+            rows.append((out / "eval.csv").read_bytes())
+            out = tmp_path / f"sal{i}"
+            assert run(["saliency", "--checkpoint", str(ckpt), "--out",
+                        str(out), "--extent-x", "4", "--extent-y", "4"]) == 0
+            maps.append((out / "shift_map.csv").read_bytes())
+        assert per_repeat[0] == per_repeat[1]
+        assert rows[0] == rows[1]
+        assert maps[0] == maps[1]
+
+
 class TestAsymmetry:
     @staticmethod
     def arms(*argv):
@@ -308,9 +352,9 @@ class TestAsymmetry:
         return cli.asymmetry_arms(args)
 
     @pytest.mark.parametrize("flags, hashes", [
-        ([], ["a2343bda1fef5b85", "fc74196ceb8ae6da", "3e654e52db5e6a69"]),
+        ([], ["fc1b82d5d578ac4d", "e9c87a6886af24db", "505ebcc3b6d31405"]),
         (["--quick"],
-         ["a834bea1cbfd6be0", "13d3ef1aca96a762", "53010daa1e1680db"]),
+         ["6d2232315907c532", "949a060c16872d75", "213f1c3ad61c8e94"]),
     ], ids=["default", "quick"])
     def test_arm_config_hashes_are_pinned(self, flags, hashes):
         assert [harness.config_hash(c) for c in self.arms(*flags)] == hashes

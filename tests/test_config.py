@@ -88,8 +88,8 @@ VARIANTS = [
     (data.PlacementPolicy, data.ForbiddenCentral(0.7),
      {"kind": "forbidden_central", "c": 0.7}),
     (data.PlacementPolicy, data.Unrestricted(), {"kind": "unrestricted"}),
-    (data.BackgroundSpec, data.NoisePool(seed=3, smoothing=4),
-     {"kind": "noise", "seed": 3, "smoothing": 4}),
+    (data.BackgroundSpec, data.NoisePool(smoothing=4),
+     {"kind": "noise", "smoothing": 4}),
     (data.BackgroundSpec, data.ImageDir("backgrounds"),
      {"kind": "image_dir", "path": "backgrounds"}),
     (tc.PaddingMode, tc.ZERO, {"kind": "zero"}),
@@ -109,21 +109,48 @@ class TestFormat:
 
     def test_default_config_hash_is_pinned(self):
         assert harness.config_hash(harness.ExperimentConfig()) \
-            == "79651a6ba9e03c9e"
+            == "07a995a3101f48e4"
+
+    def model(self):
+        return unet.build_unet(unet.UNetConfig(
+            depth=1, base_channels=2, padding=tc.random_pad(2.0)))
 
     def test_checkpoint_header_is_pinned_and_loads(self, tmp_path):
         header = (
-            b'{"format": "centerbias-unet", "version": 1, "config": '
-            b'{"depth": 1, "base_channels": 2, "in_channels": 1, '
-            b'"num_classes": 11, "padding": {"kind": "random", '
+            b'{"format": "centerbias-unet", "version": 2, "config": '
+            b'{"depth": 1, "base_channels": 2, "padding": {"kind": "random", '
             b'"amplitude": 2.0}, "precision": "f32", "seed": 0}, '
             b'"precision": "f32", "step": 0, "param_shapes": [[2, 1, 3, 3], '
             b'[2], [2, 2, 3, 3], [2], [11, 2, 1, 1], [11]]}\n')
-        model = unet.build_unet(unet.UNetConfig(
-            depth=1, base_channels=2, padding=tc.random_pad(2.0)))
+        model = self.model()
         path = tmp_path / "model.ckpt"
         unet.save_checkpoint(model, path)
         assert path.read_bytes().startswith(header)
         loaded = unet.load_checkpoint(path)
         assert loaded.config == model.config
         np.testing.assert_array_equal(loaded.flat_params, model.flat_params)
+
+    # the version-1 header of the same model, whose config still held
+    # in_channels and num_classes
+    V1_HEADER = (
+        b'{"format": "centerbias-unet", "version": 1, "config": '
+        b'{"depth": 1, "base_channels": 2, "in_channels": 1, '
+        b'"num_classes": 11, "padding": {"kind": "random", '
+        b'"amplitude": 2.0}, "precision": "f32", "seed": 0}, '
+        b'"precision": "f32", "step": 0, "param_shapes": [[2, 1, 3, 3], '
+        b'[2], [2, 2, 3, 3], [2], [11, 2, 1, 1], [11]]}\n')
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_other_checkpoint_versions_are_rejected(self, tmp_path, version):
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(self.model(), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        if version == 1:
+            header = self.V1_HEADER
+        else:
+            header = header.replace(b'"version": 2', b'"version": 99') + b"\n"
+        path.write_bytes(header + payload)
+        with pytest.raises(ValueError,
+                           match=f"^checkpoint version {version}: this "
+                                 "build reads version 2$"):
+            unet.load_checkpoint(path)

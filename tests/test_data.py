@@ -133,10 +133,10 @@ class TestSamplePlacement:
 
 class TestBackgrounds:
     def test_smoothing_zero_is_raw_noise(self):
-        from centerbias.rng import stream
+        from centerbias.rng import BACKGROUND, stream
         img = data.generate_background(
-            data.NoisePool(seed=0, smoothing=0), (16, 16), stream(123))
-        raw = stream(123).random((16, 16))
+            data.NoisePool(smoothing=0), (16, 16), stream(123, BACKGROUND))
+        raw = stream(123, BACKGROUND).random((16, 16))
         np.testing.assert_allclose(img, np.clip(raw, 0, 0.95).astype(np.float32))
 
     def test_cap(self):
@@ -237,7 +237,7 @@ class TestDatasetStream:
 
     def test_config_json_roundtrip(self):
         cfg = config(policy=data.Band(0.2, 0.5),
-                     background=data.NoisePool(seed=3, smoothing=4))
+                     background=data.NoisePool(smoothing=4))
         assert from_dict(data.DatasetConfig, to_dict(cfg)) == cfg
 
     @given(st.sampled_from([
@@ -257,6 +257,44 @@ class TestDatasetStream:
         x, y, w, h = s.meta.bbox
         assert 0 <= x and 0 <= y and x + w <= 48 and y + h <= 32
         assert data.admits(policy, s.meta.r)
+
+
+class TestBorderIndependence:
+    """The image border, where the position bias lives, must carry no trace
+    of the object: its background stream is drawn apart from the stream
+    that picks the glyph and its placement."""
+
+    N = 3000
+    # a null correlation has standard deviation 1/sqrt(N); 5 of them bound
+    # all 3 x 124 object-variable, border-pixel pairs
+    BOUND = 5 / np.sqrt(N)
+
+    @pytest.mark.parametrize("smoothing", [0, 2])
+    def test_border_pixels_do_not_correlate_with_the_object(self,
+                                                            smoothing):
+        cfg = data.DatasetConfig(
+            height=32, width=32, policy=data.AllowedCentral(0.5),
+            background=data.NoisePool(smoothing=smoothing), count=self.N,
+            glyph_source="builtin:14")
+        border = np.ones((32, 32), dtype=bool)
+        border[1:-1, 1:-1] = False
+        pixels, objects = [], []
+        for s in data.iter_samples(cfg):
+            x, y, w, h = s.meta.bbox
+            # so every border pixel is background by construction
+            assert min(x, y, 32 - (x + w), 32 - (y + h)) >= 5
+            pixels.append(s.input[0, 0][border])
+            objects.append((s.meta.digit_class, *s.meta.offset))
+
+        def z(a):
+            a = np.asarray(a, dtype=np.float64)
+            return (a - a.mean(axis=0)) / a.std(axis=0)
+
+        corr = z(objects).T @ z(pixels) / self.N
+        assert corr.shape == (3, 124)
+        worst = np.unravel_index(np.abs(corr).argmax(), corr.shape)
+        assert np.abs(corr).max() < self.BOUND, \
+            (("digit_class", "dx", "dy")[worst[0]], worst[1], corr[worst])
 
 
 class TestPolicyParsing:

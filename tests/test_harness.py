@@ -81,13 +81,12 @@ class TestEvaluateBands:
     def test_eval_count_one_is_single_forward_loss(self):
         from centerbias import tensor_core as tc
         from dataclasses import replace
-        from centerbias.rng import splitmix64
+        from centerbias.rng import EVAL_SAMPLES, derive
         model = self.model()
         row = harness.evaluate_bands(model, [Unrestricted()], 1, seed=5,
                                      dataset_template=self.template())
         ds = replace(self.template(), policy=Unrestricted(), count=1,
-                     master_seed=splitmix64(
-                         5, harness._policy_seed(Unrestricted())))
+                     master_seed=derive(5, EVAL_SAMPLES, "unrestricted"))
         s = data.sample_at(ds, 0)
         logits, _ = unet.forward(model, s.input)
         loss, _ = tc.softmax_cross_entropy_pixelwise(
@@ -125,7 +124,8 @@ class TestRunRegionalTraining:
     def test_untrained_matrix_near_log_k(self, tmp_path):
         # one epoch at a negligible rate: Adam moves each weight by about
         # the rate per step, so the model stays at its initialization
-        cfg = tiny_config(tmp_path, learning_rate=1e-9, repeats=1)
+        cfg = tiny_config(tmp_path, learning_rate=1e-9, repeats=1,
+                          master_seed=12)
         record = harness.run_regional_training(cfg, workers=1)
         assert record.raw.shape == (1, 2)
         np.testing.assert_allclose(record.raw, np.log(11), atol=0.5)
@@ -255,3 +255,78 @@ class TestExport:
         assert labels_r == record.train_labels
         assert labels_c == record.eval_labels
         np.testing.assert_allclose(matrix, record.raw, rtol=1e-8)
+
+
+class TestPairing:
+    """The arms of a repeat are paired: the same initial weights, glyph
+    sequence, backgrounds and evaluation inputs; only placement (and
+    augmentation) differs."""
+
+    @staticmethod
+    def jobs(monkeypatch, configs):
+        """Per job, in order: initial weights, training (X, T) and each
+        band's evaluation inputs."""
+        jobs = []
+        build, materialize = unet.build_unet, harness._materialize
+        train_job = harness._train_job
+
+        def job(*args):
+            jobs.append({"eval": []})
+            return train_job(*args)
+
+        def building(cfg):
+            model = build(cfg)
+            jobs[-1]["init"] = model.flat_params.copy()
+            return model
+
+        def materializing(ds_cfg):
+            X, T = materialize(ds_cfg)
+            if "train" in jobs[-1]:
+                jobs[-1]["eval"].append(X)
+            else:
+                jobs[-1]["train"] = (X, T)
+            return X, T
+
+        monkeypatch.setattr(harness, "_train_job", job)
+        monkeypatch.setattr(unet, "build_unet", building)
+        monkeypatch.setattr(harness, "_materialize", materializing)
+        for cfg in configs:
+            harness.run_regional_training(cfg, workers=1)
+        return jobs
+
+    @staticmethod
+    def assert_paired(a, b):
+        np.testing.assert_array_equal(a["init"], b["init"])
+        assert len(a["eval"]) == len(b["eval"]) > 0
+        for xa, xb in zip(a["eval"], b["eval"]):
+            np.testing.assert_array_equal(xa, xb)
+        (Xa, Ta), (Xb, Tb) = a["train"], b["train"]
+        assert not np.array_equal(Ta, Tb)  # the placements differ
+        # one digit class per sample: its target value is the class + 1
+        np.testing.assert_array_equal(Ta.max(axis=(1, 2)),
+                                      Tb.max(axis=(1, 2)))
+        outside = ~((Ta > 0) | (Tb > 0))
+        np.testing.assert_array_equal(Xa[:, 0][outside], Xb[:, 0][outside])
+
+    def test_train_policies_of_one_config_are_paired(self, tmp_path,
+                                                     monkeypatch):
+        cfg = tiny_config(tmp_path, train_policies=(
+            data.AllowedCentral(0.5), ForbiddenCentral(0.5)), repeats=2)
+        jobs = self.jobs(monkeypatch, [cfg])
+        assert len(jobs) == 4  # (ti, rep) = (0, 0), (0, 1), (1, 0), (1, 1)
+        self.assert_paired(jobs[0], jobs[2])
+        self.assert_paired(jobs[1], jobs[3])
+        assert not np.array_equal(jobs[0]["init"], jobs[1]["init"])
+
+    def test_asymmetry_arms_are_paired(self, tmp_path, monkeypatch):
+        from centerbias import cli
+        argv = ["asymmetry", "--out", str(tmp_path)]
+        for item in ("dataset.height=32", "dataset.width=32",
+                     "dataset.glyph_source=builtin:14", "model.depth=2",
+                     "model.base_channels=2", "train_count=16",
+                     "batch_size=8", "eval_count=4", "epochs=1",
+                     "repeats=1"):
+            argv += ["--set", item]
+        center, edge, _ = cli.asymmetry_arms(
+            cli.build_parser().parse_args(argv))
+        self.assert_paired(*self.jobs(monkeypatch, [center, edge]))

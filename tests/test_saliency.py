@@ -203,8 +203,8 @@ class TestShiftMap:
     def test_zero_model_not_equivariant(self):
         # same weights, same scene: only the padding mode differs, and the
         # zero-padded net's saliency drifts orders of magnitude more
-        model_z, scene = self.make(tc.ZERO, seed=0)
-        model_c, _ = self.make(tc.CIRCULAR, seed=0)
+        model_z, scene = self.make(tc.ZERO, seed=1)
+        model_c, _ = self.make(tc.CIRCULAR, seed=1)
         grid = saliency.ShiftGrid(8, 8, 4)
         raw_z = saliency.saliency_shift_map(model_z, scene, grid).raw
         raw_c = saliency.saliency_shift_map(model_c, scene, grid).raw

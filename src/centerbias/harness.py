@@ -77,6 +77,8 @@ class ExperimentConfig:
         for name in ("epochs", "batch_size", "eval_count", "repeats"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.master_seed < 0:  # seed-tree names are non-negative
+            raise ValueError("master_seed must be >= 0")
         if self.batch_size > self.train_count:
             raise ValueError("batch_size must not exceed train_count")
         for name in ("train_policies", "eval_bands"):

@@ -79,6 +79,7 @@ class TestConfigErrors:
         ("model.in_channels=3", "model.in_channels"),
         ("model.num_classes=10", "model.num_classes"),
         ("model.base_channels=0", "base_channels"),
+        ("master_seed=-1", "master_seed must be >= 0"),
         ("dataset.height=16", "glyph 28x28 does not fit a 16x96 image"),
     ])
     def test_out_of_range_value_exits_4_before_generation(

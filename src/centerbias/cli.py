@@ -330,8 +330,10 @@ def run_verification_suite(verbose: bool = True) -> bool:
     target = rng.integers(0, 5, (1, 3, 3))
 
     def ce_op(l_):
-        loss, grad = tc.softmax_cross_entropy_pixelwise(l_, target)
-        return np.array([[[[loss]]]]), lambda g: (grad * g.item(),)
+        loss, grad = tc.softmax_cross_entropy_pixelwise(tc.to_frame(l_),
+                                                        target)
+        return (np.array([[[[loss]]]]),
+                lambda g: (tc.from_frame(grad) * g.item(),))
 
     checks.append(("softmax cross-entropy",
                    tc.gradcheck(ce_op, [logits], 1e-6,
@@ -352,9 +354,9 @@ def run_verification_suite(verbose: bool = True) -> bool:
             logits, tape = unet.forward(model, x_, np.random.default_rng(99))
 
             def vjp(g):
-                grads, gx = unet.backward(model, tape, g)
+                grads, gx = unet.backward(model, tape, tc.to_frame(g))
                 return (gx, *grads)
-            return logits, vjp
+            return tc.from_frame(logits), vjp
 
         checks.append((f"whole U-Net (depth 3) {mode.kind}",
                        tc.gradcheck(model_op, [x] + [p.copy() for p in params],
@@ -486,6 +488,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
+        if getattr(args, "seed", 0) < 0:  # seed-tree names are non-negative
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename or e}", file=sys.stderr)

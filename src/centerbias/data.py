@@ -75,8 +75,9 @@ class Unrestricted:
 PlacementPolicy = Union[AllowedCentral, Band, ForbiddenCentral, Unrestricted]
 
 
-def admits(policy: PlacementPolicy, r: float) -> bool:
-    """Whether edge distance r satisfies the policy.
+def admits(policy: PlacementPolicy, r):
+    """Whether edge distance r satisfies the policy; elementwise for an
+    array of distances.
 
     Bands are half-open except that a band reaching 1.0 also admits r == 1.0
     exactly (an object touching the edge belongs to the outermost band).
@@ -84,13 +85,12 @@ def admits(policy: PlacementPolicy, r: float) -> bool:
     if isinstance(policy, AllowedCentral):
         return r <= policy.a
     if isinstance(policy, Band):
-        if policy.hi >= 1.0:
-            return policy.lo <= r <= 1.0
-        return policy.lo <= r < policy.hi
+        return (policy.lo <= r) & ((r <= 1.0) if policy.hi >= 1.0
+                                   else (r < policy.hi))
     if isinstance(policy, ForbiddenCentral):
         return r >= policy.c
     if isinstance(policy, Unrestricted):
-        return True
+        return np.full(np.shape(r), True)[()]
     raise TypeError(f"not a placement policy: {policy!r}")
 
 
@@ -230,6 +230,13 @@ def _glyphs_for(source: str) -> GlyphSet:
 # --------------------------------------------------------------------------
 # placement geometry
 
+def _edge_distance(adx, ady, max_dx: int, max_dy: int):
+    """r of absolute offsets (scalars or arrays) within (max_dx, max_dy)."""
+    rx = adx / max_dx if max_dx else 0.0
+    ry = ady / max_dy if max_dy else 0.0
+    return np.maximum(rx, ry)
+
+
 def normalized_offset(dx: int, dy: int, image_hw: tuple[int, int],
                       object_hw: tuple[int, int]) -> float:
     """Chebyshev-normalized edge distance r of an object-center offset.
@@ -245,12 +252,13 @@ def normalized_offset(dx: int, dy: int, image_hw: tuple[int, int],
     max_dx = (W - w) // 2
     if abs(dx) > max_dx or abs(dy) > max_dy:
         raise ValueError(f"offset ({dx}, {dy}) exceeds ({max_dx}, {max_dy})")
-    rx = abs(dx) / max_dx if max_dx else 0.0
-    ry = abs(dy) / max_dy if max_dy else 0.0
-    return max(rx, ry)
+    return float(_edge_distance(abs(dx), abs(dy), max_dx, max_dy))
 
 
 MAX_REJECTIONS = 10_000
+# candidates drawn per rng call; a band:0-0.1 sample at 64x96 needs about
+# 120 draws, an unrestricted one a single draw
+PLACEMENT_BLOCK = 64
 
 
 def sample_placement(policy: PlacementPolicy, image_hw: tuple[int, int],
@@ -258,18 +266,26 @@ def sample_placement(policy: PlacementPolicy, image_hw: tuple[int, int],
                      rng: np.random.Generator) -> tuple[int, int]:
     """Uniform integer offset over the policy's admissible set.
 
-    Rejection-sampled over the full offset rectangle; a policy whose
+    Rejection-sampled over the full offset rectangle: the first admitted
+    (dx, dy) of a sequence of candidates, drawn PLACEMENT_BLOCK at a time.
+    A block of (k, 2) draws takes from `rng` exactly what k alternating
+    scalar dx, dy draws take, so the candidates do not depend on the block
+    size; the rest of the last block is drawn but unused.  A policy whose
     admissible set is empty for these dims fails after MAX_REJECTIONS draws.
     """
     H, W = image_hw
     h, w = object_hw
     max_dy = (H - h) // 2
     max_dx = (W - w) // 2
-    for _ in range(MAX_REJECTIONS):
-        dx = int(rng.integers(-max_dx, max_dx + 1))
-        dy = int(rng.integers(-max_dy, max_dy + 1))
-        if admits(policy, normalized_offset(dx, dy, image_hw, object_hw)):
-            return dx, dy
+    low, high = (-max_dx, -max_dy), (max_dx + 1, max_dy + 1)
+    for start in range(0, MAX_REJECTIONS, PLACEMENT_BLOCK):
+        k = min(PLACEMENT_BLOCK, MAX_REJECTIONS - start)
+        d = rng.integers(low, high, (k, 2))
+        r = _edge_distance(np.abs(d[:, 0]), np.abs(d[:, 1]), max_dx, max_dy)
+        hits = np.flatnonzero(admits(policy, r))
+        if hits.size:
+            dx, dy = d[hits[0]]
+            return int(dx), int(dy)
     raise ValueError(
         f"no admissible placement for {policy_label(policy)} on {H}x{W} "
         f"after {MAX_REJECTIONS} draws")
@@ -427,6 +443,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
+        if self.master_seed < 0:  # seed-tree names are non-negative
+            raise ValueError("master_seed must be >= 0")
         gh, gw = _glyphs_for(self.glyph_source).images.shape[1:]
         if gh > self.height or gw > self.width:
             raise ValueError(f"glyph {gh}x{gw} does not fit a "
@@ -447,6 +465,8 @@ def sample_at(config: DatasetConfig, index: int) -> Sample:
                             (dx, dy))
 
 
-def iter_samples(config: DatasetConfig) -> Iterator[Sample]:
-    for i in range(config.count):
+def iter_samples(config: DatasetConfig, start: int = 0,
+                 stop: int | None = None) -> Iterator[Sample]:
+    """Samples start..stop-1 of the stream (default: all of it)."""
+    for i in range(start, config.count if stop is None else stop):
         yield sample_at(config, i)

@@ -98,12 +98,15 @@ def config_hash(config: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 # training and evaluation
 
-def _materialize(ds_cfg: data.DatasetConfig):
-    """Dataset as dense arrays: float32 inputs, uint8 class maps."""
+def _materialize(ds_cfg: data.DatasetConfig, start: int = 0,
+                 stop: int | None = None):
+    """Samples start..stop-1 (default: all) as dense arrays: float32
+    inputs, uint8 class maps."""
     H, W = ds_cfg.height, ds_cfg.width
-    X = np.empty((ds_cfg.count, 1, H, W), dtype=np.float32)
-    T = np.empty((ds_cfg.count, H, W), dtype=np.uint8)
-    for i, sample in enumerate(data.iter_samples(ds_cfg)):
+    n = (ds_cfg.count if stop is None else stop) - start
+    X = np.empty((n, 1, H, W), dtype=np.float32)
+    T = np.empty((n, H, W), dtype=np.uint8)
+    for i, sample in enumerate(data.iter_samples(ds_cfg, start, stop)):
         X[i] = sample.input[0]
         T[i] = sample.target
     return X, T
@@ -115,8 +118,12 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
                    ) -> list[float]:
     """Mean per-pixel cross-entropy on fresh samples under each policy.
 
-    Each cell's streams are named after the policy's label, so duplicate
-    policies in the list produce identical cells.
+    A cell is the mean of its samples' mean pixel cross-entropies.  Samples
+    are generated and scored one EVAL_BATCH at a time, so memory does not
+    grow with `eval_count`, and a sample's loss does not depend on the batch
+    size or the shard split (unless the padding is random), so neither does
+    the cell.  Each cell's streams are named after the policy's label, so
+    duplicate policies in the list produce identical cells.
     """
     template = dataset_template or data.DatasetConfig()
     row = []
@@ -124,17 +131,13 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
         label = data.policy_label(policy)
         ds_cfg = replace(template, policy=policy, count=eval_count,
                          master_seed=derive(seed, EVAL_SAMPLES, label))
-        X, T = _materialize(ds_cfg)
-        total = 0.0
+        losses = np.empty(eval_count)
         for b, start in enumerate(range(0, eval_count, EVAL_BATCH)):
-            xb = X[start:start + EVAL_BATCH]
-            tb = T[start:start + EVAL_BATCH].astype(np.int64)
-            logits, _ = unet.forward(model, xb,
-                                     stream(seed, EVAL_FORWARD, label, b),
-                                     keep_tape=False)
-            loss, _ = tc.softmax_cross_entropy_pixelwise(logits, tb)
-            total += loss * len(xb)
-        row.append(total / eval_count)
+            stop = min(start + EVAL_BATCH, eval_count)
+            X, T = _materialize(ds_cfg, start, stop)
+            losses[start:stop] = unet.sample_losses(
+                model, X, T, stream(seed, EVAL_FORWARD, label, b))
+        row.append(float(losses.mean()))
     return row
 
 

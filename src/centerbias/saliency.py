@@ -13,13 +13,13 @@ The crops of a shift map go through the network in batches of SHIFT_BATCH
 computes only the input gradient.  An image's bits do not depend on its
 batch position (see tensor_core), so every map equals the one computed
 alone, unless the padding is random.
-Why 8: it is the fastest batch, and a batch-8 taped forward and
-backward stays under the peak memory of a batch-32 evaluation forward.  At
-64x96 on 2 cores, a 64-sample `evaluate_bands` over 3 bands and then a
-289-map grid (best of 3, fresh process per batch size) took 1.26 / 0.89 /
-0.70 / 0.62 / 0.72 / 0.70 / 0.68 s of map time at batch 1 / 2 / 4 / 8 / 16
-/ 24 / 32, and left the peak RSS at 111-113 MB up to batch 8, 117 MB at
-batch 16, 149 MB at 24 and 185 MB at 32.
+Why 8: a batch-8 taped forward and backward stays near the peak memory of
+a batch-32 evaluation forward, and larger batches gain little time for much
+memory.  At 64x96 on 2 cores, a 64-sample `evaluate_bands` over 3 bands and
+then a 289-map grid (best of 3, fresh process per run) took 2.40 / 1.50 /
+1.37 / 1.20 / 1.31 s of map time at batch 1 / 4 / 8 / 16 / 32, and left the
+peak RSS at 80 MB at batch 1 and 4 (the evaluation's own peak), 84 MB at 8,
+112 MB at 16 and 177 MB at 32.
 """
 
 from __future__ import annotations
@@ -64,11 +64,13 @@ def saliency_maps(model: unet.Model, samples: Sequence[Sample],
         logits, tape = unet.forward(
             model, np.concatenate([s.input for s in samples[lo:hi]]),
             shard_rngs[lo > 0])
-        grad_logits = np.zeros_like(logits)
+        # the score's gradient w.r.t. the logits, in their frame
+        upstream = logits
+        upstream[...] = 0
         for i in range(lo, hi):
             k = samples[i].meta.digit_class + 1
-            grad_logits[i - lo, k][masks[i]] = 1.0 / masks[i].sum()
-        _, grad_input = unet.backward(model, tape, grad_logits,
+            upstream[k, i - lo, 1:-1, 1:-1][masks[i]] = 1.0 / masks[i].sum()
+        _, grad_input = unet.backward(model, tape, upstream,
                                       need_params=False)
         return np.abs(grad_input[:, 0])
 

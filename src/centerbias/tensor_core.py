@@ -16,6 +16,11 @@ pixels, a tail up to the end of the span (the frame plus its tail, a multiple
 of _ALIGN columns), and another guard.  Guards and tail start at zero and
 only ever hold finite values.
 
+The loss works on frames too: softmax cross-entropy reads the head's logits
+frame and, for training, writes its gradient into that same frame, which is
+the upstream the head's backward reads; for evaluation it reduces the frame
+to each image's mean pixel loss.
+
 Every convolution is stride-1 and "same": a 3x3 kernel on the ring-padded
 input, or the 1x1 head, which is one GEMM over the buffer.  It uses the
 cross-correlation convention (no kernel flip).  In the buffer, tap (di, dj)
@@ -524,34 +529,53 @@ def upsample_nearest2x_backward(upstream: np.ndarray) -> np.ndarray:
     return gx
 
 
-def softmax_cross_entropy_pixelwise(logits: np.ndarray, target: np.ndarray,
-                                    npix: int | None = None
-                                    ) -> tuple[float, np.ndarray]:
-    """Mean per-pixel cross-entropy and its gradient w.r.t. the logits.
+def softmax_cross_entropy_pixelwise(
+        logits: np.ndarray, target: np.ndarray, npix: int | None = None, *,
+        need_grad: bool = True) -> tuple[float | np.ndarray, np.ndarray | None]:
+    """Pixel-wise cross-entropy of a logits frame, in place.
 
-    `target` holds class indices shaped (n, h, w); the loss is the mean over
-    all n*h*w pixels of -log softmax(logits)[target].  A shard of a larger
-    batch passes the whole batch's pixel count as `npix`, so the shards'
-    losses and gradients add up to the batch's.
+    `logits` is a (k, n, h + 2, w + 2) frame, such as the 1x1 head's output,
+    and `target` holds class indices shaped (n, h, w).  A pixel's loss is
+    -log softmax(logits)[target].  The frame is overwritten, ring
+    included.
+
+    With `need_grad`, returns (the sum of the pixel losses / `npix`, the
+    gradient of that loss w.r.t. the logits), the gradient in the interior
+    of the same frame.  `npix` defaults to n*h*w, the mean; a shard of a
+    larger batch passes the whole batch's pixel count, so the shards'
+    losses and gradients add up to the batch's.  Without it, returns
+    (each image's mean pixel loss as an (n,) float64 array, None).
     """
-    _require_nchw(logits)
-    n, k, h, w = logits.shape
+    Z = _rows(logits, "logits")
+    k, n, hp, wp = logits.shape
+    h, w = hp - 2, wp - 2
     if target.shape != (n, h, w):
         raise ValueError(f"target shape {target.shape} != {(n, h, w)}")
     if target.min() < 0 or target.max() >= k:
         raise ValueError(f"class index out of range [0, {k})")
-    t = target[:, None].astype(np.int64)
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    denom = e.sum(axis=1, keepdims=True)
-    logp_t = np.take_along_axis(z, t, axis=1) - np.log(denom)
+    # each pixel is one column of the frame's span; softmax runs down the
+    # columns of the whole span, ring included, which no caller reads
+    g = _guard(wp)
+    Z = Z[:, g:g + n * hp * wp]
+    cols = (np.arange(n)[:, None, None] * (hp * wp)
+            + np.arange(1, h + 1)[:, None] * wp + np.arange(1, w + 1))
+    Z -= Z.max(axis=0)
+    z_t = Z[target, cols]
+    np.exp(Z, out=Z)
+    denom = Z[0].copy()
+    for row in Z[1:]:  # in class order, so the bits are fixed
+        denom += row
+    logp_t = z_t - np.log(denom[cols])
+    if not need_grad:
+        return -logp_t.reshape(n, -1).sum(axis=1, dtype=np.float64) \
+            / (h * w), None
     if npix is None:
         npix = n * h * w
     loss = float(-logp_t.sum() / npix)
-    grad = e / denom
-    np.put_along_axis(grad, t, np.take_along_axis(grad, t, axis=1) - 1, axis=1)
-    grad /= npix
-    return loss, grad
+    Z /= denom
+    Z[target, cols] -= 1
+    Z /= npix
+    return loss, logits
 
 
 ADAM_BETA1 = 0.9

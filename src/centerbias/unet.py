@@ -16,8 +16,9 @@ so the two shards use two cores).  Without numpy's bundled OpenBLAS hook,
 inside a shard, or in a process that owns a single core (the experiment
 pool's workers), both shards run one after the other on the calling thread,
 with the same bits.  `train_step` sums the two shards' parameter gradients;
-the tape-free `forward` and `saliency.saliency_maps` concatenate the shards'
-outputs.
+`sample_losses` and `saliency.saliency_maps` concatenate the shards'
+per-image results.  The logits stay in the head's output frame: a shard's
+loss, and in training its gradient, are computed there (see tensor_core).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .rng import MODEL_INIT, stream
 __all__ = [
     "UNetConfig", "ConvLayer", "Model",
     "build_unet", "param_count", "forward", "backward", "train_step",
-    "run_shards", "disable_shard_thread", "save_checkpoint",
+    "sample_losses", "run_shards", "disable_shard_thread", "save_checkpoint",
     "load_checkpoint",
 ]
 
@@ -298,33 +299,21 @@ def _conv_relu(layer: ConvLayer, x, tape, rng):
 def forward(model: Model, batch: np.ndarray,
             rng: np.random.Generator | None = None, keep_tape: bool = True
             ) -> tuple[np.ndarray, _Tape | None]:
-    """Run the network on an NCHW batch; returns (NCHW logits, tape).
+    """Run the network on an NCHW batch; returns (logits frame, tape).
 
-    Inside, every activation is a padded frame (see tensor_core).  With
-    `keep_tape=False` the tape is None, each activation is dropped once its
-    consumer has run (the skips once the decoder has used them), and the
-    batch runs as two shards (see the module docstring); the logits are
-    bit-identical either way.  `rng` is only consumed by random-fill
-    padding, so runs are deterministic given (weights, input) plus the seed
-    when that mode is active.  A random-padding batch runs whole, so its
-    draws land where a taped forward puts them.
+    Every activation is a padded frame (see tensor_core), the logits too:
+    a (num_classes, n, h + 2, w + 2) frame.  With `keep_tape=False` the
+    tape is None and each activation is dropped once its consumer has run
+    (the skips once the decoder has used them); the logits are bit-identical
+    either way.  `rng` is only consumed by random-fill padding, so runs are
+    deterministic given (weights, input) plus the seed when that mode is
+    active.
     """
     cfg = model.config
     div = 2 ** (cfg.depth - 1)
     if batch.shape[2] % div or batch.shape[3] % div:
         raise ValueError(
             f"input dims {batch.shape[2:]} must be divisible by {div}")
-    if keep_tape or cfg.padding.kind == "random":
-        return _forward(model, batch, rng, keep_tape)
-    shards = run_shards(
-        lambda lo, hi: _forward(model, batch[lo:hi], rng, False)[0],
-        len(batch))
-    return (shards[0] if len(shards) == 1 else np.concatenate(shards)), None
-
-
-def _forward(model: Model, batch: np.ndarray, rng, keep_tape: bool
-             ) -> tuple[np.ndarray, _Tape | None]:
-    cfg = model.config
     x = tc.to_frame(batch, cfg.dtype)
     tape = _Tape(input_shape=batch.shape) if keep_tape else None
     skips = []
@@ -355,17 +344,19 @@ def _forward(model: Model, batch: np.ndarray, rng, keep_tape: bool
     logits, ct = tc.conv2d_forward(x, head.weight, head.bias, head.spec, rng)
     if tape is not None:
         tape.conv_tapes[head.name] = ct
-    return tc.from_frame(logits), tape
+    return logits, tape
 
 
 def backward(model: Model, tape: _Tape, grad_logits: np.ndarray, *,
              need_input: bool = True, need_params: bool = True
              ) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
-    """VJP through the whole net, from NCHW logit gradients.
+    """VJP through the whole net, from the logits' gradient in a frame
+    shaped like forward's logits (the frame the training loss writes).
 
     Returns (param_grads, NCHW grad_input); param_grads aligns with
     model.parameters().  Each side is None, and not computed, unless asked
-    for by `need_params` / `need_input`.
+    for by `need_params` / `need_input`.  Overwrites all of the
+    `grad_logits` buffer but its interior.
     """
     cfg = model.config
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -379,7 +370,7 @@ def backward(model: Model, tape: _Tape, grad_logits: np.ndarray, *,
         return gx
 
     g, gw, gb = tc.conv2d_backward(tape.conv_tapes[model.head.name],
-                                   tc.to_frame(grad_logits),
+                                   grad_logits,
                                    need_params=need_params)
     grads[model.head.name] = (gw, gb)
 
@@ -436,6 +427,28 @@ def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
     tc.adam_step([model.flat_params], [flat_grads], adam)
     model.step += 1
     return loss
+
+
+def sample_losses(model: Model, batch: np.ndarray, targets: np.ndarray,
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """Each image's mean pixel cross-entropy, from a tape-free forward.
+
+    The batch runs as two shards (see the module docstring), each reduced to
+    its images' losses inside the shard, so no gradient, NCHW logits or
+    concatenated logits are made.  An image's loss does not depend on its
+    batch position or the shard split, unless the padding is random: a
+    random-padding batch runs whole, so its draws land where a taped
+    forward of the whole batch puts them.
+    """
+    def shard(lo, hi):
+        logits, _ = forward(model, batch[lo:hi], rng, keep_tape=False)
+        losses, _ = tc.softmax_cross_entropy_pixelwise(
+            logits, targets[lo:hi], need_grad=False)
+        return losses
+
+    if model.config.padding.kind == "random":
+        return shard(0, len(batch))
+    return np.concatenate(run_shards(shard, len(batch)))
 
 
 def save_checkpoint(model: Model, path) -> None:

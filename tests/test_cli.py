@@ -196,6 +196,26 @@ class TestConfigErrors:
         assert "checkpoint version 1: this build reads version 2" in \
             self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv, name", [
+        (["eval", "--checkpoint", "m.ckpt", "--seed", "-1"], "--seed"),
+        (["saliency", "--checkpoint", "m.ckpt", "--out", "sal",
+          "--seed", "-2"], "--seed"),
+        (["augment", "--input", "a.pgm", "--label", "b.pgm", "--transform",
+          "random-shift", "--out", "aug", "--seed", "-1"], "--seed"),
+        (["gen", "--set", "master_seed=-1", "--out", "gen"], "master_seed"),
+    ], ids=["eval", "saliency", "augment", "gen"])
+    def test_negative_seed_exits_4_naming_the_flag(
+            self, tmp_path, capsys, monkeypatch, no_samples, argv, name):
+        # the checkpoint and input files do not exist: the seed is checked
+        # before anything is read, loaded or generated
+        def no_checkpoint(*args):
+            raise AssertionError("a checkpoint was loaded")
+
+        monkeypatch.setattr(unet, "load_checkpoint", no_checkpoint)
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 4
+        assert name in self.assert_one_line_error(capsys)
+
     def test_negative_saliency_extent_exits_4(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
         unet.save_checkpoint(

@@ -98,6 +98,18 @@ class TestNormalizedOffset:
             hits = [b for b in bands if data.admits(b, r)]
             assert len(hits) == 1, (r, hits)
 
+    def test_admits_an_array_elementwise(self):
+        rs = np.concatenate([np.random.default_rng(0).random(200),
+                             [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]])
+        policies = [data.Band(k / 10, (k + 1) / 10) for k in range(10)] + [
+            data.Band(0.45, 0.55), data.AllowedCentral(0.3),
+            data.ForbiddenCentral(0.7), data.Unrestricted()]
+        for policy in policies:
+            got = data.admits(policy, rs)
+            assert got.dtype == bool and got.shape == rs.shape
+            assert got.tolist() == [bool(data.admits(policy, float(r)))
+                                    for r in rs], policy
+
 
 class TestSamplePlacement:
     def test_unrestricted_r_range(self):
@@ -129,6 +141,55 @@ class TestSamplePlacement:
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
             data.sample_placement(data.Band(0.4, 0.6), (30, 30), (28, 28), rng)
+
+
+def scalar_placement(policy, image_hw, object_hw, rng):
+    """The one-candidate-at-a-time rejection loop that block placement
+    replaced: dx, then dy, one scalar draw each."""
+    H, W = image_hw
+    h, w = object_hw
+    max_dy, max_dx = (H - h) // 2, (W - w) // 2
+    for _ in range(data.MAX_REJECTIONS):
+        dx = int(rng.integers(-max_dx, max_dx + 1))
+        dy = int(rng.integers(-max_dy, max_dy + 1))
+        if data.admits(policy, data.normalized_offset(dx, dy, image_hw,
+                                                      object_hw)):
+            return dx, dy
+    raise ValueError("no admissible placement")
+
+
+class TestBlockPlacement:
+    @pytest.mark.parametrize("policy, image_hw", [
+        (data.AllowedCentral(0.3), (64, 96)),
+        (data.Band(0.45, 0.55), (64, 96)),
+        (data.Band(0.9, 1.0), (64, 96)),
+        (data.ForbiddenCentral(0.7), (64, 96)),
+        (data.Unrestricted(), (64, 96)),
+        (data.Band(0.5, 1.0), (64, 28)),  # max_dx == 0
+    ], ids=["allowed", "interior-band", "edge-band", "forbidden",
+            "unrestricted", "no-x-room"])
+    def test_offsets_equal_the_scalar_loop(self, policy, image_hw):
+        for seed in range(200):
+            block = data.sample_placement(policy, image_hw, (28, 28),
+                                          np.random.default_rng(seed))
+            scalar = scalar_placement(policy, image_hw, (28, 28),
+                                      np.random.default_rng(seed))
+            assert block == scalar, seed
+
+    def test_block_size_does_not_divide_the_draw_limit(self):
+        assert data.MAX_REJECTIONS % data.PLACEMENT_BLOCK != 0
+
+    def test_degenerate_policy_raises_after_exactly_the_draw_limit(self):
+        # max offset 1 pixel on each axis, so r is 0 or 1
+        rng = np.random.default_rng(4)
+        with pytest.raises(ValueError, match="after 10000 draws"):
+            data.sample_placement(data.Band(0.4, 0.6), (30, 30), (28, 28),
+                                  rng)
+        oracle = np.random.default_rng(4)
+        for _ in range(data.MAX_REJECTIONS):
+            oracle.integers(-1, 2)
+            oracle.integers(-1, 2)
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 class TestBackgrounds:

@@ -101,23 +101,53 @@ class TestEvaluateBands:
         assert a == b
 
     def test_tape_free_rows_equal_taped_rows(self, monkeypatch):
-        # 40 samples: one full batch of 32 and a remainder of 8
+        # 40 samples: one full batch of 32 and a remainder of 8; each batch
+        # scored by a taped whole-batch forward and the same cross-entropy
         bands = [Band(0.0, 0.1), Band(0.8, 1.0)]
         row = harness.evaluate_bands(self.model(), bands, 40, seed=9,
                                      dataset_template=self.template())
-        asked, forward = [], unet.forward
+        sizes = []
 
-        def taped(model, batch, rng=None, keep_tape=True):
-            asked.append(keep_tape)
-            logits, tape = forward(model, batch, rng)
+        def taped(model, batch, targets, rng=None):
+            sizes.append(len(batch))
+            logits, tape = unet.forward(model, batch, rng)
             assert tape is not None
-            return logits, tape
+            return tc.softmax_cross_entropy_pixelwise(logits, targets,
+                                                      need_grad=False)[0]
 
-        monkeypatch.setattr(unet, "forward", taped)
+        monkeypatch.setattr(unet, "sample_losses", taped)
         again = harness.evaluate_bands(self.model(), bands, 40, seed=9,
                                        dataset_template=self.template())
-        assert asked == [False] * 4
+        assert sizes == [32, 8] * 2
         assert np.array(again).tobytes() == np.array(row).tobytes()
+
+    @pytest.mark.parametrize("padding", ["zero", "circular", "reflect"])
+    def test_cells_do_not_depend_on_the_batch_size(self, monkeypatch,
+                                                   padding):
+        model = unet.build_unet(unet.UNetConfig(
+            depth=2, base_channels=2, padding=tc.PaddingMode(padding),
+            seed=1))
+        bands = [Band(0.0, 0.1), Band(0.8, 1.0)]
+        row = harness.evaluate_bands(model, bands, 40, seed=9,
+                                     dataset_template=self.template())
+        monkeypatch.setattr(harness, "EVAL_BATCH", 8)
+        again = harness.evaluate_bands(model, bands, 40, seed=9,
+                                       dataset_template=self.template())
+        assert np.array(again).tobytes() == np.array(row).tobytes()
+
+    def test_memory_does_not_grow_with_the_count(self):
+        # samples are generated and scored one batch at a time
+        import tracemalloc
+        model = unet.build_unet(unet.UNetConfig(seed=1))
+        peaks = []
+        for count in (32, 512):
+            tracemalloc.start()
+            try:
+                harness.evaluate_bands(model, [Band(0.8, 1.0)], count, 4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2e6, peaks
 
 
 class TestRunRegionalTraining:
@@ -279,8 +309,8 @@ class TestPairing:
             jobs[-1]["init"] = model.flat_params.copy()
             return model
 
-        def materializing(ds_cfg):
-            X, T = materialize(ds_cfg)
+        def materializing(ds_cfg, *span):
+            X, T = materialize(ds_cfg, *span)
             if "train" in jobs[-1]:
                 jobs[-1]["eval"].append(X)
             else:

@@ -44,6 +44,13 @@ def upsample_backward_nchw(g):
     return tc.from_frame(tc.upsample_nearest2x_backward(tc.to_frame(g)))
 
 
+def ce_nchw(logits, target, **kw):
+    """softmax_cross_entropy_pixelwise on NCHW logits; NCHW gradient."""
+    loss, grad = tc.softmax_cross_entropy_pixelwise(tc.to_frame(logits),
+                                                    target, **kw)
+    return loss, grad if grad is None else tc.from_frame(grad)
+
+
 class TestPad:
     def test_zero_row(self):
         x = np.array([1.0, 2.0, 3.0]).reshape(1, 1, 1, 3)
@@ -429,21 +436,21 @@ class TestSoftmaxCrossEntropy:
     def test_uniform_logits_loss_is_log_k(self):
         logits = np.zeros((1, 11, 2, 2))
         target = np.zeros((1, 2, 2), dtype=np.int64)
-        loss, _ = tc.softmax_cross_entropy_pixelwise(logits, target)
+        loss, _ = ce_nchw(logits, target)
         assert abs(loss - np.log(11)) < 1e-12
 
     def test_confident_limit(self):
         logits = np.zeros((1, 3, 1, 1))
         logits[0, 1] = 50.0
         target = np.ones((1, 1, 1), dtype=np.int64)
-        loss, _ = tc.softmax_cross_entropy_pixelwise(logits, target)
+        loss, _ = ce_nchw(logits, target)
         assert loss < 1e-12
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(8)
         logits = rng.standard_normal((1, 4, 1, 2))
         target = np.array([[[2, 0]]], dtype=np.int64)
-        loss, grad = tc.softmax_cross_entropy_pixelwise(logits, target)
+        loss, grad = ce_nchw(logits, target)
         ref = 0.0
         for p, t in ((0, 2), (1, 0)):
             z = logits[0, :, 0, p]
@@ -454,14 +461,12 @@ class TestSoftmaxCrossEntropy:
         for k in range(4):
             lp = logits.copy(); lp[0, k, 0, 0] += h
             lm = logits.copy(); lm[0, k, 0, 0] -= h
-            num = (tc.softmax_cross_entropy_pixelwise(lp, target)[0]
-                   - tc.softmax_cross_entropy_pixelwise(lm, target)[0]) / (2 * h)
+            num = (ce_nchw(lp, target)[0] - ce_nchw(lm, target)[0]) / (2 * h)
             assert abs(grad[0, k, 0, 0] - num) < 1e-8
 
     def test_out_of_range_class(self):
         with pytest.raises(ValueError):
-            tc.softmax_cross_entropy_pixelwise(
-                np.zeros((1, 3, 1, 1)), np.array([[[3]]], dtype=np.int64))
+            ce_nchw(np.zeros((1, 3, 1, 1)), np.array([[[3]]], dtype=np.int64))
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -469,8 +474,57 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(seed)
         logits = rng.standard_normal((2, 5, 3, 4))
         target = rng.integers(0, 5, (2, 3, 4))
-        _, grad = tc.softmax_cross_entropy_pixelwise(logits, target)
+        _, grad = ce_nchw(logits, target)
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-6)
+
+    def test_gradient_lands_in_the_logits_frame(self):
+        rng = np.random.default_rng(9)
+        frame = tc.to_frame(rng.standard_normal((2, 4, 3, 5)))
+        target = rng.integers(0, 4, (2, 3, 5))
+        _, grad = tc.softmax_cross_entropy_pixelwise(frame, target)
+        assert grad is frame
+
+    def test_non_frame_logits_rejected(self):
+        with pytest.raises(ValueError, match="frame"):
+            tc.softmax_cross_entropy_pixelwise(
+                np.zeros((3, 1, 3, 3)), np.zeros((1, 1, 1), dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frame_loss_and_gradient_keep_the_nchw_bits(self, dtype):
+        # the NCHW formula the frame version replaced: the same elementwise
+        # steps and a class-order denominator sum give the same bits
+        rng = np.random.default_rng(10)
+        logits = (4 * rng.standard_normal((3, 11, 8, 12))).astype(dtype)
+        target = rng.integers(0, 11, (3, 8, 12))
+        npix = 2 * target.size
+        t = target[:, None]
+        z = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        denom = e.sum(axis=1, keepdims=True)
+        logp_t = np.take_along_axis(z, t, axis=1) - np.log(denom)
+        ref_loss = float(-logp_t.sum() / npix)
+        ref_grad = e / denom
+        np.put_along_axis(ref_grad, t,
+                          np.take_along_axis(ref_grad, t, axis=1) - 1, axis=1)
+        ref_grad /= npix
+        loss, grad = ce_nchw(logits, target, npix=npix)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.dtype == dtype and grad.tobytes() == ref_grad.tobytes()
+
+    def test_per_sample_losses_without_gradient(self):
+        rng = np.random.default_rng(11)
+        logits = rng.standard_normal((3, 5, 4, 6))
+        target = rng.integers(0, 5, (3, 4, 6))
+        losses, grad = ce_nchw(logits, target, need_grad=False)
+        assert grad is None and losses.shape == (3,)
+        z = logits - logits.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        ref = -np.take_along_axis(logp, target[:, None], axis=1)
+        np.testing.assert_allclose(losses, ref.mean(axis=(1, 2, 3)),
+                                   rtol=1e-13)
+        for i in range(3):
+            alone, _ = ce_nchw(logits[i:i + 1], target[i:i + 1])
+            assert losses[i] == pytest.approx(alone, rel=1e-13)
 
 
 class TestAdam:

@@ -28,10 +28,11 @@ class TestBuild:
         assert model.decoder == []
 
     def test_logit_shape_contract(self):
+        # a (classes, n, h + 2, w + 2) frame
         model = unet.build_unet(unet.UNetConfig())
         x = np.zeros((2, 1, 64, 96), dtype=np.float32)
         logits, _ = unet.forward(model, x)
-        assert logits.shape == (2, 11, 64, 96)
+        assert logits.shape == (11, 2, 66, 98)
 
     def test_equal_seeds_bit_identical(self):
         a = unet.build_unet(unet.UNetConfig(seed=9))
@@ -59,7 +60,8 @@ class TestForwardBackward:
         model = unet.build_unet(small_config())
         x = np.random.default_rng(1).random((1, 1, 8, 8)).astype(np.float32)
         logits, tape = unet.forward(model, x)
-        grads, gx = unet.backward(model, tape, np.zeros_like(logits))
+        logits[...] = 0
+        grads, gx = unet.backward(model, tape, logits)
         assert all(np.all(g == 0) for g in grads)
         assert np.all(gx == 0)
 
@@ -68,7 +70,8 @@ class TestForwardBackward:
         x = np.random.default_rng(2).random((1, 1, 8, 8)).astype(np.float32)
         dup = np.concatenate([x, x], axis=0)
         logits, _ = unet.forward(model, dup)
-        np.testing.assert_array_equal(logits[0], logits[1])
+        rows = tc.from_frame(logits)
+        np.testing.assert_array_equal(rows[0], rows[1])
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # pool workers run single-threaded BLAS and the main process does
@@ -79,12 +82,13 @@ class TestForwardBackward:
             "from centerbias import unet, tensor_core as tc\n"
             "m = unet.build_unet(unet.UNetConfig(padding=tc.CIRCULAR, seed=1))\n"
             "x = np.random.default_rng(0).random((3, 1, 64, 96))\n"
+            "ones = np.ones((3, 11, 64, 96), dtype=np.float32)\n"
             "logits, tape = unet.forward(m, x.astype(np.float32))\n"
-            "grads, gx = unet.backward(m, tape, np.ones_like(logits))\n"
+            "grads, gx = unet.backward(m, tape, tc.to_frame(ones))\n"
             "_, tape = unet.forward(m, x.astype(np.float32))\n"
-            "_, gx_only = unet.backward(m, tape, np.ones_like(logits),\n"
+            "_, gx_only = unet.backward(m, tape, tc.to_frame(ones),\n"
             "                           need_params=False)\n"
-            "arrays = [logits, gx, gx_only, *grads]\n"
+            "arrays = [tc.from_frame(logits), gx, gx_only, *grads]\n"
             "print(hashlib.sha256(b''.join(a.tobytes() for a in arrays))"
             ".hexdigest())\n")
         src = os.path.dirname(os.path.dirname(unet.__file__))
@@ -110,7 +114,7 @@ class TestForwardBackward:
         def backward(**need):
             # each backward gets its own tape, from equal rngs
             _, tape = unet.forward(model, x, np.random.default_rng(1))
-            return unet.backward(model, tape, g, **need)
+            return unet.backward(model, tape, tc.to_frame(g), **need)
 
         grads, gx = backward()
         no_grads, gx_only = backward(need_params=False)
@@ -346,12 +350,40 @@ class TestShards:
     @pytest.mark.parametrize("n", [1, 5])
     def test_tape_free_rows_equal_single_runs(self, n):
         model = unet.build_unet(small_config(padding=tc.CIRCULAR, depth=3))
-        x = np.random.default_rng(8).random((n, 1, 16, 24)).astype(np.float32)
+        rng = np.random.default_rng(8)
+        x = rng.random((n, 1, 16, 24)).astype(np.float32)
+        t = rng.integers(0, 11, (n, 16, 24))
         logits, tape = unet.forward(model, x, keep_tape=False)
-        assert tape is None and logits.shape == (n, 11, 16, 24)
+        assert tape is None
+        rows = tc.from_frame(logits)
+        losses = unet.sample_losses(model, x, t)
+        assert losses.shape == (n,)
         for i in range(n):
             alone, _ = unet.forward(model, x[i:i + 1], keep_tape=False)
-            assert logits[i].tobytes() == alone[0].tobytes()
+            assert rows[i].tobytes() == tc.from_frame(alone)[0].tobytes()
+            alone = unet.sample_losses(model, x[i:i + 1], t[i:i + 1])
+            assert losses[i].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
+    def test_sharded_losses_equal_taped_whole_batch_losses(self, monkeypatch,
+                                                           padding):
+        # the evaluation contract: two tape-free shards, each reduced to
+        # its images' losses, give the bits of one taped forward of the
+        # whole batch plus the same cross-entropy
+        model = unet.build_unet(small_config(padding=padding, depth=3))
+        rng = np.random.default_rng(9)
+        x = rng.random((5, 1, 16, 24)).astype(np.float32)
+        t = rng.integers(0, 11, (5, 16, 24)).astype(np.uint8)
+        logits, tape = unet.forward(model, x)
+        assert tape is not None
+        whole, _ = tc.softmax_cross_entropy_pixelwise(logits, t,
+                                                      need_grad=False)
+        threads = shard_threads(monkeypatch)
+        sharded = unet.sample_losses(model, x, t)
+        assert len(threads) == 2
+        assert sharded.dtype == np.float64
+        assert sharded.tobytes() == whole.tobytes()
 
     def test_step_gradient_and_loss_are_the_whole_batch_ones(self):
         # f64, odd batch: the shards' gradients and losses, each scaled by
@@ -405,9 +437,10 @@ class TestWholeModelEquivariance:
                               seed=8)
         model = unet.build_unet(cfg)
         x = np.random.default_rng(5).random((1, 1, 32, 32)).astype(np.float32)
-        base, _ = unet.forward(model, x)
+        base = tc.from_frame(unet.forward(model, x)[0])
         for shift in ((4, 8), (12, 4)):  # multiples of 2^(depth-1)
-            out, _ = unet.forward(model, np.roll(x, shift, (2, 3)))
+            out = tc.from_frame(
+                unet.forward(model, np.roll(x, shift, (2, 3)))[0])
             np.testing.assert_allclose(
                 out, np.roll(base, shift, (2, 3)), atol=1e-4)
 

@@ -465,8 +465,6 @@ def sample_at(config: DatasetConfig, index: int) -> Sample:
                             (dx, dy))
 
 
-def iter_samples(config: DatasetConfig, start: int = 0,
-                 stop: int | None = None) -> Iterator[Sample]:
-    """Samples start..stop-1 of the stream (default: all of it)."""
-    for i in range(start, config.count if stop is None else stop):
+def iter_samples(config: DatasetConfig) -> Iterator[Sample]:
+    for i in range(config.count):
         yield sample_at(config, i)

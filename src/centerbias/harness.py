@@ -98,15 +98,18 @@ def config_hash(config: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 # training and evaluation
 
-def _materialize(ds_cfg: data.DatasetConfig, start: int = 0,
-                 stop: int | None = None):
-    """Samples start..stop-1 (default: all) as dense arrays: float32
-    inputs, uint8 class maps."""
+def _materialize(ds_cfg: data.DatasetConfig, indices: range | None = None):
+    """The samples at `indices` (default: the whole stream) as dense arrays:
+    float32 inputs, uint8 class maps."""
     H, W = ds_cfg.height, ds_cfg.width
-    n = (ds_cfg.count if stop is None else stop) - start
+    if indices is None:
+        n, samples = ds_cfg.count, data.iter_samples(ds_cfg)
+    else:
+        n = len(indices)
+        samples = (data.sample_at(ds_cfg, i) for i in indices)
     X = np.empty((n, 1, H, W), dtype=np.float32)
     T = np.empty((n, H, W), dtype=np.uint8)
-    for i, sample in enumerate(data.iter_samples(ds_cfg, start, stop)):
+    for i, sample in enumerate(samples):
         X[i] = sample.input[0]
         T[i] = sample.target
     return X, T
@@ -134,7 +137,7 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
         losses = np.empty(eval_count)
         for b, start in enumerate(range(0, eval_count, EVAL_BATCH)):
             stop = min(start + EVAL_BATCH, eval_count)
-            X, T = _materialize(ds_cfg, start, stop)
+            X, T = _materialize(ds_cfg, range(start, stop))
             losses[start:stop] = unet.sample_losses(
                 model, X, T, stream(seed, EVAL_FORWARD, label, b))
         row.append(float(losses.mean()))

@@ -101,11 +101,22 @@ class TestEvaluateBands:
         assert a == b
 
     def test_tape_free_rows_equal_taped_rows(self, monkeypatch):
-        # 40 samples: one full batch of 32 and a remainder of 8; each batch
-        # scored by a taped whole-batch forward and the same cross-entropy
+        # 40 samples: one full batch of 32 and a remainder of 8, each run
+        # as two tape-free shards; then each batch scored by a taped
+        # whole-batch forward and the same cross-entropy
         bands = [Band(0.0, 0.1), Band(0.8, 1.0)]
+        asked, forward = [], unet.forward
+
+        def asking(model, batch, rng=None, keep_tape=True):
+            asked.append((keep_tape, len(batch)))
+            return forward(model, batch, rng, keep_tape=keep_tape)
+
+        monkeypatch.setattr(unet, "forward", asking)
         row = harness.evaluate_bands(self.model(), bands, 40, seed=9,
                                      dataset_template=self.template())
+        monkeypatch.setattr(unet, "forward", forward)
+        # the shards of a batch may record in either order
+        assert sorted(asked) == [(False, 4)] * 4 + [(False, 16)] * 4
         sizes = []
 
         def taped(model, batch, targets, rng=None):

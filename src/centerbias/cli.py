@@ -66,7 +66,8 @@ def _load_config(start, path: str | None, overrides: list[str], **fixed):
 
 
 def cmd_audit(args) -> int:
-    payload = open(args.annotations, "rb").read()
+    with open(args.annotations, "rb") as f:
+        payload = f.read()
     aset = coco_audit.parse_annotations(payload)
     os.makedirs(args.out, exist_ok=True)
     modes = ("centroid", "bbox") if args.mode == "both" else (args.mode,)
@@ -88,7 +89,7 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for i, sample in enumerate(data.iter_samples(cfg)):
         img = np.round(sample.input[0, 0] * 255).astype(np.uint8)
-        lab = (sample.target * LABEL_SCALE).astype(np.uint8)
+        lab = sample.target * LABEL_SCALE
         netpbm.write_pgm(os.path.join(args.out, f"sample_{i:03d}.pgm"), img)
         netpbm.write_pgm(os.path.join(args.out, f"label_{i:03d}.pgm"), lab)
     print(f"wrote {cfg.count} sample/label PGM pairs to {args.out}")
@@ -212,7 +213,7 @@ def _load_sample_pair(image_path, label_path):
     lab = netpbm.read_pnm(label_path)
     if lab.ndim != 2 or img.shape != lab.shape:
         raise ValueError("sample and label dims disagree")
-    return img[None], (lab // LABEL_SCALE).astype(np.int64)
+    return img[None], lab // LABEL_SCALE
 
 
 # `augment --transform` choice -> the registry spec (as training runs it)
@@ -266,7 +267,7 @@ def cmd_augment(args) -> int:
                      np.round(np.clip(out_x[0], 0, 1) * 255)
                      .astype(np.uint8))
     netpbm.write_pgm(os.path.join(args.out, "augmented_label.pgm"),
-                     (out_t * LABEL_SCALE).astype(np.uint8))
+                     out_t * LABEL_SCALE)
     ok = True
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
@@ -354,7 +355,8 @@ def run_verification_suite(verbose: bool = True) -> bool:
             logits, tape = unet.forward(model, x_, np.random.default_rng(99))
 
             def vjp(g):
-                grads, gx = unet.backward(model, tape, tc.to_frame(g))
+                tape.grad_logits = tc.to_frame(g)
+                grads, gx = unet.backward(model, tape)
                 return (gx, *grads)
             return tc.from_frame(logits), vjp
 

@@ -177,8 +177,10 @@ def load_glyph_dir(path) -> GlyphSet:
     if len(img) != 1 or len(lab) != 1:
         raise ValueError(
             f"{path} must hold exactly one images-idx3 and one labels-idx1 file")
-    images = parse_idx(open(os.path.join(path, img[0]), "rb").read())
-    labels = parse_idx(open(os.path.join(path, lab[0]), "rb").read())
+    with open(os.path.join(path, img[0]), "rb") as f:
+        images = parse_idx(f.read())
+    with open(os.path.join(path, lab[0]), "rb") as f:
+        labels = parse_idx(f.read())
     if images.ndim != 3 or labels.ndim != 1:
         raise ValueError("unexpected IDX ranks for glyph data")
     return GlyphSet(images.astype(np.float32) / 255.0,
@@ -386,7 +388,7 @@ class SampleMeta:
 @dataclass
 class Sample:
     input: np.ndarray    # (1, 1, H, W) float32 in [0, 1]
-    target: np.ndarray   # (H, W) int64; 0 background, 1..10 digit classes
+    target: np.ndarray   # (H, W) uint8; 0 background, 1..10 digit classes
     meta: SampleMeta
 
 
@@ -419,7 +421,7 @@ def composite_sample(glyph: np.ndarray, digit_class: int,
     mask = glyph > GLYPH_THRESHOLD
     img = background.astype(np.float32, copy=True)
     img[oy:oy + gh, ox:ox + gw][mask] = 1.0
-    target = np.zeros((H, W), dtype=np.int64)
+    target = np.zeros((H, W), dtype=np.uint8)
     target[oy:oy + gh, ox:ox + gw][mask] = digit_class + 1
     full = np.zeros((H, W), dtype=bool)
     full[oy:oy + gh, ox:ox + gw] = mask

@@ -100,7 +100,8 @@ def config_hash(config: ExperimentConfig) -> str:
 
 def _materialize(ds_cfg: data.DatasetConfig, indices: range | None = None):
     """The samples at `indices` (default: the whole stream) as dense arrays:
-    float32 inputs, uint8 class maps."""
+    float32 inputs and the samples' own uint8 class maps, which the loss
+    reads as they are (an eighth of the bytes of int64 maps)."""
     H, W = ds_cfg.height, ds_cfg.width
     if indices is None:
         n, samples = ds_cfg.count, data.iter_samples(ds_cfg)
@@ -173,7 +174,7 @@ def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
                                         config.batch_size)):
             idx = order[start:start + config.batch_size]
             xb = X[idx]
-            tb = T[idx].astype(np.int64)
+            tb = T[idx]
             if augmentations:
                 for j, i_sample in enumerate(idx):
                     rng = stream(seed, AUGMENT, epoch, int(i_sample))

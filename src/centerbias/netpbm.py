@@ -27,7 +27,8 @@ def _tokens(data: bytes):
 
 def read_pnm(path) -> np.ndarray:
     """Read a binary PGM/PPM; returns uint8 (h, w) or (h, w, 3)."""
-    data = open(path, "rb").read()
+    with open(path, "rb") as f:
+        data = f.read()
     toks = _tokens(data)
     magic, _ = next(toks)
     if magic == b"P5":

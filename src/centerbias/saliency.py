@@ -65,13 +65,13 @@ def saliency_maps(model: unet.Model, samples: Sequence[Sample],
             model, np.concatenate([s.input for s in samples[lo:hi]]),
             shard_rngs[lo > 0])
         # the score's gradient w.r.t. the logits, in their frame
-        upstream = logits
-        upstream[...] = 0
+        logits[...] = 0
         for i in range(lo, hi):
             k = samples[i].meta.digit_class + 1
-            upstream[k, i - lo, 1:-1, 1:-1][masks[i]] = 1.0 / masks[i].sum()
-        _, grad_input = unet.backward(model, tape, upstream,
-                                      need_params=False)
+            logits[k, i - lo, 1:-1, 1:-1][masks[i]] = 1.0 / masks[i].sum()
+        tape.grad_logits = logits
+        del logits  # so the backward frees the frame after the head's
+        _, grad_input = unet.backward(model, tape, need_params=False)
         return np.abs(grad_input[:, 0])
 
     return np.concatenate(unet.run_shards(shard, len(samples)))
@@ -87,7 +87,7 @@ class CanvasScene:
     """Composited oversized canvas with the object at its exact center."""
 
     canvas: np.ndarray        # (Hc, Wc) float32
-    target: np.ndarray        # (Hc, Wc) int64
+    target: np.ndarray        # (Hc, Wc) uint8 class map
     digit_class: int
     crop_hw: tuple[int, int]
 

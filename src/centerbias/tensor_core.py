@@ -535,9 +535,10 @@ def softmax_cross_entropy_pixelwise(
     """Pixel-wise cross-entropy of a logits frame, in place.
 
     `logits` is a (k, n, h + 2, w + 2) frame, such as the 1x1 head's output,
-    and `target` holds class indices shaped (n, h, w).  A pixel's loss is
-    -log softmax(logits)[target].  The frame is overwritten, ring
-    included.
+    and `target` holds class indices shaped (n, h, w), of any integer dtype
+    (the data's class maps are uint8; the bits do not depend on it).  A
+    pixel's loss is -log softmax(logits)[target].  The frame is
+    overwritten, ring included.
 
     With `need_grad`, returns (the sum of the pixel losses / `npix`, the
     gradient of that loss w.r.t. the logits), the gradient in the interior

@@ -69,6 +69,8 @@ class UNetConfig:
             raise ValueError("base_channels must be >= 1")
         if self.precision not in _DTYPES:
             raise ValueError(f"precision must be one of {tuple(_DTYPES)}")
+        if self.seed < 0:  # seed-tree names are non-negative
+            raise ValueError("seed must be >= 0")
 
     @property
     def dtype(self) -> np.dtype:
@@ -284,7 +286,7 @@ class _Tape:
     activations: dict[str, np.ndarray] = field(default_factory=dict)  # frames
     pools: list[tc.PoolRecord] = field(default_factory=list)
     concat_split: list[int] = field(default_factory=list)  # upsampled channels
-    input_shape: tuple = ()
+    grad_logits: np.ndarray | None = None  # set by the caller for backward
 
 
 def _conv_relu(layer: ConvLayer, x, tape, rng):
@@ -315,7 +317,7 @@ def forward(model: Model, batch: np.ndarray,
         raise ValueError(
             f"input dims {batch.shape[2:]} must be divisible by {div}")
     x = tc.to_frame(batch, cfg.dtype)
-    tape = _Tape(input_shape=batch.shape) if keep_tape else None
+    tape = _Tape() if keep_tape else None
     skips = []
     for lvl in range(cfg.depth):
         a, b = model.encoder[lvl]
@@ -347,44 +349,47 @@ def forward(model: Model, batch: np.ndarray,
     return logits, tape
 
 
-def backward(model: Model, tape: _Tape, grad_logits: np.ndarray, *,
-             need_input: bool = True, need_params: bool = True
+def backward(model: Model, tape: _Tape, *, need_input: bool = True,
+             need_params: bool = True
              ) -> tuple[list[np.ndarray] | None, np.ndarray | None]:
-    """VJP through the whole net, from the logits' gradient in a frame
-    shaped like forward's logits (the frame the training loss writes).
+    """VJP through the whole net, from `tape.grad_logits`: the logits'
+    gradient in a frame shaped like forward's logits (the frame the
+    training loss writes), which the caller sets after forward.
 
     Returns (param_grads, NCHW grad_input); param_grads aligns with
     model.parameters().  Each side is None, and not computed, unless asked
-    for by `need_params` / `need_input`.  Overwrites all of the
-    `grad_logits` buffer but its interior.
+    for by `need_params` / `need_input`.  A tape serves one backward: it
+    drops each record as soon as that layer's backward has used it, and the
+    `grad_logits` frame (all of it overwritten but its interior) after the
+    head's, so each is freed then unless the caller still holds it.
     """
     cfg = model.config
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def back_conv_relu(layer, g, need_input=True):
-        g = tc.relu_backward(tape.activations[layer.name], g)
-        gx, gw, gb = tc.conv2d_backward(tape.conv_tapes[layer.name], g,
+        g = tc.relu_backward(tape.activations.pop(layer.name), g)
+        gx, gw, gb = tc.conv2d_backward(tape.conv_tapes.pop(layer.name), g,
                                         need_input=need_input,
                                         need_params=need_params)
         grads[layer.name] = (gw, gb)
         return gx
 
-    g, gw, gb = tc.conv2d_backward(tape.conv_tapes[model.head.name],
-                                   grad_logits,
-                                   need_params=need_params)
+    g, gw, gb = tc.conv2d_backward(tape.conv_tapes.pop(model.head.name),
+                                   tape.grad_logits, need_params=need_params)
+    tape.grad_logits = None
     grads[model.head.name] = (gw, gb)
 
     skip_grads: dict[int, np.ndarray] = {}
-    for i, lvl in enumerate(range(cfg.depth - 1)):
+    for lvl in range(cfg.depth - 1):
         a, b = model.decoder[lvl]
         g = back_conv_relu(b, g)
         g = back_conv_relu(a, g)
-        split = tape.concat_split[len(tape.concat_split) - 1 - i]
+        split = tape.concat_split.pop()
         skip_grads[lvl] = g[split:]
         g = tc.upsample_nearest2x_backward(g[:split])
     for lvl in range(cfg.depth - 1, -1, -1):
         if lvl < cfg.depth - 1:
-            g = tc.maxpool2x2_backward(tape.pools[lvl], g)
+            g = tc.maxpool2x2_backward(tape.pools.pop(), g)
             g += skip_grads.pop(lvl)
         a, b = model.encoder[lvl]
         g = back_conv_relu(b, g)
@@ -415,9 +420,10 @@ def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
 
     def shard(lo, hi):
         logits, tape = forward(model, batch[lo:hi], shard_rngs[lo > 0])
-        loss, grad_logits = tc.softmax_cross_entropy_pixelwise(
+        loss, tape.grad_logits = tc.softmax_cross_entropy_pixelwise(
             logits, targets[lo:hi], npix=targets.size)
-        param_grads, _ = backward(model, tape, grad_logits, need_input=False)
+        del logits  # backward frees the frame after the head's backward
+        param_grads, _ = backward(model, tape, need_input=False)
         return loss, np.concatenate([g.reshape(-1) for g in param_grads])
 
     (loss, flat_grads), *rest = run_shards(shard, n)

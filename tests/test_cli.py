@@ -1,7 +1,11 @@
 """End-to-end CLI checks: exit codes, artifact emission, idempotence."""
 
+import gc
+import hashlib
 import json
 import os
+import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +220,27 @@ class TestConfigErrors:
         assert run(argv) == 4
         assert name in self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--count", "1"], ["saliency", "--out", "sal"]],
+        ids=["eval", "saliency"])
+    def test_checkpoint_with_negative_seed_exits_4_naming_it(
+            self, tmp_path, capsys, monkeypatch, argv):
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(
+            unet.build_unet(unet.UNetConfig(depth=1, base_channels=2)), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["config"]["seed"] = -1
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+
+        def no_model(*args):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(unet, "build_unet", no_model)
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--checkpoint", str(path)]) == 4
+        assert "seed" in self.assert_one_line_error(capsys)
+
     def test_negative_saliency_extent_exits_4(self, tmp_path, capsys):
         path = tmp_path / "model.ckpt"
         unet.save_checkpoint(
@@ -243,6 +268,23 @@ class TestGen:
         assert set(np.unique(lab)) <= {0} | {c * cli.LABEL_SCALE
                                              for c in range(1, 12)}
 
+    def test_label_maps_keep_their_bytes(self, tmp_path, capsys):
+        # digest of 16 label PGMs written from int64 class maps; uint8 maps
+        # must not wrap in the LABEL_SCALE product (class 10 -> gray 230)
+        out = tmp_path / "previews"
+        assert run(["gen", "--count", "16", "--out", str(out),
+                    "--set", "height=32", "--set", "width=32",
+                    "--set", "glyph_source=builtin:14"]) == 0
+        digest = hashlib.sha256()
+        grays = set()
+        for i in range(16):
+            path = out / f"label_{i:03d}.pgm"
+            digest.update(path.read_bytes())
+            grays.update(np.unique(netpbm.read_pnm(path)).tolist())
+        assert 10 * cli.LABEL_SCALE in grays
+        assert digest.hexdigest() == ("35d26b0a46d064cacf89998f5c02a359"
+                                      "4149da2a924a845b3a5ba364a3cc1153")
+
     def test_idempotent(self, tmp_path, capsys):
         out = tmp_path / "previews"
         argv = ["gen", "--count", "2", "--out", str(out),
@@ -268,6 +310,37 @@ class TestAudit:
                     "--out", str(out)]) == 0
         assert (out / "heatmap_centroid_widget.pgm").exists()
         assert (out / "heatmap_bbox_widget.csv").exists()
+
+
+class TestClosesFiles:
+    """Every reader closes what it opens: no ResourceWarning."""
+
+    def read_all(self, tmp_path):
+        assert run(["gen", "--count", "1", "--out", str(tmp_path),
+                    "--set", "height=32", "--set", "width=32",
+                    "--set", "glyph_source=builtin:14"]) == 0
+        netpbm.read_pnm(tmp_path / "sample_000.pgm")
+        (tmp_path / "train-images-idx3-ubyte").write_bytes(
+            b"\0\0\x08\x03" + struct.pack(">3I", 1, 2, 2) + bytes(4))
+        (tmp_path / "train-labels-idx1-ubyte").write_bytes(
+            b"\0\0\x08\x01" + struct.pack(">I", 1) + bytes(1))
+        data.load_glyph_dir(tmp_path)
+        doc = {"images": [{"id": 1, "width": 10, "height": 10}],
+               "annotations": [{"image_id": 1, "category_id": 7,
+                                "bbox": [4, 4, 2, 2]}],
+               "categories": [{"id": 7, "name": "widget"}]}
+        (tmp_path / "ann.json").write_text(json.dumps(doc))
+        assert run(["audit", "--annotations", str(tmp_path / "ann.json"),
+                    "--category", "widget", "--out",
+                    str(tmp_path / "audit")]) == 0
+
+    def test_no_unclosed_file(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            self.read_all(tmp_path)
+            gc.collect()
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.fixture(scope="module")

@@ -281,6 +281,9 @@ class TestDatasetStream:
         cfg = config()
         assert digest(data.iter_samples(cfg)) == digest(data.iter_samples(cfg))
 
+    def test_class_maps_are_uint8(self):
+        assert data.sample_at(config(), 3).target.dtype == np.uint8
+
     def test_per_index_seeding(self):
         cfg = config()
         alone = data.sample_at(cfg, 7)

@@ -283,9 +283,11 @@ class TestExport:
         np.testing.assert_array_equal(loaded.raw, record.raw)
         np.testing.assert_array_equal(loaded.per_repeat, record.per_repeat)
         assert loaded.config == record.config
-        first = open(paths["matrix_raw"]).read()
+        with open(paths["matrix_raw"]) as f:
+            first = f.read()
         harness.export_results(record)
-        assert open(paths["matrix_raw"]).read() == first
+        with open(paths["matrix_raw"]) as f:
+            assert f.read() == first
 
     def test_csv_matches_json_matrix(self, tmp_path):
         cfg = tiny_config(tmp_path)

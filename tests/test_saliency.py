@@ -129,6 +129,12 @@ class TestScene:
             assert (s.target > 0).sum() == (glyph > 0.5).sum()
             assert s.input.shape == (1, 1, 64, 96)
 
+    def test_class_maps_are_uint8(self):
+        glyph = data.builtin_glyphs().images[9]
+        scene = saliency.make_scene(glyph, 9, (64, 96), (4, 4))
+        assert scene.target.dtype == np.uint8
+        assert scene.crop(4, -4).target.dtype == np.uint8
+
     def test_shift_beyond_margin_rejected(self):
         glyph = data.builtin_glyphs().images[0]
         scene = saliency.make_scene(glyph, 0, (64, 96), (4, 4))

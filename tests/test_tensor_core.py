@@ -477,6 +477,21 @@ class TestSoftmaxCrossEntropy:
         _, grad = ce_nchw(logits, target)
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("need_grad", [True, False])
+    def test_uint8_and_int64_targets_give_the_same_bits(self, need_grad):
+        rng = np.random.default_rng(11)
+        logits = (4 * rng.standard_normal((3, 11, 8, 12))).astype(np.float32)
+        target = rng.integers(0, 11, (3, 8, 12)).astype(np.uint8)
+        runs = [tc.softmax_cross_entropy_pixelwise(
+                    tc.to_frame(logits), t, need_grad=need_grad)
+                for t in (target, target.astype(np.int64))]
+        (loss8, grad8), (loss64, grad64) = runs
+        assert np.asarray(loss8).tobytes() == np.asarray(loss64).tobytes()
+        if need_grad:
+            assert grad8.base.tobytes() == grad64.base.tobytes()
+        else:
+            assert grad8 is None and grad64 is None
+
     def test_gradient_lands_in_the_logits_frame(self):
         rng = np.random.default_rng(9)
         frame = tc.to_frame(rng.standard_normal((2, 4, 3, 5)))

@@ -66,6 +66,8 @@ def _load_config(start, path: str | None, overrides: list[str], **fixed):
 
 
 def cmd_audit(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
     with open(args.annotations, "rb") as f:
         payload = f.read()
     aset = coco_audit.parse_annotations(payload)

@@ -244,7 +244,9 @@ class ConvSpec:
 class ConvTape:
     """State saved by conv2d_forward for the matching backward call."""
 
-    padded: np.ndarray          # the input frame, its ring filled
+    # the input frame, its ring filled; a caller may drop it after forward
+    # if it puts back an equal frame before the backward call
+    padded: np.ndarray | None
     weights: np.ndarray
     spec: ConvSpec
     x_shape: tuple[int, int, int, int]   # the input's (n, c, h, w)
@@ -342,13 +344,16 @@ def _fold_reflect(f: np.ndarray) -> None:
 
 
 def conv2d_backward(tape: ConvTape, upstream: np.ndarray, *,
-                    need_input: bool = True, need_params: bool = True
+                    need_input: bool = True, need_params: bool = True,
+                    out: np.ndarray | None = None
                     ) -> tuple[np.ndarray | None, np.ndarray | None,
                                np.ndarray | None]:
     """Exact VJP of conv2d_forward: (grad_input frame, grad_weights,
     grad_bias).  A gradient not asked for by `need_input` / `need_params`
     is None and is not computed.  Overwrites all of the `upstream` buffer
-    but its interior."""
+    but its interior.  grad-input goes into frame `out` if given, which
+    may be `tape.padded` itself: every path reads an input column for
+    grad-W before it writes that column of grad-input, so bits match."""
     spec = tape.spec
     k, oc = spec.size, spec.out_channels
     n, c, h, w = tape.x_shape
@@ -356,6 +361,10 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray, *,
     if upstream.shape != (oc, n, h + 2, w + 2):
         raise ValueError(
             f"upstream shape {upstream.shape} does not match forward output")
+    if out is not None:
+        _rows(out, "out")
+        if out.shape != (c, n, h + 2, w + 2):
+            raise ValueError(f"out shape {out.shape} does not match the input")
     weights = tape.weights
     wp, g = w + 2, _guard(w + 2)
     # only interior outputs exist
@@ -367,7 +376,7 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray, *,
     if need_params:
         grad_bias = G.sum(axis=1)
     if need_input:
-        gx = _empty_frame(c, n, h, w, upstream.dtype)
+        gx = _empty_frame(c, n, h, w, upstream.dtype) if out is None else out
         GX = gx.base
     if k == 1:
         if need_params:

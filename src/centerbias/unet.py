@@ -285,8 +285,23 @@ class _Tape:
     conv_tapes: dict[str, tc.ConvTape] = field(default_factory=dict)
     activations: dict[str, np.ndarray] = field(default_factory=dict)  # frames
     pools: list[tc.PoolRecord] = field(default_factory=list)
-    concat_split: list[int] = field(default_factory=list)  # upsampled channels
+    # per decoder level, deepest first: (upsampled channels, filled ring of
+    # its input frame); see _decoder_input
+    concat_split: list[tuple] = field(default_factory=list)
     grad_logits: np.ndarray | None = None  # set by the caller for backward
+
+
+def _decoder_input(low, skip, ring=None):
+    """A decoder's input frame: frame `low` upsampled 2x, then the channels
+    of frame `skip`; the ring is zero, or restored from a saved `ring`
+    (copies of the edge rows, then of the edge columns)."""
+    split, n, hp, wp = low.shape[0], *skip.shape[1:]
+    cat = tc.new_frame(split + skip.shape[0], n, hp - 2, wp - 2, skip.dtype)
+    tc.upsample_nearest2x(low, out=cat[:split])
+    cat[split:] = skip
+    if ring is not None:
+        cat[:, :, [0, -1]], cat[:, :, 1:-1, [0, -1]] = ring
+    return cat
 
 
 def _conv_relu(layer: ConvLayer, x, tape, rng):
@@ -307,9 +322,11 @@ def forward(model: Model, batch: np.ndarray,
     a (num_classes, n, h + 2, w + 2) frame.  With `keep_tape=False` the
     tape is None and each activation is dropped once its consumer has run
     (the skips once the decoder has used them); the logits are bit-identical
-    either way.  `rng` is only consumed by random-fill padding, so runs are
-    deterministic given (weights, input) plus the seed when that mode is
-    active.
+    either way.  Of a decoder's input frame the tape keeps only the filled
+    ring (random draws cannot be recomputed); backward rebuilds the rest
+    from two activations on the tape.  `rng` is only consumed by
+    random-fill padding, so runs are deterministic given (weights, input)
+    plus the seed when that mode is active.
     """
     cfg = model.config
     div = 2 ** (cfg.depth - 1)
@@ -330,16 +347,13 @@ def forward(model: Model, batch: np.ndarray,
                 tape.pools.append(rec)
             x = rec.output
     for lvl in range(cfg.depth - 2, -1, -1):
-        skip = skips.pop()
-        split, n, hp, wp = x.shape[0], *skip.shape[1:]
-        cat = tc.new_frame(split + skip.shape[0], n, hp - 2, wp - 2, cfg.dtype)
-        tc.upsample_nearest2x(x, out=cat[:split])
-        cat[split:] = skip
-        del skip
-        if tape is not None:
-            tape.concat_split.append(split)
+        cat = _decoder_input(x, skips.pop())
         a, b = model.decoder[lvl]
-        x = _conv_relu(a, cat, tape, rng)
+        split, x = x.shape[0], _conv_relu(a, cat, tape, rng)
+        if tape is not None:
+            ring = cat[:, :, [0, -1]], cat[:, :, 1:-1, [0, -1]]
+            tape.concat_split.append((split, ring))
+            tape.conv_tapes[a.name].padded = None
         del cat
         x = _conv_relu(b, x, tape, rng)
     head = model.head
@@ -361,16 +375,17 @@ def backward(model: Model, tape: _Tape, *, need_input: bool = True,
     for by `need_params` / `need_input`.  A tape serves one backward: it
     drops each record as soon as that layer's backward has used it, and the
     `grad_logits` frame (all of it overwritten but its interior) after the
-    head's, so each is freed then unless the caller still holds it.
+    head's, so each is freed then unless the caller still holds it.  A
+    decoder's input frame is rebuilt, bit for bit, to take its gradient.
     """
     cfg = model.config
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
-    def back_conv_relu(layer, g, need_input=True):
+    def back_conv_relu(layer, g, need_input=True, out=None):
         g = tc.relu_backward(tape.activations.pop(layer.name), g)
         gx, gw, gb = tc.conv2d_backward(tape.conv_tapes.pop(layer.name), g,
                                         need_input=need_input,
-                                        need_params=need_params)
+                                        need_params=need_params, out=out)
         grads[layer.name] = (gw, gb)
         return gx
 
@@ -380,13 +395,17 @@ def backward(model: Model, tape: _Tape, *, need_input: bool = True,
     grads[model.head.name] = (gw, gb)
 
     skip_grads: dict[int, np.ndarray] = {}
+    lows = model.decoder[1:] + model.encoder[-1:]  # what each level upsamples
     for lvl in range(cfg.depth - 1):
         a, b = model.decoder[lvl]
         g = back_conv_relu(b, g)
-        g = back_conv_relu(a, g)
-        split = tape.concat_split.pop()
-        skip_grads[lvl] = g[split:]
-        g = tc.upsample_nearest2x_backward(g[:split])
+        split, ring = tape.concat_split.pop()
+        tape.conv_tapes[a.name].padded = _decoder_input(
+            tape.activations[lows[lvl][1].name],
+            tape.activations[model.encoder[lvl][1].name], ring)
+        g = back_conv_relu(a, g, out=tape.conv_tapes[a.name].padded)
+        g, skip_grads[lvl] = (tc.upsample_nearest2x_backward(g[:split]),
+                              g[split:].copy())  # g's frame is freed here
     for lvl in range(cfg.depth - 1, -1, -1):
         if lvl < cfg.depth - 1:
             g = tc.maxpool2x2_backward(tape.pools.pop(), g)

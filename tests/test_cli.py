@@ -297,19 +297,33 @@ class TestGen:
 
 
 class TestAudit:
+    DOC = {"images": [{"id": 1, "width": 100, "height": 100}],
+           "annotations": [{"image_id": 1, "category_id": 7,
+                            "bbox": [40, 40, 20, 20]}],
+           "categories": [{"id": 7, "name": "widget"}]}
+
     def test_writes_heatmaps(self, tmp_path, capsys):
-        doc = {"images": [{"id": 1, "width": 100, "height": 100}],
-               "annotations": [{"image_id": 1, "category_id": 7,
-                                "bbox": [40, 40, 20, 20]}],
-               "categories": [{"id": 7, "name": "widget"}]}
         ann = tmp_path / "ann.json"
-        ann.write_text(json.dumps(doc))
+        ann.write_text(json.dumps(self.DOC))
         out = tmp_path / "audit"
         assert run(["audit", "--annotations", str(ann), "--category",
                     "widget", "--grid", "8", "--mode", "both",
                     "--out", str(out)]) == 0
         assert (out / "heatmap_centroid_widget.pgm").exists()
         assert (out / "heatmap_bbox_widget.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["centroid", "bbox"])
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_grid_below_one_exits_4_naming_it(self, tmp_path, capsys, mode,
+                                              grid):
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(self.DOC))
+        assert run(["audit", "--annotations", str(ann), "--category",
+                    "widget", "--grid", grid, "--mode", mode,
+                    "--out", str(tmp_path / "audit")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "grid" in err
 
 
 class TestClosesFiles:

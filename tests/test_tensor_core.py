@@ -286,6 +286,56 @@ class TestConvBackward:
         assert gw_only.tobytes() == gw.tobytes()
         assert gb_only.tobytes() == gb.tobytes()
 
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
+                                      tc.random_pad(0.7)],
+                             ids=["zero", "circular", "reflect", "random"])
+    @pytest.mark.parametrize("cin,cout,size", [(2, 8, 3), (8, 2, 3),
+                                               (3, 2, 1)])
+    @pytest.mark.parametrize("need_input,need_params", [
+        (True, True), (True, False), (False, True), (False, False)])
+    def test_grad_input_over_the_input_frame_keeps_the_bits(
+            self, mode, cin, cout, size, need_input, need_params):
+        # out= the tape's own input frame, which grad-input overwrites; the
+        # whole buffer of grad-input, guards and tail included, keeps the
+        # bits of a new frame
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((3, cin, 64, 96)).astype(np.float32)
+        w = rng.standard_normal((cout, cin, size, size)).astype(np.float32)
+        g = rng.standard_normal((3, cout, 64, 96)).astype(np.float32)
+        spec = tc.ConvSpec(cin, cout, size, mode)
+
+        def backward(in_place):
+            _, tape = tc.conv2d_forward(tc.to_frame(x), w,
+                                        np.zeros(cout, np.float32), spec,
+                                        np.random.default_rng(1))
+            out = tape.padded if in_place else None
+            return out, tc.conv2d_backward(
+                tape, tc.to_frame(g), need_input=need_input,
+                need_params=need_params, out=out)
+
+        _, (gx, gw, gb) = backward(False)
+        frame, (gx2, gw2, gb2) = backward(True)
+        if need_input:
+            assert gx2 is frame and gx2.base.tobytes() == gx.base.tobytes()
+        else:
+            assert gx is None and gx2 is None
+        if need_params:
+            assert gw2.tobytes() == gw.tobytes()
+            assert gb2.tobytes() == gb.tobytes()
+        else:
+            assert gw is gw2 is gb is gb2 is None
+
+    def test_out_must_be_a_frame_of_the_input_shape(self):
+        _, tape = tc.conv2d_forward(tc.to_frame(np.zeros((1, 2, 4, 4))),
+                                    np.zeros((3, 2, 3, 3)), np.zeros(3),
+                                    tc.ConvSpec(2, 3, 3))
+        for out in (tc.new_frame(3, 1, 4, 4, np.float64),
+                    tc.new_frame(2, 1, 4, 6, np.float64),
+                    np.zeros((2, 1, 6, 6))):
+            with pytest.raises(ValueError, match="out"):
+                tc.conv2d_backward(tape, tc.to_frame(np.zeros((1, 3, 4, 4))),
+                                   out=out)
+
     def test_upstream_shape_mismatch(self):
         x = np.zeros((1, 1, 4, 4))
         w = np.zeros((1, 1, 3, 3))

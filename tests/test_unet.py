@@ -1,5 +1,6 @@
 """U-Net construction, training-step, determinism, and checkpoint oracles."""
 
+import hashlib
 import multiprocessing
 import os
 import platform
@@ -12,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from centerbias import data, unet
+from centerbias import data, saliency, unet
 from centerbias import tensor_core as tc
 
 
@@ -171,9 +172,10 @@ class TestTapeRelease:
 
     def test_step_peak_stays_near_the_tape(self):
         # one default shard (8 images at 64x96): forward, in-frame loss and
-        # a parameter backward that is handed the logits frame peak within
-        # 1.2x of what forward leaves live (a backward that kept its whole
-        # tape and the frame until it returned read 1.49x)
+        # a parameter backward that is handed the logits frame.  Absolute
+        # bounds, fixed before the first run: a tape that kept each
+        # decoder's input frame left 22.15 MB live and peaked at 25.27 MB,
+        # and a backward that pops no record peaks above 26 MB
         model = unet.build_unet(unet.UNetConfig(seed=1))
         samples = list(data.iter_samples(data.DatasetConfig(count=8,
                                                             master_seed=1)))
@@ -189,7 +191,8 @@ class TestTapeRelease:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * live, (peak / 1e6, live / 1e6)
+        assert live <= 16.5e6, live / 1e6
+        assert peak <= 20e6, peak / 1e6
 
 
 class TestTrainStep:
@@ -473,6 +476,51 @@ class TestPinnedLosses:
         losses = [unet.train_step(model, X[i:i + 4], T[i:i + 4], adam)
                   for i in range(0, 16, 4)]
         np.testing.assert_allclose(losses, self.PINNED[kind], rtol=1e-5)
+
+
+class TestBitsAcrossPaddings:
+    """Digests of four train steps (weights and losses), saliency maps and
+    per-image losses of the default net, recorded while the tape still kept
+    each decoder's input frame; rebuilding that frame in the backward must
+    keep every bit, random-padding draws on its ring included."""
+
+    DIGESTS = {
+        "zero": {"train": "708787a7b50f844a", "saliency": "09526fd97339b508",
+                 "losses": "eb94f4a93db0bf1f"},
+        "circular": {"train": "c3ea5f3a3db4af2e",
+                     "saliency": "184ad8592c1d66c4",
+                     "losses": "8174617a45352eed"},
+        "reflect": {"train": "2f7c4acbd28fdc7f",
+                    "saliency": "af19d4ebda16bea9",
+                    "losses": "264cb23fb91e1a53"},
+        "random": {"train": "991ffea139473850",
+                   "saliency": "8f7ecbe838a728e3",
+                   "losses": "fa4c1a14817dd2e2"},
+    }
+
+    @staticmethod
+    def digest(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("kind", list(DIGESTS))
+    def test_results_keep_their_bits(self, kind):
+        mode = tc.random_pad(1.0) if kind == "random" else tc.PaddingMode(kind)
+        samples = list(data.iter_samples(data.DatasetConfig(
+            height=32, width=48, count=8, master_seed=3)))
+        x = np.concatenate([s.input for s in samples])
+        t = np.stack([s.target for s in samples])
+        model = unet.build_unet(unet.UNetConfig(padding=mode, seed=7))
+        adam = tc.AdamState.for_params([model.flat_params])
+        rng = np.random.default_rng(11)
+        losses = [unet.train_step(model, x, t, adam, rng) for _ in range(4)]
+        got = {"train": self.digest(model.flat_params, np.array(losses)),
+               "saliency": self.digest(
+                   saliency.saliency_maps(model, samples, rng)),
+               "losses": self.digest(unet.sample_losses(model, x, t, rng))}
+        assert got == self.DIGESTS[kind]
 
 
 class TestWholeModelEquivariance:

@@ -282,7 +282,7 @@ def run_verification_suite(verbose: bool = True) -> bool:
     rng = np.random.default_rng(0)
     checks = []
 
-    for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT, tc.random_pad(1.0)):
+    for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT, tc.PaddingMode("random")):
         x = rng.standard_normal((2, 3, 6, 5))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
@@ -345,7 +345,7 @@ def run_verification_suite(verbose: bool = True) -> bool:
     # every padding mode fills and folds the ring at every level; depth 3
     # on 8x8 keeps reflect legal at the 2x2 level
     x = rng.standard_normal((1, 1, 8, 8))
-    for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT, tc.random_pad(1.0)):
+    for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT, tc.PaddingMode("random")):
         cfg = unet.UNetConfig(depth=3, base_channels=2, padding=mode,
                               precision="f64", seed=3)
         model = unet.build_unet(cfg)

@@ -77,7 +77,7 @@ def _record(cls, value, where: str):
     unknown = sorted(set(value) - {f.name for f in fields})
     if unknown:
         raise ValueError(
-            f"unknown config keys {[_key(where, k) for k in unknown]}")
+            f"unknown keys {[_key(where, k) for k in unknown]}")
     hints = get_type_hints(cls)
     kwargs = {}
     for f in fields:

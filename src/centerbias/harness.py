@@ -44,6 +44,14 @@ EVAL_BATCH = 32
 # --------------------------------------------------------------------------
 # configuration
 
+# keys of an experiment's `dataset` and `model` that every job sets itself
+# (see _train_job and evaluate_bands), and the fields they are set from
+_SET_BY_JOBS = (("dataset", "policy", "train_policies / eval_bands"),
+                ("dataset", "count", "train_count / eval_count"),
+                ("dataset", "master_seed", "master_seed"),
+                ("model", "seed", "master_seed"))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
@@ -86,6 +94,13 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
         augment.build_augmentations(  # validate before any job starts
             self.augmentations, (h, w))
+        for record, key, source in _SET_BY_JOBS:
+            default = getattr(getattr(ExperimentConfig, record), key)
+            if getattr(getattr(self, record), key) != default:
+                raise ValueError(
+                    f"{record}.{key} must keep its default "
+                    f"{to_dict(default)!r}: an experiment sets it from "
+                    f"{source}")
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -125,9 +140,11 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
     A cell is the mean of its samples' mean pixel cross-entropies.  Samples
     are generated and scored one EVAL_BATCH at a time, so memory does not
     grow with `eval_count`, and a sample's loss does not depend on the batch
-    size or the shard split (unless the padding is random), so neither does
-    the cell.  Each cell's streams are named after the policy's label, so
-    duplicate policies in the list produce identical cells.
+    size or the shard split, so neither does the cell.  Random padding is
+    the exception: each batch pads from its own stream, split between its
+    shards by `unet.run_shards`.  Each cell's streams are named after the
+    policy's label, so duplicate policies in the list produce identical
+    cells.
     """
     template = dataset_template or data.DatasetConfig()
     row = []
@@ -314,22 +331,20 @@ def normalize_matrix(raw: np.ndarray, eval_policies, mode: str) -> np.ndarray:
     return raw / raw[:, col:col + 1]
 
 
-def summarize_asymmetry(record_center: RunRecord, record_edge: RunRecord,
-                        center_band: int = 0, edge_band: int = -1,
-                        row: int = 0) -> dict:
-    """Cross-test ratios, averaged per repeat.
+def summarize_asymmetry(record_center: RunRecord,
+                        record_edge: RunRecord) -> dict:
+    """Cross-test ratios of the first train policy, averaged per repeat.
 
+    The first eval band is the central one and the last the edge one.
     center_to_edge_ratio: the center-trained model's edge-band loss over its
     central-band loss; edge_to_center_ratio: the edge-trained model's
     central-band loss over its edge-band loss.
     """
-    c = record_center.per_repeat[row]
-    e = record_edge.per_repeat[row]
+    c = record_center.per_repeat[0]
+    e = record_edge.per_repeat[0]
     return {
-        "center_to_edge_ratio": float(
-            np.mean(c[:, edge_band] / c[:, center_band])),
-        "edge_to_center_ratio": float(
-            np.mean(e[:, center_band] / e[:, edge_band])),
+        "center_to_edge_ratio": float(np.mean(c[:, -1] / c[:, 0])),
+        "edge_to_center_ratio": float(np.mean(e[:, 0] / e[:, -1])),
     }
 
 
@@ -399,20 +414,66 @@ def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
     return paths
 
 
+@dataclass(frozen=True)
+class _ResultsFile:
+    """results.json as export_results writes it, for config.from_dict."""
+
+    schema_version: int
+    config: ExperimentConfig
+    config_hash: str
+    train_labels: tuple[str, ...]
+    eval_labels: tuple[str, ...]
+    per_repeat: tuple[tuple[tuple[float, ...], ...], ...]
+    raw: tuple[tuple[float, ...], ...]
+    normalized: dict
+    traces: tuple[tuple[tuple[float, ...], ...], ...]
+    checkpoints: tuple[tuple[str, ...], ...]
+    wall_clock: dict
+
+
+def _has_shape(value, shape) -> bool:
+    return len(value) == shape[0] and (
+        len(shape) == 1 or all(_has_shape(v, shape[1:]) for v in value))
+
+
 def load_results(path) -> RunRecord:
-    """Rebuild a RunRecord from results.json (inverse of export_results)."""
+    """Rebuild a RunRecord from results.json (inverse of export_results).
+
+    The file is read by the config rule (see config): an unknown or missing
+    key or a mistyped value raises a ValueError naming the key, and so does
+    a matrix or trace whose shape disagrees with the labels, repeats and
+    epochs.
+    """
     with open(path) as f:
         payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    doc = from_dict(_ResultsFile, payload)
+    rows, bands = len(doc.train_labels), len(doc.eval_labels)
+    repeats, epochs = doc.config.repeats, doc.config.epochs
+    shapes = {"per_repeat": (doc.per_repeat, (rows, repeats, bands)),
+              "raw": (doc.raw, (rows, bands)),
+              "traces": (doc.traces, (rows, repeats, epochs)),
+              "checkpoints": (doc.checkpoints, (rows, repeats))}
+    for mode, matrix in doc.normalized.items():
+        key = f"normalized.{mode}"
+        if mode not in _REFERENCE:
+            raise ValueError(f"{key} is not one of {list(_REFERENCE)}")
+        shapes[key] = (from_dict(tuple[tuple[float, ...], ...], matrix, key),
+                       (rows, bands))
+    for key, (value, shape) in shapes.items():
+        if not _has_shape(value, shape):
+            raise ValueError(f"{key} must have shape {shape}, from the "
+                             f"labels, repeats and epochs")
     return RunRecord(
-        config=from_dict(ExperimentConfig, payload["config"], "config"),
-        config_hash=payload["config_hash"],
+        config=doc.config,
+        config_hash=doc.config_hash,
         train_labels=payload["train_labels"],
         eval_labels=payload["eval_labels"],
-        per_repeat=np.array(payload["per_repeat"]),
-        raw=np.array(payload["raw"]),
-        normalized={k: np.array(v)
-                    for k, v in payload["normalized"].items()},
+        per_repeat=np.array(doc.per_repeat),
+        raw=np.array(doc.raw),
+        normalized={k: np.array(v) for k, v in doc.normalized.items()},
         traces=payload["traces"],
         checkpoints=payload["checkpoints"],
-        wall_clock=payload["wall_clock"],
+        wall_clock=doc.wall_clock,
     )

@@ -9,7 +9,8 @@ centered map over the overlap, finally dividing the whole matrix by its
 population standard deviation.
 
 The crops of a shift map go through the network in batches of SHIFT_BATCH
-(8), each run as two shards of 4 (see unet), with a backward pass that
+(8), each run by `unet.run_shards` as two shards of 4, each shard padding
+from its own child of the batch's stream, with a backward pass that
 computes only the input gradient.  An image's bits do not depend on its
 batch position (see tensor_core), so every map equals the one computed
 alone, unless the padding is random.
@@ -49,21 +50,19 @@ def saliency_maps(model: unet.Model, samples: Sequence[Sample],
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Absolute input gradient of each sample's mask-mean true-class logit.
 
-    The samples run as two shards (see unet), each one taped forward over
-    its stacked inputs and one input-only backward; returns an (N, H, W)
-    array.  With random padding, each shard pads from its own child of
-    `rng`.  Raises before any forward pass if a sample has an empty mask.
+    The samples run through `unet.run_shards` with `rng`, each shard one
+    taped forward over its stacked inputs and one input-only backward;
+    returns an (N, H, W) array.  Raises before any forward pass if a sample
+    has an empty mask.
     """
     masks = [s.target > 0 for s in samples]
     for i, mask in enumerate(masks):
         if not mask.any():
             raise ValueError(f"sample {i} has an empty object mask")
-    shard_rngs = [None, None] if rng is None else rng.spawn(2)
 
-    def shard(lo, hi):
+    def shard(lo, hi, rng):
         logits, tape = unet.forward(
-            model, np.concatenate([s.input for s in samples[lo:hi]]),
-            shard_rngs[lo > 0])
+            model, np.concatenate([s.input for s in samples[lo:hi]]), rng)
         # the score's gradient w.r.t. the logits, in their frame
         logits[...] = 0
         for i in range(lo, hi):
@@ -74,7 +73,7 @@ def saliency_maps(model: unet.Model, samples: Sequence[Sample],
         _, grad_input = unet.backward(model, tape, need_params=False)
         return np.abs(grad_input[:, 0])
 
-    return np.concatenate(unet.run_shards(shard, len(samples)))
+    return np.concatenate(unet.run_shards(shard, len(samples), rng))
 
 
 def saliency_map(model: unet.Model, sample: Sample) -> np.ndarray:

@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "PaddingMode", "ZERO", "CIRCULAR", "REFLECT", "random_pad", "new_frame",
+    "PaddingMode", "ZERO", "CIRCULAR", "REFLECT", "new_frame",
     "to_frame", "from_frame", "ConvSpec", "ConvTape", "PoolRecord",
     "AdamState", "GradcheckReport", "pad", "conv2d_forward", "conv2d_backward",
     "maxpool2x2_forward", "maxpool2x2_backward", "relu", "relu_backward",
@@ -84,11 +84,6 @@ class PaddingMode:
 ZERO = PaddingMode("zero")
 CIRCULAR = PaddingMode("circular")
 REFLECT = PaddingMode("reflect")
-
-
-def random_pad(amplitude: float = 1.0) -> PaddingMode:
-    """Padding that fills the border with iid U[0, amplitude) draws."""
-    return PaddingMode("random", amplitude)
 
 
 def _require_nchw(x: np.ndarray, name: str = "input") -> None:

@@ -6,16 +6,19 @@ skip connection, and applies two more conv3x3+relu pairs; a 1x1 conv head
 emits per-pixel class logits.  The padding mode of every 3x3 conv is a config
 knob, which is the whole point of this laboratory.
 
-Every batch of n >= 2 images runs as two shards: the first n // 2 images and
-the rest.  The split depends on n alone, never on the machine, and an
-image's bits do not depend on its batch position (see tensor_core), so a
-shard's images come out as they would in the whole batch.  The second shard
-runs on one lazily started worker thread while the calling thread runs the
-first, each with one OpenBLAS thread (numpy releases the GIL in its kernels,
-so the two shards use two cores).  Without numpy's bundled OpenBLAS hook,
-inside a shard, or in a process that owns a single core (the experiment
-pool's workers), both shards run one after the other on the calling thread,
-with the same bits.  `train_step` sums the two shards' parameter gradients;
+Every batch runs through `run_shards`, the one rule for splitting it: n >= 2
+images run as two shards, the first n // 2 images and the rest, and the
+batch's random stream is spawned into two children before either shard
+runs, one per shard.  The split depends on n alone, never on the machine,
+and an image's bits do not depend on its batch position (see tensor_core),
+so a shard's images come out as they would in the whole batch, random
+padding's draws apart.  The second shard runs on one lazily started worker
+thread while the calling thread runs the first, each with one OpenBLAS
+thread (numpy releases the GIL in its kernels, so the two shards use two
+cores).  Without numpy's bundled OpenBLAS hook, inside a shard, or in a
+process that owns a single core (the experiment pool's workers), both shards
+run one after the other on the calling thread, with the same streams and
+bits.  `train_step` sums the two shards' parameter gradients;
 `sample_losses` and `saliency.saliency_maps` concatenate the shards'
 per-image results.  The logits stay in the head's output frame: a shard's
 loss, and in training its gradient, are computed there (see tensor_core).
@@ -238,29 +241,35 @@ def _keep_freed_heap() -> None:
 # process, so run_shards sets it before the worker starts and restores it
 # only after the worker is done; the worker sets its own too, for builds
 # where the setting is per thread.
-def _one_blas_thread(setter, shard, lo: int, hi: int):
+def _one_blas_thread(setter, shard, *args):
     prev = setter(1)
     try:
-        return shard(lo, hi)
+        return shard(*args)
     finally:
         setter(prev)
 
 
-def run_shards(shard, n: int) -> list:
-    """[shard(0, n // 2), shard(n // 2, n)] for n >= 2, else [shard(0, n)].
+def run_shards(shard, n: int,
+               rng: np.random.Generator | None = None) -> list:
+    """[shard(0, n // 2, r0), shard(n // 2, n, r1)] for n >= 2, else
+    [shard(0, n, r0)].
 
-    `shard(lo, hi)` handles images lo..hi-1.  The second shard runs on the
+    `shard(lo, hi, r)` handles images lo..hi-1, drawing from `r`.  `r0`
+    and `r1` are the two children of `rng`, spawned in shard order before
+    either shard runs (both None without `rng`), so neither the thread
+    timing nor the fallback can move a draw.  The second shard runs on the
     worker thread while this thread runs the first, each with one BLAS
     thread; both run here, one after the other, when there is no BLAS hook,
     in a single-core process, or when called from inside a shard.
     """
     global _shard_pool
+    r0, r1 = (None, None) if rng is None else rng.spawn(2)
     if n < 2:
-        return [shard(0, n)]
+        return [shard(0, n, r0)]
     h = n // 2
     setter = _blas_threads_hook() if _shard_thread else None
     if not setter or not _shard_lock.acquire(blocking=False):
-        return [shard(0, h), shard(h, n)]
+        return [shard(0, h, r0), shard(h, n, r1)]
     try:
         if _shard_pool is None:
             _keep_freed_heap()
@@ -268,9 +277,10 @@ def run_shards(shard, n: int) -> list:
                                              thread_name_prefix="unet-shard")
         prev = setter(1)
         try:
-            second = _shard_pool.submit(_one_blas_thread, setter, shard, h, n)
+            second = _shard_pool.submit(_one_blas_thread, setter, shard, h,
+                                        n, r1)
             try:
-                first = shard(0, h)
+                first = shard(0, h, r0)
             finally:
                 wait([second])
             return [first, second.result()]
@@ -428,24 +438,20 @@ def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
     """One forward/backward/Adam cycle; returns the pre-update loss.
 
     `adam` holds one moment pair for the flat parameter buffer:
-    AdamState.for_params([model.flat_params]).  The batch runs as two shards
-    (see the module docstring), each scaling its loss and gradient by the
-    whole batch's pixel count; the step adds shard 1's gradient to shard 0's
-    and the two losses.  With random padding, each shard pads from its own
-    child of `rng`, spawned before either shard runs.
+    AdamState.for_params([model.flat_params]).  The batch runs through
+    `run_shards` with `rng` (see the module docstring), each shard scaling
+    its loss and gradient by the whole batch's pixel count; the step adds
+    shard 1's gradient to shard 0's and the two losses.
     """
-    n = len(batch)
-    shard_rngs = [None, None] if rng is None else rng.spawn(2)
-
-    def shard(lo, hi):
-        logits, tape = forward(model, batch[lo:hi], shard_rngs[lo > 0])
+    def shard(lo, hi, rng):
+        logits, tape = forward(model, batch[lo:hi], rng)
         loss, tape.grad_logits = tc.softmax_cross_entropy_pixelwise(
             logits, targets[lo:hi], npix=targets.size)
         del logits  # backward frees the frame after the head's backward
         param_grads, _ = backward(model, tape, need_input=False)
         return loss, np.concatenate([g.reshape(-1) for g in param_grads])
 
-    (loss, flat_grads), *rest = run_shards(shard, n)
+    (loss, flat_grads), *rest = run_shards(shard, len(batch), rng)
     for shard_loss, grads in rest:
         loss += shard_loss
         flat_grads += grads
@@ -458,44 +464,57 @@ def sample_losses(model: Model, batch: np.ndarray, targets: np.ndarray,
                   rng: np.random.Generator | None = None) -> np.ndarray:
     """Each image's mean pixel cross-entropy, from a tape-free forward.
 
-    The batch runs as two shards (see the module docstring), each reduced to
-    its images' losses inside the shard, so no gradient, NCHW logits or
-    concatenated logits are made.  An image's loss does not depend on its
-    batch position or the shard split, unless the padding is random: a
-    random-padding batch runs whole, so its draws land where a taped
-    forward of the whole batch puts them.
+    The batch runs through `run_shards` with `rng` (see the module
+    docstring), each shard reduced to its images' losses inside the shard,
+    so no gradient, NCHW logits or concatenated logits are made.  An image's
+    loss does not depend on its batch position or the shard split, unless
+    the padding is random: then it depends on its shard's stream.
     """
-    def shard(lo, hi):
+    def shard(lo, hi, rng):
         logits, _ = forward(model, batch[lo:hi], rng, keep_tape=False)
         losses, _ = tc.softmax_cross_entropy_pixelwise(
             logits, targets[lo:hi], need_grad=False)
         return losses
 
-    if model.config.padding.kind == "random":
-        return shard(0, len(batch))
-    return np.concatenate(run_shards(shard, len(batch)))
+    return np.concatenate(run_shards(shard, len(batch), rng))
+
+
+@dataclass(frozen=True)
+class _CheckpointHeader:
+    """A checkpoint's header line, written and read by the config codec."""
+
+    format: str
+    version: int
+    config: UNetConfig
+    precision: str
+    step: int
+    param_shapes: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if self.step < 0:
+            raise ValueError("step must be >= 0")
 
 
 def save_checkpoint(model: Model, path) -> None:
     """One JSON header line, then all parameters as little-endian floats."""
     params = model.parameters()
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "config": to_dict(model.config),
-        "precision": model.config.precision,
-        "step": model.step,
-        "param_shapes": [list(p.shape) for p in params],
-    }
+    header = _CheckpointHeader(
+        CHECKPOINT_FORMAT, CHECKPOINT_VERSION, model.config,
+        model.config.precision, model.step,
+        tuple(p.shape for p in params))
     le = "<f4" if model.config.precision == "f32" else "<f8"
     with open(path, "wb") as f:
-        f.write(json.dumps(header).encode() + b"\n")
+        f.write(json.dumps(to_dict(header)).encode() + b"\n")
         for p in params:
             f.write(np.ascontiguousarray(p, dtype=le).tobytes())
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model bit-exactly from save_checkpoint output."""
+    """Rebuild a model bit-exactly from save_checkpoint output.
+
+    The header is read by the config rule (see config): an unknown or
+    missing key or a mistyped value raises a ValueError naming the key.
+    """
     with open(path, "rb") as f:
         header_line = f.readline()
         payload = f.read()
@@ -503,22 +522,24 @@ def load_checkpoint(path) -> Model:
         header = json.loads(header_line)
     except json.JSONDecodeError as e:
         raise ValueError(f"corrupt checkpoint header: {e}") from e
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header must be a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("not a centerbias U-Net checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version {header.get('version')!r}: "
                          f"this build reads version {CHECKPOINT_VERSION}")
-    config = from_dict(UNetConfig, header["config"], "config")
-    if header["precision"] != config.precision:
+    header = from_dict(_CheckpointHeader, header)
+    config = header.config
+    if header.precision != config.precision:
         raise ValueError("header precision disagrees with config")
     model = build_unet(config)
-    model.step = int(header.get("step", 0))
+    model.step = header.step
     params = model.parameters()
-    shapes = [tuple(s) for s in header["param_shapes"]]
-    if shapes != [p.shape for p in params]:
-        raise ValueError("checkpoint shapes do not match its config")
+    if header.param_shapes != tuple(p.shape for p in params):
+        raise ValueError("param_shapes do not match config")
     le = np.dtype("<f4" if config.precision == "f32" else "<f8")
-    expected = sum(int(np.prod(s)) for s in shapes) * le.itemsize
+    expected = model.flat_params.size * le.itemsize
     if len(payload) != expected:
         raise ValueError(
             f"payload holds {len(payload)} bytes, header declares {expected}")

@@ -200,6 +200,112 @@ class TestConfigErrors:
         assert "checkpoint version 1: this build reads version 2" in \
             self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("override, key, source", [
+        ("dataset.master_seed=99", "dataset.master_seed", "master_seed"),
+        ("dataset.count=5", "dataset.count", "train_count / eval_count"),
+        ('dataset.policy={"kind": "band", "lo": 0.0, "hi": 0.1}',
+         "dataset.policy", "train_policies / eval_bands"),
+        ("model.seed=4", "model.seed", "master_seed"),
+    ])
+    def test_key_an_experiment_sets_exits_4_before_generation(
+            self, tmp_path, capsys, no_samples, override, key, source):
+        # each job replaces these keys, so another value would only change
+        # the config hash
+        assert run(["train", "--set", override, "--workers", "1",
+                    "--out", str(tmp_path)]) == 4
+        err = self.assert_one_line_error(capsys)
+        assert err.startswith(f"error: {key} must keep its default")
+        assert err.endswith(f"an experiment sets it from {source}\n")
+
+    @staticmethod
+    def rewrite_checkpoint(tmp_path, edit):
+        """A small checkpoint whose header dict is replaced by edit(dict)."""
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(
+            unet.build_unet(unet.UNetConfig(depth=1, base_channels=2)), path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        doc = edit(json.loads(header))
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        return path
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("param_shapes", 5, "param_shapes must be a list"),
+        ("param_shapes", [2, 1, 3], "param_shapes[0] must be a list"),
+        ("param_shapes", [[2, 1, 3]], "param_shapes do not match config"),
+        ("step", [1], "step must be an integer"),
+        ("step", -1, "step must be >= 0"),
+        ("precision", None, "precision is required"),
+        ("config", None, "config is required"),
+        ("mystery", 1, "['mystery']"),
+    ])
+    def test_malformed_checkpoint_header_exits_4_naming_the_key(
+            self, tmp_path, capsys, key, value, message):
+        def edit(doc):
+            doc.pop(key, None)
+            return doc if value is None else {**doc, key: value}
+
+        path = self.rewrite_checkpoint(tmp_path, edit)
+        assert run(["eval", "--checkpoint", str(path), "--count", "1"]) == 4
+        assert message in self.assert_one_line_error(capsys)
+
+    def test_checkpoint_header_list_exits_4(self, tmp_path, capsys):
+        path = self.rewrite_checkpoint(tmp_path, lambda doc: [doc])
+        assert run(["eval", "--checkpoint", str(path), "--count", "1"]) == 4
+        assert "JSON object" in self.assert_one_line_error(capsys)
+
+    @pytest.fixture
+    def results_doc(self, tmp_path):
+        """A well-formed results.json of one train policy, one repeat and
+        one epoch, as a dict."""
+        config = harness.ExperimentConfig(repeats=1, epochs=1,
+                                          output_dir=str(tmp_path / "run"))
+        record = harness.RunRecord(
+            config, harness.config_hash(config), ["unrestricted"],
+            ["band:0-0.1", "band:0.9-1"], per_repeat=np.ones((1, 1, 2)),
+            raw=np.ones((1, 2)),
+            normalized={"by_central_band": np.ones((1, 2))},
+            traces=[[[2.0]]], checkpoints=[["train0_rep0.ckpt"]])
+        path = harness.export_results(record)["results"]
+        with open(path) as f:
+            return json.load(f)
+
+    def report(self, tmp_path, doc):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return run(["report", "--results", str(path), "--out",
+                    str(tmp_path / "report")])
+
+    def test_well_formed_results_render(self, tmp_path, capsys, results_doc):
+        assert self.report(tmp_path, results_doc) == 0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("raw", "x", "raw must be a list, got 'x'"),
+        ("raw", [1.0, 1.0], "raw[0] must be a list"),
+        ("raw", [[1.0]], "raw must have shape (1, 2)"),
+        ("per_repeat", [[[1.0, 1.0]], [[1.0, 1.0]]],
+         "per_repeat must have shape (1, 1, 2)"),
+        ("train_labels", 5, "train_labels must be a list, got 5"),
+        ("traces", None, "traces is required"),
+        ("traces", [[[1.0, 2.0]]], "traces must have shape (1, 1, 1)"),
+        ("checkpoints", [[3]], "checkpoints[0][0] must be a string"),
+        ("normalized", {"by_edge": [[1.0, 1.0]]}, "normalized.by_edge"),
+        ("normalized", {"by_central_band": [["x", 1.0]]},
+         "normalized.by_central_band[0][0] must be a number"),
+        ("config", None, "config is required"),
+        ("mystery", 1, "['mystery']"),
+    ])
+    def test_malformed_results_exit_4_naming_the_key(
+            self, tmp_path, capsys, results_doc, key, value, message):
+        results_doc.pop(key, None)
+        if value is not None:
+            results_doc[key] = value
+        assert self.report(tmp_path, results_doc) == 4
+        assert message in self.assert_one_line_error(capsys)
+
+    def test_results_list_exits_4(self, tmp_path, capsys):
+        assert self.report(tmp_path, [1, 2]) == 4
+        assert "JSON object" in self.assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("argv, name", [
         (["eval", "--checkpoint", "m.ckpt", "--seed", "-1"], "--seed"),
         (["saliency", "--checkpoint", "m.ckpt", "--out", "sal",

@@ -72,12 +72,12 @@ class TestCodec:
 
 class TestPadding:
     def test_only_random_has_an_amplitude(self):
-        assert tc.PaddingMode("random") == tc.random_pad(1.0)
+        assert tc.PaddingMode("random") == tc.PaddingMode("random", 1.0)
         assert tc.ZERO.amplitude is None
         with pytest.raises(ValueError, match="takes no amplitude"):
             tc.PaddingMode("circular", 1.0)
         with pytest.raises(ValueError, match=">= 0"):
-            tc.random_pad(-1.0)
+            tc.PaddingMode("random", -1.0)
 
 
 VARIANTS = [
@@ -95,7 +95,8 @@ VARIANTS = [
     (tc.PaddingMode, tc.ZERO, {"kind": "zero"}),
     (tc.PaddingMode, tc.CIRCULAR, {"kind": "circular"}),
     (tc.PaddingMode, tc.REFLECT, {"kind": "reflect"}),
-    (tc.PaddingMode, tc.random_pad(2.0), {"kind": "random", "amplitude": 2.0}),
+    (tc.PaddingMode, tc.PaddingMode("random", 2.0),
+     {"kind": "random", "amplitude": 2.0}),
 ]
 
 
@@ -113,7 +114,7 @@ class TestFormat:
 
     def model(self):
         return unet.build_unet(unet.UNetConfig(
-            depth=1, base_channels=2, padding=tc.random_pad(2.0)))
+            depth=1, base_channels=2, padding=tc.PaddingMode("random", 2.0)))
 
     def test_checkpoint_header_is_pinned_and_loads(self, tmp_path):
         header = (

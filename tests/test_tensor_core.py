@@ -74,7 +74,8 @@ class TestPad:
     def test_interior_exact_and_shape(self):
         rng = np.random.default_rng(0)
         x = rng.random((2, 3, 4, 5))
-        for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT, tc.random_pad(2.0)):
+        for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT,
+                     tc.PaddingMode("random", 2.0)):
             out = tc.pad(tc.to_frame(x), mode, np.random.default_rng(1))
             assert out.shape == (3, 2, 6, 7)
             np.testing.assert_array_equal(tc.from_frame(out), x)
@@ -87,9 +88,9 @@ class TestPad:
 
     def test_random_border_in_range_and_seeded(self):
         x = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        a = tc.pad(tc.to_frame(x), tc.random_pad(0.5),
+        a = tc.pad(tc.to_frame(x), tc.PaddingMode("random", 0.5),
                    np.random.default_rng(7))
-        b = tc.pad(tc.to_frame(x), tc.random_pad(0.5),
+        b = tc.pad(tc.to_frame(x), tc.PaddingMode("random", 0.5),
                    np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
         border = a[a != 0]
@@ -98,7 +99,8 @@ class TestPad:
 
     def test_random_requires_rng(self):
         with pytest.raises(ValueError):
-            tc.pad(tc.to_frame(np.zeros((1, 1, 2, 2))), tc.random_pad())
+            tc.pad(tc.to_frame(np.zeros((1, 1, 2, 2))),
+                   tc.PaddingMode("random"))
 
 
 class TestConvForward:
@@ -139,7 +141,7 @@ class TestConvForward:
         widths = ((0, 0), (0, 0), (1, 1), (1, 1))
         for mode, np_mode in ((tc.ZERO, "constant"), (tc.CIRCULAR, "wrap"),
                               (tc.REFLECT, "reflect"),
-                              (tc.random_pad(0.7), "constant")):
+                              (tc.PaddingMode("random", 0.7), "constant")):
             spec = tc.ConvSpec(3, 4, 3, mode)
             y, _ = conv_nchw(x, w, b, spec, np.random.default_rng(5))
             xp = np.pad(x, widths, mode=np_mode)
@@ -196,13 +198,13 @@ class TestConvBackward:
         x = rng.standard_normal((1, 2, 5, 5))
         w = rng.standard_normal((2, 2, 3, 3))
         b = rng.standard_normal(2)
-        spec = tc.ConvSpec(2, 2, 3, tc.random_pad(0.7))
+        spec = tc.ConvSpec(2, 2, 3, tc.PaddingMode("random", 0.7))
         report = tc.gradcheck(conv_op(spec, seed=42), [x, w, b], 1e-4,
                               np.random.default_rng(8))
         assert report.passed, report
 
     @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                      tc.random_pad(0.7)])
+                                      tc.PaddingMode("random", 0.7)])
     def test_finite_difference_1x1(self, mode):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 3, 4, 5))
@@ -227,7 +229,7 @@ class TestConvBackward:
         assert report.passed, report
 
     @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                      tc.random_pad(0.7)])
+                                      tc.PaddingMode("random", 0.7)])
     @pytest.mark.parametrize("cin,cout", [(1, 4), (4, 1)])
     def test_finite_difference_both_stacking_sides(self, mode, cin, cout):
         # thin input stacks the input slices, thin output the GEMM output
@@ -260,7 +262,7 @@ class TestConvBackward:
             np.testing.assert_array_equal(gb, gb2, mode.kind)
 
     @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                      tc.random_pad(0.7)],
+                                      tc.PaddingMode("random", 0.7)],
                              ids=["zero", "circular", "reflect", "random"])
     @pytest.mark.parametrize("cin,cout,size", [(2, 8, 3), (8, 2, 3),
                                                (3, 2, 1)])
@@ -287,7 +289,7 @@ class TestConvBackward:
         assert gb_only.tobytes() == gb.tobytes()
 
     @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                      tc.random_pad(0.7)],
+                                      tc.PaddingMode("random", 0.7)],
                              ids=["zero", "circular", "reflect", "random"])
     @pytest.mark.parametrize("cin,cout,size", [(2, 8, 3), (8, 2, 3),
                                                (3, 2, 1)])

@@ -107,7 +107,7 @@ class TestForwardBackward:
         assert len(digests) == 1
 
     @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                         tc.random_pad(1.0)],
+                                         tc.PaddingMode("random", 1.0)],
                              ids=["zero", "circular", "reflect", "random"])
     def test_partial_backward_keeps_the_full_bits(self, padding):
         model = unet.build_unet(unet.UNetConfig(padding=padding, seed=2))
@@ -131,7 +131,7 @@ class TestForwardBackward:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("padding", [tc.ZERO, tc.REFLECT,
-                                         tc.random_pad(1.0)],
+                                         tc.PaddingMode("random", 1.0)],
                              ids=["zero", "reflect", "random"])
     def test_forward_without_tape_is_bit_identical(self, padding):
         model = unet.build_unet(small_config(padding=padding, depth=3))
@@ -143,7 +143,7 @@ class TestForwardBackward:
         assert bare.tobytes() == taped.tobytes()
 
     def test_forward_deterministic_with_random_padding(self):
-        cfg = small_config(padding=tc.random_pad(1.0))
+        cfg = small_config(padding=tc.PaddingMode("random", 1.0))
         model = unet.build_unet(cfg)
         x = np.random.default_rng(3).random((1, 1, 8, 8)).astype(np.float32)
         a, _ = unet.forward(model, x, np.random.default_rng(11))
@@ -258,17 +258,40 @@ class TestShards:
         for n, bounds in ((1, [(0, 1)]), (2, [(0, 1), (1, 2)]),
                           (5, [(0, 2), (2, 5)])):
             runs = unet.run_shards(
-                lambda lo, hi: (lo, hi, threading.current_thread()), n)
+                lambda lo, hi, rng: (lo, hi, threading.current_thread()), n)
             assert [r[:2] for r in runs] == bounds
             assert runs[0][2] is threading.current_thread()
             if n >= 2:
                 assert runs[1][2].name.startswith("unet-shard")
 
+    def test_each_shard_draws_from_its_own_child_of_the_stream(
+            self, monkeypatch):
+        # the children are spawned in shard order before either shard
+        # runs: child 0 for the first (or only) shard, child 1 for the
+        # second, on the worker thread and in the serial fallback alike
+        require_blas_hook()
+        c0, c1 = [c.random() for c in np.random.default_rng(5).spawn(2)]
+
+        def run(n):
+            return unet.run_shards(
+                lambda lo, hi, rng: (rng.random(),
+                                     threading.current_thread().name),
+                n, np.random.default_rng(5))
+
+        here = threading.current_thread().name
+        assert run(1) == [(c0, here)]
+        (first, at), (second, worker) = run(5)
+        assert (first, at, second) == (c0, here, c1)
+        assert worker.startswith("unet-shard")
+        monkeypatch.setattr(unet, "_blas_setter", False)
+        assert run(5) == [(c0, here), (c1, here)]
+        assert unet.run_shards(lambda lo, hi, rng: rng, 5) == [None, None]
+
     def test_nested_shards_run_on_the_calling_thread(self):
         require_blas_hook()
         nested = unet.run_shards(
-            lambda lo, hi: unet.run_shards(
-                lambda a, b: threading.current_thread(), 2), 2)
+            lambda lo, hi, rng: unet.run_shards(
+                lambda a, b, r: threading.current_thread(), 2), 2)
         assert nested[0][0] is not nested[1][0]
         for pair in nested:
             assert pair[0] is pair[1]
@@ -277,7 +300,7 @@ class TestShards:
         require_blas_hook()
         done = []
 
-        def shard(lo, hi):
+        def shard(lo, hi, rng):
             if lo == 0:
                 raise RuntimeError("shard 0 failed")
             time.sleep(0.2)
@@ -293,9 +316,9 @@ class TestShards:
     def test_forked_child_runs_shards(self):
         # the parent's worker thread does not exist in a forked child
         require_blas_hook()
-        unet.run_shards(lambda lo, hi: hi, 2)
+        unet.run_shards(lambda lo, hi, rng: hi, 2)
         child = multiprocessing.get_context("fork").Process(
-            target=unet.run_shards, args=(lambda lo, hi: hi, 2))
+            target=unet.run_shards, args=(lambda lo, hi, rng: hi, 2))
         child.start()
         child.join(timeout=60)
         if child.is_alive():
@@ -313,8 +336,8 @@ class TestShards:
             try:
                 for _ in range(200):
                     n = 2 + k
-                    assert unet.run_shards(lambda lo, hi: (k, lo, hi), n) \
-                        == [(k, 0, n // 2), (k, n // 2, n)]
+                    runs = unet.run_shards(lambda lo, hi, rng: (k, lo, hi), n)
+                    assert runs == [(k, 0, n // 2), (k, n // 2, n)]
             except BaseException as e:
                 errors.append(e)
 
@@ -335,7 +358,7 @@ class TestShards:
         assert after == 2
 
     @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR,
-                                         tc.random_pad(1.0)],
+                                         tc.PaddingMode("random", 1.0)],
                              ids=["zero", "circular", "random"])
     def test_train_step_threaded_equals_serial(self, monkeypatch, padding):
         # random padding: each shard's stream is drawn from the step's rng
@@ -432,6 +455,31 @@ class TestShards:
         assert sharded.dtype == np.float64
         assert sharded.tobytes() == whole.tobytes()
 
+    def test_random_padding_losses_run_both_shards(self, monkeypatch):
+        # random padding splits an evaluation batch like every other mode:
+        # shard k pads from child k of the batch's stream
+        require_blas_hook()
+        model = unet.build_unet(small_config(
+            padding=tc.PaddingMode("random"), depth=3))
+        rng = np.random.default_rng(9)
+        x = rng.random((5, 1, 16, 24)).astype(np.float32)
+        t = rng.integers(0, 11, (5, 16, 24)).astype(np.uint8)
+        threads = shard_threads(monkeypatch)
+        threaded = unet.sample_losses(model, x, t, np.random.default_rng(4))
+        assert {name.startswith("unet-shard") for name in threads} == \
+            {True, False}
+        threads.clear()
+        monkeypatch.setattr(unet, "_blas_setter", False)
+        serial = unet.sample_losses(model, x, t, np.random.default_rng(4))
+        assert set(threads) == {threading.current_thread().name}
+        assert serial.tobytes() == threaded.tobytes()
+        children = np.random.default_rng(4).spawn(2)
+        for (lo, hi), child in zip(((0, 2), (2, 5)), children):
+            logits, _ = unet.forward(model, x[lo:hi], child, keep_tape=False)
+            alone, _ = tc.softmax_cross_entropy_pixelwise(
+                logits, t[lo:hi], need_grad=False)
+            assert serial[lo:hi].tobytes() == alone.tobytes()
+
     def test_step_gradient_and_loss_are_the_whole_batch_ones(self):
         # f64, odd batch: the shards' gradients and losses, each scaled by
         # the whole batch's pixel count, add up to the whole batch's; a
@@ -482,7 +530,9 @@ class TestBitsAcrossPaddings:
     """Digests of four train steps (weights and losses), saliency maps and
     per-image losses of the default net, recorded while the tape still kept
     each decoder's input frame; rebuilding that frame in the backward must
-    keep every bit, random-padding draws on its ring included."""
+    keep every bit, random-padding draws on its ring included.  The random
+    padding losses were re-pinned when its evaluation batches began to run
+    as two shards, each padding from its own child of the batch's stream."""
 
     DIGESTS = {
         "zero": {"train": "708787a7b50f844a", "saliency": "09526fd97339b508",
@@ -495,7 +545,7 @@ class TestBitsAcrossPaddings:
                     "losses": "264cb23fb91e1a53"},
         "random": {"train": "991ffea139473850",
                    "saliency": "8f7ecbe838a728e3",
-                   "losses": "fa4c1a14817dd2e2"},
+                   "losses": "e1d2069f1fa18654"},
     }
 
     @staticmethod
@@ -507,7 +557,7 @@ class TestBitsAcrossPaddings:
 
     @pytest.mark.parametrize("kind", list(DIGESTS))
     def test_results_keep_their_bits(self, kind):
-        mode = tc.random_pad(1.0) if kind == "random" else tc.PaddingMode(kind)
+        mode = tc.PaddingMode(kind)
         samples = list(data.iter_samples(data.DatasetConfig(
             height=32, width=48, count=8, master_seed=3)))
         x = np.concatenate([s.input for s in samples])

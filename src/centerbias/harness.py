@@ -368,6 +368,24 @@ def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     return row_labels, col_labels, matrix
 
 
+@dataclass(frozen=True)
+class _ResultsFile:
+    """results.json, written by export_results through config.to_dict and
+    read by load_results through config.from_dict."""
+
+    schema_version: int
+    config: ExperimentConfig
+    config_hash: str
+    train_labels: tuple[str, ...]
+    eval_labels: tuple[str, ...]
+    per_repeat: tuple[tuple[tuple[float, ...], ...], ...]
+    raw: tuple[tuple[float, ...], ...]
+    normalized: dict
+    traces: tuple[tuple[tuple[float, ...], ...], ...]
+    checkpoints: tuple[tuple[str, ...], ...]
+    wall_clock: dict
+
+
 def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
     """Write results.json plus raw/normalized matrices and band curves.
 
@@ -380,21 +398,21 @@ def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
              "matrix_raw": os.path.join(out, "matrix_raw.csv"),
              "curves": os.path.join(out, "curves.csv")}
 
-    payload = {
-        "schema_version": record.config.schema_version,
-        "config": to_dict(record.config),
-        "config_hash": record.config_hash,
-        "train_labels": record.train_labels,
-        "eval_labels": record.eval_labels,
-        "per_repeat": record.per_repeat.tolist(),
-        "raw": record.raw.tolist(),
-        "normalized": {k: v.tolist() for k, v in record.normalized.items()},
-        "traces": record.traces,
-        "checkpoints": record.checkpoints,
-        "wall_clock": record.wall_clock,
-    }
+    doc = _ResultsFile(
+        schema_version=record.config.schema_version,
+        config=record.config,
+        config_hash=record.config_hash,
+        train_labels=record.train_labels,
+        eval_labels=record.eval_labels,
+        per_repeat=record.per_repeat.tolist(),
+        raw=record.raw.tolist(),
+        normalized={k: v.tolist() for k, v in record.normalized.items()},
+        traces=record.traces,
+        checkpoints=record.checkpoints,
+        wall_clock=record.wall_clock,
+    )
     with open(paths["results"], "w") as f:
-        json.dump(payload, f, indent=1)
+        json.dump(to_dict(doc), f, indent=1)
 
     write_matrix_csv(paths["matrix_raw"], record.train_labels,
                      record.eval_labels, record.raw)
@@ -412,23 +430,6 @@ def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
             writer.writerow([band] + [f"{record.raw[i, j]:.9g}"
                                       for i in range(record.raw.shape[0])])
     return paths
-
-
-@dataclass(frozen=True)
-class _ResultsFile:
-    """results.json as export_results writes it, for config.from_dict."""
-
-    schema_version: int
-    config: ExperimentConfig
-    config_hash: str
-    train_labels: tuple[str, ...]
-    eval_labels: tuple[str, ...]
-    per_repeat: tuple[tuple[tuple[float, ...], ...], ...]
-    raw: tuple[tuple[float, ...], ...]
-    normalized: dict
-    traces: tuple[tuple[tuple[float, ...], ...], ...]
-    checkpoints: tuple[tuple[str, ...], ...]
-    wall_clock: dict
 
 
 def _has_shape(value, shape) -> bool:
@@ -468,12 +469,12 @@ def load_results(path) -> RunRecord:
     return RunRecord(
         config=doc.config,
         config_hash=doc.config_hash,
-        train_labels=payload["train_labels"],
-        eval_labels=payload["eval_labels"],
+        train_labels=list(doc.train_labels),
+        eval_labels=list(doc.eval_labels),
         per_repeat=np.array(doc.per_repeat),
         raw=np.array(doc.raw),
         normalized={k: np.array(v) for k, v in doc.normalized.items()},
-        traces=payload["traces"],
-        checkpoints=payload["checkpoints"],
+        traces=to_dict(doc.traces),
+        checkpoints=to_dict(doc.checkpoints),
         wall_clock=doc.wall_clock,
     )

@@ -146,13 +146,10 @@ class TestEvaluateBands:
                                        dataset_template=self.template())
         assert np.array(again).tobytes() == np.array(row).tobytes()
 
-    def test_memory_does_not_grow_with_the_count(self, monkeypatch):
-        # samples are generated and scored one batch at a time.  The shards
-        # run one after the other: on two threads the peak depends on
-        # whether the two shards' peaks meet, up to 3.7 MB more in any
-        # one batch, and more batches only give them more chances to meet
+    @staticmethod
+    def traced_peaks():
+        """tracemalloc's peak while evaluating 32 samples, then 512."""
         import tracemalloc
-        monkeypatch.setattr(unet, "_blas_setter", False)
         model = unet.build_unet(unet.UNetConfig(seed=1))
         peaks = []
         for count in (32, 512):
@@ -162,6 +159,19 @@ class TestEvaluateBands:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_memory_does_not_grow_with_the_count(self):
+        # samples are generated and scored one batch at a time
+        peaks = self.traced_peaks()
+        assert peaks[1] - peaks[0] < 2e6, peaks
+
+    def test_memory_does_not_grow_with_the_count_serial_shards(
+            self, monkeypatch):
+        # the same with both shards of each batch on the calling thread, as
+        # in the experiment pool's workers
+        monkeypatch.setattr(unet, "_shard_thread", False)
+        peaks = self.traced_peaks()
         assert peaks[1] - peaks[0] < 2e6, peaks
 
 
@@ -292,6 +302,26 @@ class TestExport:
         harness.export_results(record)
         with open(paths["matrix_raw"]) as f:
             assert f.read() == first
+
+    def test_loaded_record_exports_the_same_bytes(self, tmp_path):
+        config = harness.ExperimentConfig(repeats=2, epochs=2,
+                                          output_dir=str(tmp_path))
+        record = harness.RunRecord(
+            config, harness.config_hash(config), ["unrestricted"],
+            ["band:0-0.1", "band:0.9-1"],
+            per_repeat=np.arange(4.0).reshape(1, 2, 2) / 3,
+            raw=np.array([[0.1, 1 / 7]]),
+            normalized={"by_central_band": np.ones((1, 2)) / 3},
+            traces=[[[2.0, 1.5], [2.5, 1 / 3]]],
+            checkpoints=[["a.ckpt", "b.ckpt"]],
+            wall_clock={"total_seconds": 1.25, "workers": 2})
+        first = harness.export_results(record)["results"]
+        loaded = harness.load_results(first)
+        assert loaded.traces == record.traces
+        assert loaded.checkpoints == record.checkpoints
+        again = harness.export_results(loaded, str(tmp_path / "again"))
+        with open(first, "rb") as f, open(again["results"], "rb") as g:
+            assert f.read() == g.read()
 
     def test_csv_matches_json_matrix(self, tmp_path):
         cfg = tiny_config(tmp_path)

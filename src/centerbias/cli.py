@@ -282,15 +282,14 @@ def run_verification_suite(verbose: bool = True) -> bool:
     rng = np.random.default_rng(0)
     checks = []
 
-    for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT, tc.PaddingMode("random")):
+    for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT):
         x = rng.standard_normal((2, 3, 6, 5))
         w = rng.standard_normal((4, 3, 3, 3))
         b = rng.standard_normal(4)
         spec = tc.ConvSpec(3, 4, 3, mode)
 
         def op(x_, w_, b_, spec=spec):
-            frozen = np.random.default_rng(99)
-            y, tape = tc.conv2d_forward(tc.to_frame(x_), w_, b_, spec, frozen)
+            y, tape = tc.conv2d_forward(tc.to_frame(x_), w_, b_, spec)
 
             def vjp(g):
                 gx, gw, gb = tc.conv2d_backward(tape, tc.to_frame(g))
@@ -345,7 +344,7 @@ def run_verification_suite(verbose: bool = True) -> bool:
     # every padding mode fills and folds the ring at every level; depth 3
     # on 8x8 keeps reflect legal at the 2x2 level
     x = rng.standard_normal((1, 1, 8, 8))
-    for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT, tc.PaddingMode("random")):
+    for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT):
         cfg = unet.UNetConfig(depth=3, base_channels=2, padding=mode,
                               precision="f64", seed=3)
         model = unet.build_unet(cfg)
@@ -354,7 +353,7 @@ def run_verification_suite(verbose: bool = True) -> bool:
         def model_op(x_, *ps, model=model, params=params):
             for dst, src in zip(params, ps):
                 dst[...] = src
-            logits, tape = unet.forward(model, x_, np.random.default_rng(99))
+            logits, tape = unet.forward(model, x_)
 
             def vjp(g):
                 tape.grad_logits = tc.to_frame(g)

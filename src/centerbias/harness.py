@@ -26,8 +26,7 @@ import numpy as np
 
 from . import augment, data, tensor_core as tc, unet
 from .config import from_dict, to_dict
-from .rng import (AUGMENT, EPOCH_ORDER, EVAL_FORWARD, EVAL_SAMPLES, REPEAT,
-                  TRAIN_FORWARD, derive, stream)
+from .rng import AUGMENT, EPOCH_ORDER, EVAL_SAMPLES, REPEAT, derive, stream
 
 __all__ = [
     "ExperimentConfig", "RunRecord", "run_regional_training",
@@ -140,11 +139,9 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
     A cell is the mean of its samples' mean pixel cross-entropies.  Samples
     are generated and scored one EVAL_BATCH at a time, so memory does not
     grow with `eval_count`, and a sample's loss does not depend on the batch
-    size or the shard split, so neither does the cell.  Random padding is
-    the exception: each batch pads from its own stream, split between its
-    shards by `unet.run_shards`.  Each cell's streams are named after the
-    policy's label, so duplicate policies in the list produce identical
-    cells.
+    size or the shard split, so neither does the cell.  Each cell's samples
+    are named after the policy's label, so duplicate policies in the list
+    produce identical cells.
     """
     template = dataset_template or data.DatasetConfig()
     row = []
@@ -153,11 +150,10 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
         ds_cfg = replace(template, policy=policy, count=eval_count,
                          master_seed=derive(seed, EVAL_SAMPLES, label))
         losses = np.empty(eval_count)
-        for b, start in enumerate(range(0, eval_count, EVAL_BATCH)):
+        for start in range(0, eval_count, EVAL_BATCH):
             stop = min(start + EVAL_BATCH, eval_count)
             X, T = _materialize(ds_cfg, range(start, stop))
-            losses[start:stop] = unet.sample_losses(
-                model, X, T, stream(seed, EVAL_FORWARD, label, b))
+            losses[start:stop] = unet.sample_losses(model, X, T)
         row.append(float(losses.mean()))
     return row
 
@@ -187,8 +183,7 @@ def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
         order = stream(seed, EPOCH_ORDER, epoch).permutation(
             config.train_count)
         losses = []
-        for b, start in enumerate(range(0, config.train_count,
-                                        config.batch_size)):
+        for start in range(0, config.train_count, config.batch_size):
             idx = order[start:start + config.batch_size]
             xb = X[idx]
             tb = T[idx]
@@ -199,8 +194,7 @@ def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
                     for fn in augmentations:
                         xj, tj = fn(xj, tj, rng)
                     xb[j], tb[j] = xj, tj
-            losses.append(unet.train_step(
-                model, xb, tb, adam, stream(seed, TRAIN_FORWARD, epoch, b)))
+            losses.append(unet.train_step(model, xb, tb, adam))
         trace.append(float(np.mean(losses)))
 
     ckpt_dir = os.path.join(config.output_dir, "checkpoints")

@@ -25,10 +25,8 @@ MODEL_INIT = 3     # none: initial weights, from UNetConfig.seed
 EPOCH_ORDER = 4    # epoch: order of the training samples
 AUGMENT = 5        # epoch, i: augmentation of training sample i; none
 #                    for the `centerbias augment` probe
-TRAIN_FORWARD = 6  # epoch, batch: random padding of a train step
 EVAL_SAMPLES = 7   # label: the dataset seed of an evaluation band
-EVAL_FORWARD = 8   # label, batch: random padding of an evaluation batch;
-#                    batch: of a saliency-shift batch, under the model seed
+# 6 and 8 are retired (random padding's streams); a new purpose takes 9
 
 
 def _node(seed: int, purpose: int, index) -> np.random.SeedSequence:

@@ -9,11 +9,10 @@ centered map over the overlap, finally dividing the whole matrix by its
 population standard deviation.
 
 The crops of a shift map go through the network in batches of SHIFT_BATCH
-(8), each run by `unet.run_shards` as two shards of 4, each shard padding
-from its own child of the batch's stream, with a backward pass that
-computes only the input gradient.  An image's bits do not depend on its
-batch position (see tensor_core), so every map equals the one computed
-alone, unless the padding is random.
+(8), each run by `unet.run_shards` as two shards of 4, with a backward pass
+that computes only the input gradient.  An image's bits do not depend on
+its batch position (see tensor_core), so every map equals the one computed
+alone.
 Why 8: a batch-8 taped forward and backward stays near the peak memory of
 a batch-32 evaluation forward, and larger batches gain little time for much
 memory.  At 64x96 on 2 cores, a 64-sample `evaluate_bands` over 3 bands and
@@ -35,7 +34,7 @@ from . import unet
 from .data import (BackgroundSpec, Sample, SampleMeta, composite_sample,
                    generate_background, mask_bbox)
 from .netpbm import to_u8, write_pgm
-from .rng import BACKGROUND, EVAL_FORWARD, stream
+from .rng import BACKGROUND, stream
 
 __all__ = [
     "saliency_maps", "saliency_map", "CanvasScene", "make_scene",
@@ -46,11 +45,10 @@ __all__ = [
 SHIFT_BATCH = 8
 
 
-def saliency_maps(model: unet.Model, samples: Sequence[Sample],
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+def saliency_maps(model: unet.Model, samples: Sequence[Sample]) -> np.ndarray:
     """Absolute input gradient of each sample's mask-mean true-class logit.
 
-    The samples run through `unet.run_shards` with `rng`, each shard one
+    The samples run through `unet.run_shards`, each shard one
     taped forward over its stacked inputs and one input-only backward;
     returns an (N, H, W) array.  Raises before any forward pass if a sample
     has an empty mask.
@@ -60,9 +58,9 @@ def saliency_maps(model: unet.Model, samples: Sequence[Sample],
         if not mask.any():
             raise ValueError(f"sample {i} has an empty object mask")
 
-    def shard(lo, hi, rng):
+    def shard(lo, hi):
         logits, tape = unet.forward(
-            model, np.concatenate([s.input for s in samples[lo:hi]]), rng)
+            model, np.concatenate([s.input for s in samples[lo:hi]]))
         # the score's gradient w.r.t. the logits, in their frame
         logits[...] = 0
         for i in range(lo, hi):
@@ -73,7 +71,7 @@ def saliency_maps(model: unet.Model, samples: Sequence[Sample],
         _, grad_input = unet.backward(model, tape, need_params=False)
         return np.abs(grad_input[:, 0])
 
-    return np.concatenate(unet.run_shards(shard, len(samples), rng))
+    return np.concatenate(unet.run_shards(shard, len(samples)))
 
 
 def saliency_map(model: unet.Model, sample: Sample) -> np.ndarray:
@@ -195,14 +193,12 @@ def saliency_shift_map(model: unet.Model, scene: CanvasScene,
     Entry (dy, dx) compares the centered crop's saliency with the saliency
     of the crop moved by (dx, dy), translated back so the object overlaps
     itself.  Entries are independent; the (0, 0) entry is exactly 0.
-    Random padding draws from (model seed, EVAL_FORWARD, batch) streams.
     """
     shifts = [(dx, dy) for dy in grid.dys for dx in grid.dxs]
     maps = np.concatenate([
         saliency_maps(model, [scene.crop(dx, dy) for dx, dy
-                              in shifts[i:i + SHIFT_BATCH]],
-                      stream(model.config.seed, EVAL_FORWARD, b))
-        for b, i in enumerate(range(0, len(shifts), SHIFT_BATCH))])
+                              in shifts[i:i + SHIFT_BATCH]])
+        for i in range(0, len(shifts), SHIFT_BATCH)])
     s0 = maps[shifts.index((0, 0))]
     raw = np.array([_overlap_mean_absdiff(s0, s, dx, dy)
                     for s, (dx, dy) in zip(maps, shifts)])

@@ -1,10 +1,10 @@
 """Minimal deterministic tensor engine on channel-major padded frames.
 
-Padded convolution (zero / circular / reflect / random borders), 2x2 max
-pooling, ReLU, nearest-neighbor upsampling, pixel-wise softmax cross-entropy,
-Adam, and a central-finite-difference gradient checker.  Every operation is a
-pure function of its inputs plus an explicit RNG stream; forward ops hand back
-a tape that the matching backward op consumes.
+Padded convolution (zero / circular / reflect borders), 2x2 max pooling,
+ReLU, nearest-neighbor upsampling, pixel-wise softmax cross-entropy, Adam,
+and a central-finite-difference gradient checker.  Every operation is a pure
+function of its inputs; forward ops hand back a tape that the matching
+backward op consumes.
 
 Activations and their gradients live in frames.  A frame is a
 (C, N, H + 2, W + 2) view holding every image of a batch with a 1-pixel ring
@@ -59,26 +59,18 @@ __all__ = [
     "softmax_cross_entropy_pixelwise", "adam_step", "gradcheck",
 ]
 
-_PAD_KINDS = ("zero", "circular", "reflect", "random")
+_PAD_KINDS = ("zero", "circular", "reflect")
 
 
 @dataclass(frozen=True)
 class PaddingMode:
-    """Border fill rule; only kind="random" has an amplitude (default 1.0)."""
+    """Border fill rule: one of zero, circular or reflect."""
 
     kind: str
-    amplitude: float | None = None
 
     def __post_init__(self):
         if self.kind not in _PAD_KINDS:
             raise ValueError(f"unknown padding kind {self.kind!r}")
-        if self.kind != "random":
-            if self.amplitude is not None:
-                raise ValueError(f"{self.kind} padding takes no amplitude")
-        elif self.amplitude is None:
-            object.__setattr__(self, "amplitude", 1.0)
-        elif not self.amplitude >= 0:
-            raise ValueError("random padding amplitude must be >= 0")
 
 
 ZERO = PaddingMode("zero")
@@ -172,40 +164,28 @@ def from_frame(f: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(f[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3))
 
 
-def pad(x: np.ndarray, mode: PaddingMode,
-        rng: np.random.Generator | None = None) -> np.ndarray:
+def pad(x: np.ndarray, mode: PaddingMode) -> np.ndarray:
     """Fill the ring of frame `x` in place per mode; returns `x`.
 
-    Zero, wrap-around, mirror excluding the edge pixel, or iid uniform draws
-    taken in row-major (n, c, row, col) order over the ring.
+    Zero, wrap-around, or mirror excluding the edge pixel.  The fill is a
+    function of the interior alone, so a ring can always be recomputed.
     """
     _require_frame(x)
-    c, n, hp, wp = x.shape
-    h, w = hp - 2, wp - 2
+    h, w = x.shape[2] - 2, x.shape[3] - 2
     if mode.kind == "zero":
         _zero_ring(x)
-    elif mode.kind in ("circular", "reflect"):
-        if mode.kind == "circular":
-            src = (-2, 1)
-        elif min(h, w) < 2:
-            raise ValueError(f"reflect padding needs spatial dims >= 2, "
-                             f"got {h}x{w}")
-        else:
-            src = (2, -3)
-        x[:, :, 1:-1, 0] = x[:, :, 1:-1, src[0]]
-        x[:, :, 1:-1, -1] = x[:, :, 1:-1, src[1]]
-        x[:, :, 0] = x[:, :, src[0]]
-        x[:, :, -1] = x[:, :, src[1]]
+        return x
+    if mode.kind == "circular":
+        src = (-2, 1)
+    elif min(h, w) < 2:
+        raise ValueError(f"reflect padding needs spatial dims >= 2, "
+                         f"got {h}x{w}")
     else:
-        if rng is None:
-            raise ValueError("random padding requires an rng")
-        draws = rng.uniform(0.0, mode.amplitude, (n, c, 2 * wp + 2 * h))
-        d = draws.astype(x.dtype).transpose(1, 0, 2)
-        sides = d[:, :, wp:wp + 2 * h].reshape(c, n, h, 2)
-        x[:, :, 0] = d[:, :, :wp]
-        x[:, :, 1:-1, 0] = sides[..., 0]
-        x[:, :, 1:-1, -1] = sides[..., 1]
-        x[:, :, -1] = d[:, :, wp + 2 * h:]
+        src = (2, -3)
+    x[:, :, 1:-1, 0] = x[:, :, 1:-1, src[0]]
+    x[:, :, 1:-1, -1] = x[:, :, 1:-1, src[1]]
+    x[:, :, 0] = x[:, :, src[0]]
+    x[:, :, -1] = x[:, :, src[1]]
     return x
 
 
@@ -299,8 +279,7 @@ def _conv_rows(src: np.ndarray, weights: np.ndarray, wp: int,
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
-                   spec: ConvSpec, rng: np.random.Generator | None = None
-                   ) -> tuple[np.ndarray, ConvTape]:
+                   spec: ConvSpec) -> tuple[np.ndarray, ConvTape]:
     """Cross-correlate frame `x` with `weights`; returns (out frame, tape).
 
     A 3x3 conv first fills the ring of `x` in place per `spec.mode`.  The
@@ -323,7 +302,7 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     if k == 1:
         np.matmul(weights.reshape(oc, c), X, out=Y)
     else:
-        pad(x, spec.mode, rng)
+        pad(x, spec.mode)
         _conv_rows(X, weights, wp, Y)
     Y += bias[:, None]
     return y, tape

@@ -7,21 +7,19 @@ emits per-pixel class logits.  The padding mode of every 3x3 conv is a config
 knob, which is the whole point of this laboratory.
 
 Every batch runs through `run_shards`, the one rule for splitting it: n >= 2
-images run as two shards, the first n // 2 images and the rest, and the
-batch's random stream is spawned into two children before either shard
-runs, one per shard.  The split depends on n alone, never on the machine,
-and an image's bits do not depend on its batch position (see tensor_core),
-so a shard's images come out as they would in the whole batch, random
-padding's draws apart.  The second shard runs on one lazily started worker
-thread while the calling thread runs the first, each with one OpenBLAS
-thread (numpy releases the GIL in its kernels, so the two shards use two
-cores).  Without numpy's bundled OpenBLAS hook, inside a shard, or in a
-process that owns a single core (the experiment pool's workers), both shards
-run one after the other on the calling thread, with the same streams and
-bits.  `train_step` sums the two shards' parameter gradients;
-`sample_losses` and `saliency.saliency_maps` concatenate the shards'
-per-image results.  The logits stay in the head's output frame: a shard's
-loss, and in training its gradient, are computed there (see tensor_core).
+images run as two shards, the first n // 2 images and the rest.  The split
+depends on n alone, never on the machine, and an image's bits do not depend
+on its batch position (see tensor_core), so a shard's images come out as
+they would in the whole batch.  The second shard runs on one lazily started
+worker thread while the calling thread runs the first, each with one
+OpenBLAS thread (numpy releases the GIL in its kernels, so the two shards
+use two cores).  Without numpy's bundled OpenBLAS hook, inside a shard, or
+in a process that owns a single core (the experiment pool's workers), both
+shards run one after the other on the calling thread, with the same bits.
+`train_step` sums the two shards' parameter gradients; `sample_losses` and
+`saliency.saliency_maps` concatenate the shards' per-image results.  The
+logits stay in the head's output frame: a shard's loss, and in training its
+gradient, are computed there (see tensor_core).
 """
 
 from __future__ import annotations
@@ -249,27 +247,21 @@ def _one_blas_thread(setter, shard, *args):
         setter(prev)
 
 
-def run_shards(shard, n: int,
-               rng: np.random.Generator | None = None) -> list:
-    """[shard(0, n // 2, r0), shard(n // 2, n, r1)] for n >= 2, else
-    [shard(0, n, r0)].
+def run_shards(shard, n: int) -> list:
+    """[shard(0, n // 2), shard(n // 2, n)] for n >= 2, else [shard(0, n)].
 
-    `shard(lo, hi, r)` handles images lo..hi-1, drawing from `r`.  `r0`
-    and `r1` are the two children of `rng`, spawned in shard order before
-    either shard runs (both None without `rng`), so neither the thread
-    timing nor the fallback can move a draw.  The second shard runs on the
+    `shard(lo, hi)` handles images lo..hi-1.  The second shard runs on the
     worker thread while this thread runs the first, each with one BLAS
     thread; both run here, one after the other, when there is no BLAS hook,
     in a single-core process, or when called from inside a shard.
     """
     global _shard_pool
-    r0, r1 = (None, None) if rng is None else rng.spawn(2)
     if n < 2:
-        return [shard(0, n, r0)]
+        return [shard(0, n)]
     h = n // 2
     setter = _blas_threads_hook() if _shard_thread else None
     if not setter or not _shard_lock.acquire(blocking=False):
-        return [shard(0, h, r0), shard(h, n, r1)]
+        return [shard(0, h), shard(h, n)]
     try:
         if _shard_pool is None:
             _keep_freed_heap()
@@ -277,10 +269,10 @@ def run_shards(shard, n: int,
                                              thread_name_prefix="unet-shard")
         prev = setter(1)
         try:
-            second = _shard_pool.submit(_one_blas_thread, setter, shard, h,
-                                        n, r1)
+            second = _shard_pool.submit(_one_blas_thread, setter, shard,
+                                        h, n)
             try:
-                first = shard(0, h, r0)
+                first = shard(0, h)
             finally:
                 wait([second])
             return [first, second.result()]
@@ -295,27 +287,21 @@ class _Tape:
     conv_tapes: dict[str, tc.ConvTape] = field(default_factory=dict)
     activations: dict[str, np.ndarray] = field(default_factory=dict)  # frames
     pools: list[tc.PoolRecord] = field(default_factory=list)
-    # per decoder level, deepest first: (upsampled channels, filled ring of
-    # its input frame); see _decoder_input
-    concat_split: list[tuple] = field(default_factory=list)
     grad_logits: np.ndarray | None = None  # set by the caller for backward
 
 
-def _decoder_input(low, skip, ring=None):
-    """A decoder's input frame: frame `low` upsampled 2x, then the channels
-    of frame `skip`; the ring is zero, or restored from a saved `ring`
-    (copies of the edge rows, then of the edge columns)."""
+def _decoder_input(low, skip):
+    """A decoder's input frame, with a zero ring: frame `low` upsampled 2x,
+    then the channels of frame `skip`."""
     split, n, hp, wp = low.shape[0], *skip.shape[1:]
     cat = tc.new_frame(split + skip.shape[0], n, hp - 2, wp - 2, skip.dtype)
     tc.upsample_nearest2x(low, out=cat[:split])
     cat[split:] = skip
-    if ring is not None:
-        cat[:, :, [0, -1]], cat[:, :, 1:-1, [0, -1]] = ring
     return cat
 
 
-def _conv_relu(layer: ConvLayer, x, tape, rng):
-    y, ct = tc.conv2d_forward(x, layer.weight, layer.bias, layer.spec, rng)
+def _conv_relu(layer: ConvLayer, x, tape):
+    y, ct = tc.conv2d_forward(x, layer.weight, layer.bias, layer.spec)
     tc.relu(y, out=y)
     if tape is not None:
         tape.conv_tapes[layer.name] = ct
@@ -323,8 +309,7 @@ def _conv_relu(layer: ConvLayer, x, tape, rng):
     return y
 
 
-def forward(model: Model, batch: np.ndarray,
-            rng: np.random.Generator | None = None, keep_tape: bool = True
+def forward(model: Model, batch: np.ndarray, keep_tape: bool = True
             ) -> tuple[np.ndarray, _Tape | None]:
     """Run the network on an NCHW batch; returns (logits frame, tape).
 
@@ -332,11 +317,9 @@ def forward(model: Model, batch: np.ndarray,
     a (num_classes, n, h + 2, w + 2) frame.  With `keep_tape=False` the
     tape is None and each activation is dropped once its consumer has run
     (the skips once the decoder has used them); the logits are bit-identical
-    either way.  Of a decoder's input frame the tape keeps only the filled
-    ring (random draws cannot be recomputed); backward rebuilds the rest
-    from two activations on the tape.  `rng` is only consumed by
-    random-fill padding, so runs are deterministic given (weights, input)
-    plus the seed when that mode is active.
+    either way.  The tape keeps no decoder input frame: backward rebuilds
+    it from two activations on the tape.  The logits depend on the weights
+    and the input alone.
     """
     cfg = model.config
     div = 2 ** (cfg.depth - 1)
@@ -348,8 +331,8 @@ def forward(model: Model, batch: np.ndarray,
     skips = []
     for lvl in range(cfg.depth):
         a, b = model.encoder[lvl]
-        x = _conv_relu(a, x, tape, rng)
-        x = _conv_relu(b, x, tape, rng)
+        x = _conv_relu(a, x, tape)
+        x = _conv_relu(b, x, tape)
         if lvl < cfg.depth - 1:
             skips.append(x)
             rec = tc.maxpool2x2_forward(x)
@@ -359,15 +342,13 @@ def forward(model: Model, batch: np.ndarray,
     for lvl in range(cfg.depth - 2, -1, -1):
         cat = _decoder_input(x, skips.pop())
         a, b = model.decoder[lvl]
-        split, x = x.shape[0], _conv_relu(a, cat, tape, rng)
+        x = _conv_relu(a, cat, tape)
         if tape is not None:
-            ring = cat[:, :, [0, -1]], cat[:, :, 1:-1, [0, -1]]
-            tape.concat_split.append((split, ring))
             tape.conv_tapes[a.name].padded = None
         del cat
-        x = _conv_relu(b, x, tape, rng)
+        x = _conv_relu(b, x, tape)
     head = model.head
-    logits, ct = tc.conv2d_forward(x, head.weight, head.bias, head.spec, rng)
+    logits, ct = tc.conv2d_forward(x, head.weight, head.bias, head.spec)
     if tape is not None:
         tape.conv_tapes[head.name] = ct
     return logits, tape
@@ -386,7 +367,8 @@ def backward(model: Model, tape: _Tape, *, need_input: bool = True,
     drops each record as soon as that layer's backward has used it, and the
     `grad_logits` frame (all of it overwritten but its interior) after the
     head's, so each is freed then unless the caller still holds it.  A
-    decoder's input frame is rebuilt, bit for bit, to take its gradient.
+    decoder's input frame is rebuilt, bit for bit, its ring refilled by
+    `tc.pad`, and then takes its gradient.
     """
     cfg = model.config
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -409,11 +391,13 @@ def backward(model: Model, tape: _Tape, *, need_input: bool = True,
     for lvl in range(cfg.depth - 1):
         a, b = model.decoder[lvl]
         g = back_conv_relu(b, g)
-        split, ring = tape.concat_split.pop()
-        tape.conv_tapes[a.name].padded = _decoder_input(
-            tape.activations[lows[lvl][1].name],
-            tape.activations[model.encoder[lvl][1].name], ring)
-        g = back_conv_relu(a, g, out=tape.conv_tapes[a.name].padded)
+        low, skip = lows[lvl][1], model.encoder[lvl][1]
+        cat = tc.pad(_decoder_input(tape.activations[low.name],
+                                    tape.activations[skip.name]), a.spec.mode)
+        tape.conv_tapes[a.name].padded = cat
+        g = back_conv_relu(a, g, out=cat)
+        del cat
+        split = low.spec.out_channels  # the upsampled channels come first
         g, skip_grads[lvl] = (tc.upsample_nearest2x_backward(g[:split]),
                               g[split:].copy())  # g's frame is freed here
     for lvl in range(cfg.depth - 1, -1, -1):
@@ -433,25 +417,24 @@ def backward(model: Model, tape: _Tape, *, need_input: bool = True,
 
 
 def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
-               adam: tc.AdamState,
-               rng: np.random.Generator | None = None) -> float:
+               adam: tc.AdamState) -> float:
     """One forward/backward/Adam cycle; returns the pre-update loss.
 
     `adam` holds one moment pair for the flat parameter buffer:
     AdamState.for_params([model.flat_params]).  The batch runs through
-    `run_shards` with `rng` (see the module docstring), each shard scaling
+    `run_shards` (see the module docstring), each shard scaling
     its loss and gradient by the whole batch's pixel count; the step adds
     shard 1's gradient to shard 0's and the two losses.
     """
-    def shard(lo, hi, rng):
-        logits, tape = forward(model, batch[lo:hi], rng)
+    def shard(lo, hi):
+        logits, tape = forward(model, batch[lo:hi])
         loss, tape.grad_logits = tc.softmax_cross_entropy_pixelwise(
             logits, targets[lo:hi], npix=targets.size)
         del logits  # backward frees the frame after the head's backward
         param_grads, _ = backward(model, tape, need_input=False)
         return loss, np.concatenate([g.reshape(-1) for g in param_grads])
 
-    (loss, flat_grads), *rest = run_shards(shard, len(batch), rng)
+    (loss, flat_grads), *rest = run_shards(shard, len(batch))
     for shard_loss, grads in rest:
         loss += shard_loss
         flat_grads += grads
@@ -460,23 +443,22 @@ def train_step(model: Model, batch: np.ndarray, targets: np.ndarray,
     return loss
 
 
-def sample_losses(model: Model, batch: np.ndarray, targets: np.ndarray,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
+def sample_losses(model: Model, batch: np.ndarray,
+                  targets: np.ndarray) -> np.ndarray:
     """Each image's mean pixel cross-entropy, from a tape-free forward.
 
-    The batch runs through `run_shards` with `rng` (see the module
-    docstring), each shard reduced to its images' losses inside the shard,
-    so no gradient, NCHW logits or concatenated logits are made.  An image's
-    loss does not depend on its batch position or the shard split, unless
-    the padding is random: then it depends on its shard's stream.
+    The batch runs through `run_shards` (see the module docstring), each
+    shard reduced to its images' losses inside the shard, so no gradient,
+    NCHW logits or concatenated logits are made.  An image's loss does not
+    depend on its batch position or the shard split.
     """
-    def shard(lo, hi, rng):
-        logits, _ = forward(model, batch[lo:hi], rng, keep_tape=False)
+    def shard(lo, hi):
+        logits, _ = forward(model, batch[lo:hi], keep_tape=False)
         losses, _ = tc.softmax_cross_entropy_pixelwise(
             logits, targets[lo:hi], need_grad=False)
         return losses
 
-    return np.concatenate(run_shards(shard, len(batch), rng))
+    return np.concatenate(run_shards(shard, len(batch)))
 
 
 @dataclass(frozen=True)

@@ -71,13 +71,21 @@ class TestCodec:
 
 
 class TestPadding:
-    def test_only_random_has_an_amplitude(self):
-        assert tc.PaddingMode("random") == tc.PaddingMode("random", 1.0)
-        assert tc.ZERO.amplitude is None
-        with pytest.raises(ValueError, match="takes no amplitude"):
-            tc.PaddingMode("circular", 1.0)
-        with pytest.raises(ValueError, match=">= 0"):
-            tc.PaddingMode("random", -1.0)
+    @pytest.mark.parametrize("value, message", [
+        ({"kind": "random"}, r"^padding: unknown padding kind 'random'"),
+        ({"kind": "circular", "amplitude": 1.0},
+         r"^unknown keys \['padding\.amplitude'\]"),
+        ({"kind": "zero", "amplitude": 1.0},
+         r"^unknown keys \['padding\.amplitude'\]"),
+        ({"kind": "reflect", "amplitude": 0.0},
+         r"^unknown keys \['padding\.amplitude'\]"),
+        ({"kind": "random", "amplitude": 1.0},
+         r"^unknown keys \['padding\.amplitude'\]")],
+        ids=["random_kind", "amplitude_key", "zero_amplitude",
+             "reflect_amplitude", "old_random_record"])
+    def test_kinds_are_zero_circular_reflect(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            from_dict(tc.PaddingMode, value, "padding")
 
 
 VARIANTS = [
@@ -95,8 +103,6 @@ VARIANTS = [
     (tc.PaddingMode, tc.ZERO, {"kind": "zero"}),
     (tc.PaddingMode, tc.CIRCULAR, {"kind": "circular"}),
     (tc.PaddingMode, tc.REFLECT, {"kind": "reflect"}),
-    (tc.PaddingMode, tc.PaddingMode("random", 2.0),
-     {"kind": "random", "amplitude": 2.0}),
 ]
 
 
@@ -114,13 +120,13 @@ class TestFormat:
 
     def model(self):
         return unet.build_unet(unet.UNetConfig(
-            depth=1, base_channels=2, padding=tc.PaddingMode("random", 2.0)))
+            depth=1, base_channels=2, padding=tc.CIRCULAR))
 
     def test_checkpoint_header_is_pinned_and_loads(self, tmp_path):
         header = (
             b'{"format": "centerbias-unet", "version": 2, "config": '
-            b'{"depth": 1, "base_channels": 2, "padding": {"kind": "random", '
-            b'"amplitude": 2.0}, "precision": "f32", "seed": 0}, '
+            b'{"depth": 1, "base_channels": 2, "padding": {"kind": '
+            b'"circular"}, "precision": "f32", "seed": 0}, '
             b'"precision": "f32", "step": 0, "param_shapes": [[2, 1, 3, 3], '
             b'[2], [2, 2, 3, 3], [2], [11, 2, 1, 1], [11]]}\n')
         model = self.model()
@@ -136,8 +142,8 @@ class TestFormat:
     V1_HEADER = (
         b'{"format": "centerbias-unet", "version": 1, "config": '
         b'{"depth": 1, "base_channels": 2, "in_channels": 1, '
-        b'"num_classes": 11, "padding": {"kind": "random", '
-        b'"amplitude": 2.0}, "precision": "f32", "seed": 0}, '
+        b'"num_classes": 11, "padding": {"kind": "circular"}, '
+        b'"precision": "f32", "seed": 0}, '
         b'"precision": "f32", "step": 0, "param_shapes": [[2, 1, 3, 3], '
         b'[2], [2, 2, 3, 3], [2], [11, 2, 1, 1], [11]]}\n')
 

@@ -107,9 +107,9 @@ class TestEvaluateBands:
         bands = [Band(0.0, 0.1), Band(0.8, 1.0)]
         asked, forward = [], unet.forward
 
-        def asking(model, batch, rng=None, keep_tape=True):
+        def asking(model, batch, keep_tape=True):
             asked.append((keep_tape, len(batch)))
-            return forward(model, batch, rng, keep_tape=keep_tape)
+            return forward(model, batch, keep_tape=keep_tape)
 
         monkeypatch.setattr(unet, "forward", asking)
         row = harness.evaluate_bands(self.model(), bands, 40, seed=9,
@@ -119,9 +119,9 @@ class TestEvaluateBands:
         assert sorted(asked) == [(False, 4)] * 4 + [(False, 16)] * 4
         sizes = []
 
-        def taped(model, batch, targets, rng=None):
+        def taped(model, batch, targets):
             sizes.append(len(batch))
-            logits, tape = unet.forward(model, batch, rng)
+            logits, tape = unet.forward(model, batch)
             assert tape is not None
             return tc.softmax_cross_entropy_pixelwise(logits, targets,
                                                       need_grad=False)[0]
@@ -147,31 +147,45 @@ class TestEvaluateBands:
         assert np.array(again).tobytes() == np.array(row).tobytes()
 
     @staticmethod
-    def traced_peaks():
-        """tracemalloc's peak while evaluating 32 samples, then 512."""
+    def traced_memory(monkeypatch):
+        """tracemalloc's peak while evaluating 32 samples, then 512, and the
+        largest size still allocated after a batch is scored."""
         import tracemalloc
         model = unet.build_unet(unet.UNetConfig(seed=1))
-        peaks = []
+        score = unet.sample_losses
+
+        def scored(*args):
+            losses = score(*args)
+            after[-1] = max(after[-1], tracemalloc.get_traced_memory()[0])
+            return losses
+
+        monkeypatch.setattr(unet, "sample_losses", scored)
+        peaks, after = [], []
         for count in (32, 512):
+            after.append(0)
             tracemalloc.start()
             try:
                 harness.evaluate_bands(model, [Band(0.8, 1.0)], count, 4)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        return peaks
+        return peaks, after
 
-    def test_memory_does_not_grow_with_the_count(self):
-        # samples are generated and scored one batch at a time
-        peaks = self.traced_peaks()
-        assert peaks[1] - peaks[0] < 2e6, peaks
+    def test_memory_does_not_grow_with_the_count(self, monkeypatch):
+        # samples are generated and scored one batch at a time.  With the
+        # shard thread, a peak holds both shards' transient buffers only
+        # when their peaks meet, which 16 batches do more often than one;
+        # what a batch leaves allocated does not depend on that timing
+        _, after = self.traced_memory(monkeypatch)
+        assert after[1] - after[0] < 2e6, after
 
     def test_memory_does_not_grow_with_the_count_serial_shards(
             self, monkeypatch):
         # the same with both shards of each batch on the calling thread, as
-        # in the experiment pool's workers
+        # in the experiment pool's workers, where the peaks are fixed too
         monkeypatch.setattr(unet, "_shard_thread", False)
-        peaks = self.traced_peaks()
+        peaks, after = self.traced_memory(monkeypatch)
+        assert after[1] - after[0] < 2e6, after
         assert peaks[1] - peaks[0] < 2e6, peaks
 
 

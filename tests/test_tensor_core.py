@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from centerbias import tensor_core as tc
 
 
-def conv_nchw(x, w, b, spec, rng=None):
+def conv_nchw(x, w, b, spec):
     """conv2d_forward on an NCHW batch; returns (NCHW out, tape)."""
-    y, tape = tc.conv2d_forward(tc.to_frame(x), w, b, spec, rng)
+    y, tape = tc.conv2d_forward(tc.to_frame(x), w, b, spec)
     return tc.from_frame(y), tape
 
 
@@ -23,11 +23,10 @@ def conv_backward_nchw(tape, g):
     return tc.from_frame(gx), gw, gb
 
 
-def conv_op(spec, seed=None):
+def conv_op(spec):
     """Wrap conv2d as a gradcheck-able (out, vjp) callable."""
     def op(x, w, b):
-        rng = np.random.default_rng(seed) if seed is not None else None
-        y, tape = conv_nchw(x, w, b, spec, rng)
+        y, tape = conv_nchw(x, w, b, spec)
         return y, lambda g: conv_backward_nchw(tape, g)
     return op
 
@@ -74,9 +73,8 @@ class TestPad:
     def test_interior_exact_and_shape(self):
         rng = np.random.default_rng(0)
         x = rng.random((2, 3, 4, 5))
-        for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                     tc.PaddingMode("random", 2.0)):
-            out = tc.pad(tc.to_frame(x), mode, np.random.default_rng(1))
+        for mode in (tc.ZERO, tc.CIRCULAR, tc.REFLECT):
+            out = tc.pad(tc.to_frame(x), mode)
             assert out.shape == (3, 2, 6, 7)
             np.testing.assert_array_equal(tc.from_frame(out), x)
 
@@ -86,21 +84,27 @@ class TestPad:
         with pytest.raises(ValueError):
             tc.pad(x, tc.REFLECT)
 
-    def test_random_border_in_range_and_seeded(self):
-        x = np.zeros((1, 1, 4, 4), dtype=np.float32)
-        a = tc.pad(tc.to_frame(x), tc.PaddingMode("random", 0.5),
-                   np.random.default_rng(7))
-        b = tc.pad(tc.to_frame(x), tc.PaddingMode("random", 0.5),
-                   np.random.default_rng(7))
-        np.testing.assert_array_equal(a, b)
-        border = a[a != 0]
-        assert border.size > 0
-        assert border.min() >= 0.0 and border.max() <= 0.5
 
-    def test_random_requires_rng(self):
-        with pytest.raises(ValueError):
-            tc.pad(tc.to_frame(np.zeros((1, 1, 2, 2))),
-                   tc.PaddingMode("random"))
+    @pytest.mark.parametrize("mode, np_mode", [
+        (tc.ZERO, "constant"), (tc.CIRCULAR, "wrap"), (tc.REFLECT, "reflect")],
+        ids=["zero", "circular", "reflect"])
+    def test_ring_matches_numpy_pad(self, mode, np_mode):
+        x = np.random.default_rng(2).random((2, 3, 4, 5))
+        out = tc.pad(tc.to_frame(x), mode)
+        ref = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode=np_mode)
+        np.testing.assert_array_equal(out.transpose(1, 0, 2, 3), ref)
+
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
+    def test_ring_is_recomputed_from_the_interior(self, mode):
+        # whatever the ring holds, a refill gives the same bits; the U-Net's
+        # backward relies on it to rebuild a decoder's input frame
+        x = np.random.default_rng(3).random((2, 3, 4, 5)).astype(np.float32)
+        filled = tc.pad(tc.to_frame(x), mode)
+        scribbled = filled.copy()
+        scribbled[:, :, [0, -1]] = np.nan
+        scribbled[:, :, :, [0, -1]] = -7.0
+        assert tc.pad(scribbled, mode).tobytes() == filled.tobytes()
 
 
 class TestConvForward:
@@ -140,17 +144,10 @@ class TestConvForward:
         b = rng.standard_normal(4)
         widths = ((0, 0), (0, 0), (1, 1), (1, 1))
         for mode, np_mode in ((tc.ZERO, "constant"), (tc.CIRCULAR, "wrap"),
-                              (tc.REFLECT, "reflect"),
-                              (tc.PaddingMode("random", 0.7), "constant")):
+                              (tc.REFLECT, "reflect")):
             spec = tc.ConvSpec(3, 4, 3, mode)
-            y, _ = conv_nchw(x, w, b, spec, np.random.default_rng(5))
+            y, _ = conv_nchw(x, w, b, spec)
             xp = np.pad(x, widths, mode=np_mode)
-            if mode.kind == "random":
-                # the border cells take consecutive draws in row-major order
-                border = np.ones(xp.shape, dtype=bool)
-                border[:, :, 1:-1, 1:-1] = False
-                xp[border] = np.random.default_rng(5).uniform(
-                    0.0, 0.7, int(border.sum()))
             ref = np.zeros_like(y)
             for n in range(2):
                 for o in range(4):
@@ -192,26 +189,14 @@ class TestConvBackward:
                               np.random.default_rng(7))
         assert report.passed, report
 
-    def test_finite_difference_random_mode(self):
-        # frozen rng per call makes the random-border conv a pure function
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((1, 2, 5, 5))
-        w = rng.standard_normal((2, 2, 3, 3))
-        b = rng.standard_normal(2)
-        spec = tc.ConvSpec(2, 2, 3, tc.PaddingMode("random", 0.7))
-        report = tc.gradcheck(conv_op(spec, seed=42), [x, w, b], 1e-4,
-                              np.random.default_rng(8))
-        assert report.passed, report
-
-    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                      tc.PaddingMode("random", 0.7)])
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT])
     def test_finite_difference_1x1(self, mode):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((2, 3, 4, 5))
         w = rng.standard_normal((2, 3, 1, 1))
         b = rng.standard_normal(2)
         spec = tc.ConvSpec(3, 2, 1, mode)
-        report = tc.gradcheck(conv_op(spec, seed=42), [x, w, b], 1e-4,
+        report = tc.gradcheck(conv_op(spec), [x, w, b], 1e-4,
                               np.random.default_rng(11))
         assert report.passed, report
 
@@ -228,8 +213,7 @@ class TestConvBackward:
                               np.random.default_rng(13))
         assert report.passed, report
 
-    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                      tc.PaddingMode("random", 0.7)])
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT])
     @pytest.mark.parametrize("cin,cout", [(1, 4), (4, 1)])
     def test_finite_difference_both_stacking_sides(self, mode, cin, cout):
         # thin input stacks the input slices, thin output the GEMM output
@@ -238,7 +222,7 @@ class TestConvBackward:
         w = rng.standard_normal((cout, cin, 3, 3))
         b = rng.standard_normal(cout)
         spec = tc.ConvSpec(cin, cout, 3, mode)
-        report = tc.gradcheck(conv_op(spec, seed=42), [x, w, b], 1e-4,
+        report = tc.gradcheck(conv_op(spec), [x, w, b], 1e-4,
                               np.random.default_rng(15))
         assert report.passed, report
 
@@ -261,9 +245,8 @@ class TestConvBackward:
             np.testing.assert_array_equal(gw, gw2, mode.kind)
             np.testing.assert_array_equal(gb, gb2, mode.kind)
 
-    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                      tc.PaddingMode("random", 0.7)],
-                             ids=["zero", "circular", "reflect", "random"])
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
     @pytest.mark.parametrize("cin,cout,size", [(2, 8, 3), (8, 2, 3),
                                                (3, 2, 1)])
     def test_partial_backward_keeps_the_full_bits(self, mode, cin, cout,
@@ -276,8 +259,7 @@ class TestConvBackward:
         g = rng.standard_normal((3, cout, 64, 96)).astype(np.float32)
         spec = tc.ConvSpec(cin, cout, size, mode)
         _, tape = tc.conv2d_forward(tc.to_frame(x), w,
-                                    np.zeros(cout, np.float32), spec,
-                                    np.random.default_rng(1))
+                                    np.zeros(cout, np.float32), spec)
         gx, gw, gb = tc.conv2d_backward(tape, tc.to_frame(g))
         gx_only, no_gw, no_gb = tc.conv2d_backward(tape, tc.to_frame(g),
                                                    need_params=False)
@@ -288,9 +270,8 @@ class TestConvBackward:
         assert gw_only.tobytes() == gw.tobytes()
         assert gb_only.tobytes() == gb.tobytes()
 
-    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                      tc.PaddingMode("random", 0.7)],
-                             ids=["zero", "circular", "reflect", "random"])
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
     @pytest.mark.parametrize("cin,cout,size", [(2, 8, 3), (8, 2, 3),
                                                (3, 2, 1)])
     @pytest.mark.parametrize("need_input,need_params", [
@@ -308,8 +289,7 @@ class TestConvBackward:
 
         def backward(in_place):
             _, tape = tc.conv2d_forward(tc.to_frame(x), w,
-                                        np.zeros(cout, np.float32), spec,
-                                        np.random.default_rng(1))
+                                        np.zeros(cout, np.float32), spec)
             out = tape.padded if in_place else None
             return out, tc.conv2d_backward(
                 tape, tc.to_frame(g), need_input=need_input,

@@ -106,9 +106,8 @@ class TestForwardBackward:
             digests.add(done.stdout)
         assert len(digests) == 1
 
-    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT,
-                                         tc.PaddingMode("random", 1.0)],
-                             ids=["zero", "circular", "reflect", "random"])
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
     def test_partial_backward_keeps_the_full_bits(self, padding):
         model = unet.build_unet(unet.UNetConfig(padding=padding, seed=2))
         rng = np.random.default_rng(6)
@@ -116,8 +115,8 @@ class TestForwardBackward:
         g = rng.standard_normal((2, 11, 32, 48)).astype(np.float32)
 
         def backward(**need):
-            # each backward gets its own tape, from equal rngs
-            _, tape = unet.forward(model, x, np.random.default_rng(1))
+            # each backward gets its own tape
+            _, tape = unet.forward(model, x)
             tape.grad_logits = tc.to_frame(g)
             return unet.backward(model, tape, **need)
 
@@ -130,27 +129,15 @@ class TestForwardBackward:
         for a, b in zip(grads_only, grads):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("padding", [tc.ZERO, tc.REFLECT,
-                                         tc.PaddingMode("random", 1.0)],
-                             ids=["zero", "reflect", "random"])
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
     def test_forward_without_tape_is_bit_identical(self, padding):
         model = unet.build_unet(small_config(padding=padding, depth=3))
         x = np.random.default_rng(5).random((2, 1, 16, 8)).astype(np.float32)
-        taped, tape = unet.forward(model, x, np.random.default_rng(1))
-        bare, none = unet.forward(model, x, np.random.default_rng(1),
-                                  keep_tape=False)
+        taped, tape = unet.forward(model, x)
+        bare, none = unet.forward(model, x, keep_tape=False)
         assert none is None and tape is not None
         assert bare.tobytes() == taped.tobytes()
-
-    def test_forward_deterministic_with_random_padding(self):
-        cfg = small_config(padding=tc.PaddingMode("random", 1.0))
-        model = unet.build_unet(cfg)
-        x = np.random.default_rng(3).random((1, 1, 8, 8)).astype(np.float32)
-        a, _ = unet.forward(model, x, np.random.default_rng(11))
-        b, _ = unet.forward(model, x, np.random.default_rng(11))
-        np.testing.assert_array_equal(a, b)
-        c, _ = unet.forward(model, x, np.random.default_rng(12))
-        assert not np.array_equal(a, c)
 
 
 class TestTapeRelease:
@@ -167,7 +154,7 @@ class TestTapeRelease:
         tape.grad_logits = logits
         unet.backward(model, tape, **need)
         assert tape.conv_tapes == {} and tape.activations == {}
-        assert tape.pools == [] and tape.concat_split == []
+        assert tape.pools == []
         assert tape.grad_logits is None
 
     def test_step_peak_stays_near_the_tape(self):
@@ -193,6 +180,44 @@ class TestTapeRelease:
             tracemalloc.stop()
         assert live <= 16.5e6, live / 1e6
         assert peak <= 20e6, peak / 1e6
+
+
+class TestDecoderFrames:
+    """The tape keeps no decoder input frame: backward rebuilds it from two
+    activations and refills its ring with tc.pad."""
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
+    def test_backward_rebuilds_the_forward_frame(self, monkeypatch, padding,
+                                                 depth):
+        model = unet.build_unet(small_config(padding=padding, depth=depth))
+        firsts = {id(a.weight): a.name for a, _ in model.decoder}
+        padded, rebuilt = {}, {}
+        conv_forward, conv_backward = tc.conv2d_forward, tc.conv2d_backward
+
+        def forward(x, weights, *args):
+            out = conv_forward(x, weights, *args)
+            if id(weights) in firsts:
+                padded[firsts[id(weights)]] = x.copy()  # its ring now filled
+            return out
+
+        def backward(tape, *args, **kw):
+            if id(tape.weights) in firsts:
+                rebuilt[firsts[id(tape.weights)]] = tape.padded.copy()
+            return conv_backward(tape, *args, **kw)
+
+        monkeypatch.setattr(tc, "conv2d_forward", forward)
+        monkeypatch.setattr(tc, "conv2d_backward", backward)
+        x = np.random.default_rng(2).random((3, 1, 16, 24)).astype(np.float32)
+        logits, tape = unet.forward(model, x)
+        assert [tape.conv_tapes[name].padded for name in firsts.values()] \
+            == [None] * (depth - 1)
+        tape.grad_logits = logits
+        unet.backward(model, tape)
+        assert sorted(rebuilt) == sorted(padded) == sorted(firsts.values())
+        for name, frame in padded.items():
+            assert rebuilt[name].tobytes() == frame.tobytes(), name
 
 
 class TestTrainStep:
@@ -258,40 +283,17 @@ class TestShards:
         for n, bounds in ((1, [(0, 1)]), (2, [(0, 1), (1, 2)]),
                           (5, [(0, 2), (2, 5)])):
             runs = unet.run_shards(
-                lambda lo, hi, rng: (lo, hi, threading.current_thread()), n)
+                lambda lo, hi: (lo, hi, threading.current_thread()), n)
             assert [r[:2] for r in runs] == bounds
             assert runs[0][2] is threading.current_thread()
             if n >= 2:
                 assert runs[1][2].name.startswith("unet-shard")
 
-    def test_each_shard_draws_from_its_own_child_of_the_stream(
-            self, monkeypatch):
-        # the children are spawned in shard order before either shard
-        # runs: child 0 for the first (or only) shard, child 1 for the
-        # second, on the worker thread and in the serial fallback alike
-        require_blas_hook()
-        c0, c1 = [c.random() for c in np.random.default_rng(5).spawn(2)]
-
-        def run(n):
-            return unet.run_shards(
-                lambda lo, hi, rng: (rng.random(),
-                                     threading.current_thread().name),
-                n, np.random.default_rng(5))
-
-        here = threading.current_thread().name
-        assert run(1) == [(c0, here)]
-        (first, at), (second, worker) = run(5)
-        assert (first, at, second) == (c0, here, c1)
-        assert worker.startswith("unet-shard")
-        monkeypatch.setattr(unet, "_blas_setter", False)
-        assert run(5) == [(c0, here), (c1, here)]
-        assert unet.run_shards(lambda lo, hi, rng: rng, 5) == [None, None]
-
     def test_nested_shards_run_on_the_calling_thread(self):
         require_blas_hook()
         nested = unet.run_shards(
-            lambda lo, hi, rng: unet.run_shards(
-                lambda a, b, r: threading.current_thread(), 2), 2)
+            lambda lo, hi: unet.run_shards(
+                lambda a, b: threading.current_thread(), 2), 2)
         assert nested[0][0] is not nested[1][0]
         for pair in nested:
             assert pair[0] is pair[1]
@@ -300,7 +302,7 @@ class TestShards:
         require_blas_hook()
         done = []
 
-        def shard(lo, hi, rng):
+        def shard(lo, hi):
             if lo == 0:
                 raise RuntimeError("shard 0 failed")
             time.sleep(0.2)
@@ -316,9 +318,9 @@ class TestShards:
     def test_forked_child_runs_shards(self):
         # the parent's worker thread does not exist in a forked child
         require_blas_hook()
-        unet.run_shards(lambda lo, hi, rng: hi, 2)
+        unet.run_shards(lambda lo, hi: hi, 2)
         child = multiprocessing.get_context("fork").Process(
-            target=unet.run_shards, args=(lambda lo, hi, rng: hi, 2))
+            target=unet.run_shards, args=(lambda lo, hi: hi, 2))
         child.start()
         child.join(timeout=60)
         if child.is_alive():
@@ -336,7 +338,7 @@ class TestShards:
             try:
                 for _ in range(200):
                     n = 2 + k
-                    runs = unet.run_shards(lambda lo, hi, rng: (k, lo, hi), n)
+                    runs = unet.run_shards(lambda lo, hi: (k, lo, hi), n)
                     assert runs == [(k, 0, n // 2), (k, n // 2, n)]
             except BaseException as e:
                 errors.append(e)
@@ -357,12 +359,9 @@ class TestShards:
         assert errors == []
         assert after == 2
 
-    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR,
-                                         tc.PaddingMode("random", 1.0)],
-                             ids=["zero", "circular", "random"])
+    @pytest.mark.parametrize("padding", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
     def test_train_step_threaded_equals_serial(self, monkeypatch, padding):
-        # random padding: each shard's stream is drawn from the step's rng
-        # before either shard runs, so thread timing cannot move the draws
         require_blas_hook()
         rng = np.random.default_rng(3)
         x = rng.random((5, 1, 16, 24)).astype(np.float32)
@@ -371,9 +370,7 @@ class TestShards:
         def run():
             model = unet.build_unet(small_config(padding=padding, seed=4))
             adam = tc.AdamState.for_params([model.flat_params])
-            losses = [unet.train_step(model, x, t, adam,
-                                      np.random.default_rng(step))
-                      for step in range(3)]
+            losses = [unet.train_step(model, x, t, adam) for _ in range(3)]
             return losses, model.flat_params.tobytes()
 
         threads = shard_threads(monkeypatch)
@@ -455,31 +452,6 @@ class TestShards:
         assert sharded.dtype == np.float64
         assert sharded.tobytes() == whole.tobytes()
 
-    def test_random_padding_losses_run_both_shards(self, monkeypatch):
-        # random padding splits an evaluation batch like every other mode:
-        # shard k pads from child k of the batch's stream
-        require_blas_hook()
-        model = unet.build_unet(small_config(
-            padding=tc.PaddingMode("random"), depth=3))
-        rng = np.random.default_rng(9)
-        x = rng.random((5, 1, 16, 24)).astype(np.float32)
-        t = rng.integers(0, 11, (5, 16, 24)).astype(np.uint8)
-        threads = shard_threads(monkeypatch)
-        threaded = unet.sample_losses(model, x, t, np.random.default_rng(4))
-        assert {name.startswith("unet-shard") for name in threads} == \
-            {True, False}
-        threads.clear()
-        monkeypatch.setattr(unet, "_blas_setter", False)
-        serial = unet.sample_losses(model, x, t, np.random.default_rng(4))
-        assert set(threads) == {threading.current_thread().name}
-        assert serial.tobytes() == threaded.tobytes()
-        children = np.random.default_rng(4).spawn(2)
-        for (lo, hi), child in zip(((0, 2), (2, 5)), children):
-            logits, _ = unet.forward(model, x[lo:hi], child, keep_tape=False)
-            alone, _ = tc.softmax_cross_entropy_pixelwise(
-                logits, t[lo:hi], need_grad=False)
-            assert serial[lo:hi].tobytes() == alone.tobytes()
-
     def test_step_gradient_and_loss_are_the_whole_batch_ones(self):
         # f64, odd batch: the shards' gradients and losses, each scaled by
         # the whole batch's pixel count, add up to the whole batch's; a
@@ -529,10 +501,8 @@ class TestPinnedLosses:
 class TestBitsAcrossPaddings:
     """Digests of four train steps (weights and losses), saliency maps and
     per-image losses of the default net, recorded while the tape still kept
-    each decoder's input frame; rebuilding that frame in the backward must
-    keep every bit, random-padding draws on its ring included.  The random
-    padding losses were re-pinned when its evaluation batches began to run
-    as two shards, each padding from its own child of the batch's stream."""
+    each decoder's input frame; rebuilding that frame and refilling its
+    ring in the backward must keep every bit."""
 
     DIGESTS = {
         "zero": {"train": "708787a7b50f844a", "saliency": "09526fd97339b508",
@@ -543,9 +513,6 @@ class TestBitsAcrossPaddings:
         "reflect": {"train": "2f7c4acbd28fdc7f",
                     "saliency": "af19d4ebda16bea9",
                     "losses": "264cb23fb91e1a53"},
-        "random": {"train": "991ffea139473850",
-                   "saliency": "8f7ecbe838a728e3",
-                   "losses": "e1d2069f1fa18654"},
     }
 
     @staticmethod
@@ -564,12 +531,10 @@ class TestBitsAcrossPaddings:
         t = np.stack([s.target for s in samples])
         model = unet.build_unet(unet.UNetConfig(padding=mode, seed=7))
         adam = tc.AdamState.for_params([model.flat_params])
-        rng = np.random.default_rng(11)
-        losses = [unet.train_step(model, x, t, adam, rng) for _ in range(4)]
+        losses = [unet.train_step(model, x, t, adam) for _ in range(4)]
         got = {"train": self.digest(model.flat_params, np.array(losses)),
-               "saliency": self.digest(
-                   saliency.saliency_maps(model, samples, rng)),
-               "losses": self.digest(unet.sample_losses(model, x, t, rng))}
+               "saliency": self.digest(saliency.saliency_maps(model, samples)),
+               "losses": self.digest(unet.sample_losses(model, x, t))}
         assert got == self.DIGESTS[kind]
 
 

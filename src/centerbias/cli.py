@@ -98,11 +98,29 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+# `asymmetry` is `train` started from the center/edge pair of train
+# policies and a 0.8-1.0 edge band; --quick is a smoke-scale preset that
+# --set overrides
+ASYMMETRY_START = harness.ExperimentConfig(
+    train_policies=(data.AllowedCentral(0.3), data.ForbiddenCentral(0.7)),
+    eval_bands=(data.Band(0.0, 0.1), data.Band(0.8, 1.0)))
+ASYMMETRY_QUICK = ["epochs=1", "train_count=256", "eval_count=32",
+                   "repeats=1"]
+
+
+def experiment_config(args) -> harness.ExperimentConfig:
+    """The config `train` and `asymmetry` run: the subcommand's start
+    config, then --config's keys, then --quick's and each --set's
+    overrides, with output_dir fixed to --out if given."""
     fixed = {"output_dir": args.out} if args.out else {}
-    config = _load_config(harness.ExperimentConfig(), args.config, args.set,
-                          **fixed)
-    record = harness.run_regional_training(config, workers=args.workers)
+    return _load_config(args.start, args.config,
+                        (ASYMMETRY_QUICK if args.quick else [])
+                        + (args.set or []), **fixed)
+
+
+def _run_experiment(config, workers) -> harness.RunRecord:
+    """Train, export and print one experiment."""
+    record = harness.run_regional_training(config, workers=workers)
     paths = harness.export_results(record)
     print(f"config {record.config_hash}: trained "
           f"{len(config.train_policies)} x {config.repeats} models in "
@@ -112,60 +130,36 @@ def cmd_train(args) -> int:
                           for l, v in zip(record.eval_labels, row))
         print(f"  {label}: {cells}")
     print(f"results -> {paths['results']}")
+    return record
+
+
+def cmd_train(args) -> int:
+    _run_experiment(experiment_config(args), args.workers)
     return EXIT_OK
 
 
-# `asymmetry` starts from the default experiment with a 0.8-1.0 edge band;
-# --quick is a smoke-scale preset that --set overrides
-ASYMMETRY_START = harness.ExperimentConfig(
-    eval_bands=(data.Band(0.0, 0.1), data.Band(0.8, 1.0)))
-ASYMMETRY_QUICK = ["epochs=1", "train_count=256", "eval_count=32",
-                   "repeats=1"]
-
-
-def asymmetry_arms(args) -> tuple[harness.ExperimentConfig, ...]:
-    """The center, edge and center_shifted configs of `asymmetry`."""
-    base = _load_config(ASYMMETRY_START, args.config,
-                        (ASYMMETRY_QUICK if args.quick else [])
-                        + (args.set or []))
-
-    def arm(name, policy, **extra):
-        return replace(base, train_policies=(policy,),
-                       output_dir=f"{args.out}/{name}", **extra)
-
-    return (arm("center", data.AllowedCentral(0.3)),
-            arm("edge", data.ForbiddenCentral(0.7)),
-            arm("center_shifted", data.AllowedCentral(0.3),
-                augmentations=({"name": "random_periodic_shift",
-                                "max_frac": 0.25},)))
+def mitigation_config(config, out: str) -> harness.ExperimentConfig:
+    """`asymmetry --with-mitigation`'s second run: the first train policy
+    with a random periodic shift as its only augmentation, under
+    OUT/center_shifted."""
+    return replace(config, train_policies=config.train_policies[:1],
+                   augmentations=({"name": "random_periodic_shift",
+                                   "max_frac": 0.25},),
+                   output_dir=os.path.join(out, "center_shifted"))
 
 
 def cmd_asymmetry(args) -> int:
-    center, edge, shifted = asymmetry_arms(args)
-
-    def train(config):
-        record = harness.run_regional_training(config, workers=args.workers)
-        harness.export_results(record)
-        return record
-
-    print(f"training center-restricted models ({center.repeats} repeats)...")
-    rec_center = train(center)
-    print("training edge-restricted models...")
-    rec_edge = train(edge)
-    print(f"\nmean loss (eval bands {rec_center.eval_labels}):")
-    print(f"  center-trained: {rec_center.raw[0]}")
-    print(f"  edge-trained:   {rec_edge.raw[0]}")
-    ratios = harness.summarize_asymmetry(rec_center, rec_edge)
-    print(f"  center-trained edge/center ratio: "
-          f"{ratios['center_to_edge_ratio']:.1f}")
-    print(f"  edge-trained center/edge ratio:   "
-          f"{ratios['edge_to_center_ratio']:.2f}")
+    config = experiment_config(args)
+    configs = [config]
     if args.with_mitigation:
-        print("\ntraining center-restricted + random periodic shift...")
-        aug_ratio = harness.summarize_asymmetry(
-            train(shifted), rec_edge)["center_to_edge_ratio"]
-        print(f"  augmented edge/center ratio: {aug_ratio:.2f} "
-              f"(unaugmented: {ratios['center_to_edge_ratio']:.1f})")
+        configs.append(mitigation_config(config, args.out))
+    for cfg in configs:
+        record = _run_experiment(cfg, args.workers)
+        print(f"loss ratio {record.eval_labels[-1]} / "
+              f"{record.eval_labels[0]}, mean over repeats:")
+        for label, ratio in zip(record.train_labels,
+                                harness.summarize_asymmetry(record)):
+            print(f"  {label}: {ratio:.3f}")
     return EXIT_OK
 
 
@@ -419,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--out", help="override config output_dir")
     p.add_argument("--workers", type=int, default=None)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, start=harness.ExperimentConfig(),
+                   quick=False)
 
     p = sub.add_parser(
         "asymmetry", help="center/edge cross-test: train center- and "
@@ -427,14 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="ExperimentConfig JSON")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--out", default="runs/regional_bias",
-                   help="each arm writes under OUT/<arm>")
+                   help="output_dir of the run")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--quick", action="store_true",
                    help="smoke scale: " + ", ".join(ASYMMETRY_QUICK))
     p.add_argument("--with-mitigation", action="store_true",
-                   help="also train the center arm with random periodic "
-                        "shifts")
-    p.set_defaults(fn=cmd_asymmetry)
+                   help="also train the first train policy with random "
+                        "periodic shifts, under OUT/center_shifted")
+    p.set_defaults(fn=cmd_asymmetry, start=ASYMMETRY_START)
 
     p = sub.add_parser("eval", help="band-wise losses of a checkpoint")
     p.add_argument("--checkpoint", required=True)

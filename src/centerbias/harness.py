@@ -259,16 +259,21 @@ def run_regional_training(config: ExperimentConfig,
     """Train repeats x policies models, evaluate band-wise, aggregate means.
 
     Jobs are deterministic functions of their seeds, so `workers` changes
-    only the wall time.  Worker processes are spawned fresh, with
-    single-threaded BLAS unless the user set OPENBLAS_NUM_THREADS or
-    OMP_NUM_THREADS, so the workers do not oversubscribe the cores.
+    only the wall time.  Every (policy, repeat) job goes to one pool of
+    min(workers, jobs) processes, spawned fresh, with single-threaded BLAS
+    unless the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, so the
+    workers do not oversubscribe the cores; with one, the jobs train in
+    this process.  `wall_clock["workers"]` records that count.
     """
     workers = default_workers() if workers is None else workers
-    os.makedirs(config.output_dir, exist_ok=True)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = [(ti, rep) for ti in range(len(config.train_policies))
             for rep in range(config.repeats)]
+    workers = min(workers, len(jobs))
+    os.makedirs(config.output_dir, exist_ok=True)
     started = time.time()
-    if workers <= 1 or len(jobs) == 1:
+    if workers == 1:
         results = {job: _train_job(to_dict(config), *job) for job in jobs}
     else:
         with _worker_pool(workers) as pool:
@@ -325,21 +330,12 @@ def normalize_matrix(raw: np.ndarray, eval_policies, mode: str) -> np.ndarray:
     return raw / raw[:, col:col + 1]
 
 
-def summarize_asymmetry(record_center: RunRecord,
-                        record_edge: RunRecord) -> dict:
-    """Cross-test ratios of the first train policy, averaged per repeat.
-
-    The first eval band is the central one and the last the edge one.
-    center_to_edge_ratio: the center-trained model's edge-band loss over its
-    central-band loss; edge_to_center_ratio: the edge-trained model's
-    central-band loss over its edge-band loss.
-    """
-    c = record_center.per_repeat[0]
-    e = record_edge.per_repeat[0]
-    return {
-        "center_to_edge_ratio": float(np.mean(c[:, -1] / c[:, 0])),
-        "edge_to_center_ratio": float(np.mean(e[:, 0] / e[:, -1])),
-    }
+def summarize_asymmetry(record: RunRecord) -> list[float]:
+    """The cross-test ratio of each train row, in `train_labels` order: the
+    mean over repeats of the last eval band's loss over the first band's
+    (edge over center, for bands listed from the center out)."""
+    pr = record.per_repeat
+    return (pr[:, :, -1] / pr[:, :, 0]).mean(axis=1).tolist()
 
 
 # --------------------------------------------------------------------------

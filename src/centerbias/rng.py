@@ -9,10 +9,10 @@ label) enters as the integer of its UTF-8 bytes.
 An experiment job names every stream under its repeat's seed,
 derive(master_seed, REPEAT, rep), which is also its model's seed, its
 training dataset's master seed and its evaluation seed.  The train policy
-enters no name, so the arms of a repeat (the train policies of one config,
-or the arms of `centerbias asymmetry`) share initial weights, glyph
-sequence, backgrounds and evaluation inputs, and differ only in placement
-and augmentation.
+enters no name, so the arms of a repeat, the train policies of one config
+(the center and edge rows of `centerbias asymmetry` among them), share
+initial weights, glyph sequence, backgrounds and evaluation inputs, and
+differ only in placement.
 """
 
 import numpy as np

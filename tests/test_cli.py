@@ -122,6 +122,15 @@ class TestConfigErrors:
                     "--out", str(tmp_path)]) == 4
         assert "train_count" in self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", ["train", "asymmetry"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_4_before_any_output(
+            self, tmp_path, capsys, no_samples, command, workers):
+        out = tmp_path / "out"
+        assert run([command, "--workers", workers, "--out", str(out)]) == 4
+        assert "workers must be >= 1" in self.assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_indivisible_dims_exit_4_before_generation(self, tmp_path,
                                                        capsys, no_samples):
         assert run(["train", "--set", "dataset.width=90", "--workers", "1",
@@ -561,55 +570,132 @@ class TestTrainEvalReport:
 
 
 class TestAsymmetry:
+    TINY = ["dataset.height=32", "dataset.width=32",
+            "dataset.glyph_source=builtin:14", "model.depth=2",
+            "model.base_channels=2", "train_count=8", "batch_size=8",
+            "eval_count=2", "epochs=1", "repeats=1"]
+
     @staticmethod
-    def arms(*argv):
+    def config(*argv):
         args = cli.build_parser().parse_args(["asymmetry", *argv])
-        return cli.asymmetry_arms(args)
+        return cli.experiment_config(args)
+
+    @classmethod
+    def tiny_argv(cls, out, *sets):
+        argv = ["--out", str(out)]
+        for item in (*cls.TINY, *sets):
+            argv += ["--set", item]
+        return argv
 
     @pytest.mark.parametrize("flags, hashes", [
-        ([], ["fc1b82d5d578ac4d", "e9c87a6886af24db", "505ebcc3b6d31405"]),
-        (["--quick"],
-         ["6d2232315907c532", "949a060c16872d75", "213f1c3ad61c8e94"]),
+        ([], ["aaf1ca7f16a07d5a", "fc1b82d5d578ac4d", "e9c87a6886af24db",
+              "505ebcc3b6d31405"]),
+        (["--quick"], ["06cce5189ed6d546", "6d2232315907c532",
+                       "949a060c16872d75", "213f1c3ad61c8e94"]),
     ], ids=["default", "quick"])
     def test_arm_config_hashes_are_pinned(self, flags, hashes):
-        assert [harness.config_hash(c) for c in self.arms(*flags)] == hashes
+        # the preset, each of its train policies alone (the center and edge
+        # runs of earlier versions) and the --with-mitigation run
+        config = self.config(*flags)
+        alone = [replace(config, train_policies=(p,))
+                 for p in config.train_policies]
+        runs = [config, *alone, cli.mitigation_config(config, "o")]
+        assert [harness.config_hash(c) for c in runs] == hashes
 
-    def test_arms_override_only_policy_output_and_augmentations(self):
-        center, edge, shifted = self.arms("--out", "o", "--set", "epochs=2")
-        assert [c.output_dir for c in (center, edge, shifted)] == \
-            ["o/center", "o/edge", "o/center_shifted"]
-        assert edge.train_policies == (data.ForbiddenCentral(0.7),)
+    def test_preset_and_mitigation_set_only_their_fields(self):
+        config = self.config("--out", "o", "--set", "epochs=2")
+        assert config == replace(cli.ASYMMETRY_START, epochs=2,
+                                 output_dir="o")
+        assert config.train_policies == (data.AllowedCentral(0.3),
+                                          data.ForbiddenCentral(0.7))
+        shifted = cli.mitigation_config(config, "o")
+        assert shifted.output_dir == os.path.join("o", "center_shifted")
+        assert shifted.train_policies == (data.AllowedCentral(0.3),)
         assert shifted.augmentations == (
             {"name": "random_periodic_shift", "max_frac": 0.25},)
-        base = cli.ASYMMETRY_START
-        assert replace(center, output_dir=base.output_dir) == replace(
-            base, epochs=2, train_policies=(data.AllowedCentral(0.3),))
+        assert replace(shifted, train_policies=config.train_policies,
+                       augmentations=(), output_dir="o") == config
 
     def test_set_wins_over_quick_and_file_keeps_the_start(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"learning_rate": 0.01}))
-        center = self.arms("--quick", "--config", str(path),
-                           "--set", "repeats=2")[0]
-        assert (center.epochs, center.train_count, center.repeats) == \
+        config = self.config("--quick", "--config", str(path),
+                             "--set", "repeats=2")
+        assert (config.epochs, config.train_count, config.repeats) == \
             (1, 256, 2)
-        assert center.learning_rate == 0.01
-        assert center.eval_bands == cli.ASYMMETRY_START.eval_bands
+        assert config.learning_rate == 0.01
+        assert config.eval_bands == cli.ASYMMETRY_START.eval_bands
+        assert config.train_policies == cli.ASYMMETRY_START.train_policies
 
-    def test_tiny_run_writes_every_arm(self, tmp_path, capsys):
-        sets = ["dataset.height=32", "dataset.width=32",
-                "dataset.glyph_source=builtin:14", "model.depth=2",
-                "model.base_channels=2", "train_count=8", "batch_size=8",
-                "eval_count=2", "epochs=1", "repeats=1"]
+    def test_pair_equals_the_one_policy_runs(self, tmp_path):
+        # the preset's one run, in process and on a pool of two, gives
+        # each row the matrix and traces of its policy trained alone
+        config = self.config(*self.tiny_argv(tmp_path, "repeats=2"))
+        alone = [harness.run_regional_training(
+            replace(config, train_policies=(p,),
+                    output_dir=str(tmp_path / f"alone{ti}")), workers=1)
+            for ti, p in enumerate(config.train_policies)]
+        for workers in (1, 2):
+            pair = harness.run_regional_training(
+                replace(config, output_dir=str(tmp_path / f"w{workers}")),
+                workers=workers)
+            assert pair.wall_clock["workers"] == workers
+            for ti, record in enumerate(alone):
+                np.testing.assert_array_equal(pair.per_repeat[ti],
+                                              record.per_repeat[0])
+                assert pair.traces[ti] == record.traces[0]
+            assert [[os.path.basename(p) for p in row]
+                    for row in pair.checkpoints] == \
+                [["train0_rep0.ckpt", "train0_rep1.ckpt"],
+                 ["train1_rep0.ckpt", "train1_rep1.ckpt"]]
+
+    @staticmethod
+    def printed_ratios(out, record):
+        """The ratio lines `asymmetry` printed for `record`, and the ones
+        its record gives."""
+        header = (f"loss ratio {record.eval_labels[-1]} / "
+                  f"{record.eval_labels[0]}, mean over repeats:")
+        lines = out.splitlines()
+        at = lines.index(header) + 1
+        printed = lines[at:at + len(record.train_labels)]
+        expected = [f"  {label}: {ratio:.3f}" for label, ratio in zip(
+            record.train_labels, harness.summarize_asymmetry(record))]
+        return printed, expected
+
+    def test_tiny_run_writes_one_record_and_the_shifted_run(self, tmp_path,
+                                                             capsys):
         argv = ["asymmetry", "--with-mitigation", "--workers", "1",
-                "--out", str(tmp_path)]
-        for item in sets:
-            argv += ["--set", item]
+                *self.tiny_argv(tmp_path)]
         assert run(argv) == 0
-        for arm in ("center", "edge", "center_shifted"):
-            assert (tmp_path / arm / "results.json").exists(), arm
         out = capsys.readouterr().out
-        assert "center-trained edge/center ratio" in out
-        assert "augmented edge/center ratio" in out
+        pair = harness.load_results(tmp_path / "results.json")
+        assert pair.train_labels == ["allowed:0.3", "forbidden:0.7"]
+        for ti in (0, 1):
+            assert (tmp_path / "checkpoints" /
+                    f"train{ti}_rep0.ckpt").exists()
+        shifted = harness.load_results(
+            tmp_path / "center_shifted" / "results.json")
+        assert shifted.train_labels == ["allowed:0.3"]
+        assert shifted.config.augmentations
+        for record in (pair, shifted):
+            printed, expected = self.printed_ratios(out, record)
+            assert printed == expected
+
+    def test_three_train_policies_give_three_rows_and_ratios(self, tmp_path,
+                                                            capsys):
+        policies = ('train_policies=[{"kind": "allowed_central", "a": 0.3},'
+                    ' {"kind": "unrestricted"},'
+                    ' {"kind": "forbidden_central", "c": 0.7}]')
+        argv = ["asymmetry", "--workers", "1",
+                *self.tiny_argv(tmp_path, policies)]
+        assert run(argv) == 0
+        record = harness.load_results(tmp_path / "results.json")
+        assert record.train_labels == ["allowed:0.3", "unrestricted",
+                                       "forbidden:0.7"]
+        printed, expected = self.printed_ratios(capsys.readouterr().out,
+                                                record)
+        assert printed == expected and len(printed) == 3
+        assert not (tmp_path / "center_shifted").exists()
 
 
 class TestAugmentCommand:

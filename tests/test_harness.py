@@ -190,14 +190,24 @@ class TestEvaluateBands:
 
 
 class TestRunRegionalTraining:
-    def test_untrained_matrix_near_log_k(self, tmp_path):
-        # one epoch at a negligible rate: Adam moves each weight by about
-        # the rate per step, so the model stays at its initialization
-        cfg = tiny_config(tmp_path, learning_rate=1e-9, repeats=1,
-                          master_seed=12)
+    def test_zero_head_matrix_is_log_k(self, tmp_path, monkeypatch):
+        # models built with a zeroed head, trained one epoch at a negligible
+        # rate: Adam moves each weight by about the rate per step, so every
+        # logit stays within about 1e-8 of 0 and every cell is log 11 up to
+        # f32 rounding, whatever the seed
+        build = unet.build_unet
+
+        def zero_head(config):
+            model = build(config)
+            model.head.weight[...] = 0
+            model.head.bias[...] = 0
+            return model
+
+        monkeypatch.setattr(unet, "build_unet", zero_head)
+        cfg = tiny_config(tmp_path, learning_rate=1e-9)
         record = harness.run_regional_training(cfg, workers=1)
         assert record.raw.shape == (1, 2)
-        np.testing.assert_allclose(record.raw, np.log(11), atol=0.5)
+        np.testing.assert_allclose(record.raw, np.log(11), rtol=1e-6)
 
     def test_smoke_run_full_matrix_and_artifacts(self, tmp_path):
         cfg = tiny_config(tmp_path, train_policies=(
@@ -223,6 +233,18 @@ class TestRunRegionalTraining:
         np.testing.assert_array_equal(a.per_repeat, b.per_repeat)
         assert a.traces == b.traces
         assert a.config_hash == b.config_hash
+
+    @pytest.mark.parametrize("workers, policies, trained_by", [
+        (2, 1, 1), (1, 2, 1), (8, 2, 2)])
+    def test_wall_clock_counts_the_processes_that_trained(
+            self, tmp_path, workers, policies, trained_by):
+        # one job, or one worker, trains in this process; a pool has no
+        # more processes than jobs
+        cfg = tiny_config(tmp_path, train_count=8, eval_count=2,
+                          train_policies=(Unrestricted(),
+                                          ForbiddenCentral(0.5))[:policies])
+        record = harness.run_regional_training(cfg, workers=workers)
+        assert record.wall_clock["workers"] == trained_by
 
     def test_augmented_run_executes(self, tmp_path):
         cfg = tiny_config(tmp_path, augmentations=(
@@ -281,25 +303,27 @@ class TestNormalize:
 
 
 class TestAsymmetry:
-    def fake_record(self, cells):
-        rec = harness.RunRecord(
-            config=None, config_hash="", train_labels=["t"],
-            eval_labels=["center", "edge"],
-            per_repeat=np.array([cells]), raw=np.array(cells).mean(0)[None])
-        return rec
+    @staticmethod
+    def fake_record(labels, per_repeat):
+        per_repeat = np.array(per_repeat)
+        return harness.RunRecord(
+            config=None, config_hash="", train_labels=labels,
+            eval_labels=["center", "middle", "edge"], per_repeat=per_repeat,
+            raw=per_repeat.mean(axis=1))
 
-    def test_equal_cells_both_ratios_one(self):
-        rec = self.fake_record([[0.5, 0.5], [0.5, 0.5]])
-        out = harness.summarize_asymmetry(rec, rec)
-        assert out == {"center_to_edge_ratio": 1.0,
-                       "edge_to_center_ratio": 1.0}
+    def test_equal_cells_ratio_one(self):
+        rec = self.fake_record(["t"], [[[0.5, 2.0, 0.5], [0.5, 2.0, 0.5]]])
+        assert harness.summarize_asymmetry(rec) == [1.0]
 
-    def test_per_repeat_mean_of_ratios(self):
-        center = self.fake_record([[1.0, 10.0], [2.0, 10.0]])
-        edge = self.fake_record([[3.0, 1.0], [1.0, 1.0]])
-        out = harness.summarize_asymmetry(center, edge)
-        assert out["center_to_edge_ratio"] == pytest.approx((10 + 5) / 2)
-        assert out["edge_to_center_ratio"] == pytest.approx((3 + 1) / 2)
+    def test_one_ratio_per_row_mean_over_repeats(self):
+        # rows in train_labels order, two of them under one label; each is
+        # the mean over repeats of last band / first band
+        rec = self.fake_record(["a", "b", "a"], [
+            [[1.0, 7.0, 10.0], [2.0, 7.0, 10.0]],
+            [[3.0, 7.0, 1.0], [1.0, 7.0, 1.0]],
+            [[4.0, 7.0, 2.0], [4.0, 7.0, 4.0]]])
+        assert harness.summarize_asymmetry(rec) == pytest.approx(
+            [(10 + 5) / 2, (1 / 3 + 1) / 2, (0.5 + 1) / 2])
 
 
 class TestExport:
@@ -401,23 +425,18 @@ class TestPairing:
 
     def test_train_policies_of_one_config_are_paired(self, tmp_path,
                                                      monkeypatch):
-        cfg = tiny_config(tmp_path, train_policies=(
-            data.AllowedCentral(0.5), ForbiddenCentral(0.5)), repeats=2)
-        jobs = self.jobs(monkeypatch, [cfg])
-        assert len(jobs) == 4  # (ti, rep) = (0, 0), (0, 1), (1, 0), (1, 1)
-        self.assert_paired(jobs[0], jobs[2])
-        self.assert_paired(jobs[1], jobs[3])
-        assert not np.array_equal(jobs[0]["init"], jobs[1]["init"])
-
-    def test_asymmetry_arms_are_paired(self, tmp_path, monkeypatch):
+        # the center/edge pair of `centerbias asymmetry`, at a tiny scale
         from centerbias import cli
         argv = ["asymmetry", "--out", str(tmp_path)]
         for item in ("dataset.height=32", "dataset.width=32",
                      "dataset.glyph_source=builtin:14", "model.depth=2",
                      "model.base_channels=2", "train_count=16",
                      "batch_size=8", "eval_count=4", "epochs=1",
-                     "repeats=1"):
+                     "repeats=2"):
             argv += ["--set", item]
-        center, edge, _ = cli.asymmetry_arms(
-            cli.build_parser().parse_args(argv))
-        self.assert_paired(*self.jobs(monkeypatch, [center, edge]))
+        cfg = cli.experiment_config(cli.build_parser().parse_args(argv))
+        jobs = self.jobs(monkeypatch, [cfg])
+        assert len(jobs) == 4  # (ti, rep) = (0, 0), (0, 1), (1, 0), (1, 1)
+        self.assert_paired(jobs[0], jobs[2])
+        self.assert_paired(jobs[1], jobs[3])
+        assert not np.array_equal(jobs[0]["init"], jobs[1]["init"])

@@ -1,12 +1,13 @@
 """Mitigation transforms: periodic shifts, shift-object-to-boundary, and the
 input-level edge-band drop.
 
-Every augmentation has one implementation: a transform
+Every augmentation kind is one frozen record that is itself its transform
 `(x, t, rng) -> (x, t)` on an input image `x` (shape (C, H, W)) and its
-label map `t` (shape (H, W)), built by `build_augmentations` from a spec
-such as `{"name": "random_periodic_shift", "max_frac": 0.25}`.  Training
-applies these transforms to each sample; `centerbias augment` applies the
-same ones to a sample file and checks their postconditions.
+label map `t` (shape (H, W)).  `build_augmentations` reads the records from
+specs such as `{"name": "random_periodic_shift", "max_frac": 0.25}`: the
+name picks the kind and the config codec reads the rest.  Training applies
+these transforms to each sample; `centerbias augment` applies the same ones
+to a sample file and checks their postconditions.
 
 Periodic shifts wrap pixel content modularly and move the label map with
 the image.  `random_shift` and `boundary_shift` pick the shift;
@@ -16,16 +17,17 @@ comes from the explicit `rng` stream.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import from_dict
 from .data import mask_bbox
 
 __all__ = [
-    "ShiftSpec", "EdgeDropSpec", "periodic_shift", "random_shift",
-    "boundary_shift", "edge_block_drop", "build_augmentations",
+    "ShiftSpec", "RandomPeriodicShift", "ShiftObjectToBoundary",
+    "EdgeDropSpec", "periodic_shift", "random_shift", "boundary_shift",
+    "edge_block_drop", "build_augmentations",
 ]
 
 Box = tuple[int, int, int, int]  # (x, y, w, h) in pixels
@@ -40,17 +42,47 @@ class ShiftSpec:
 
 
 @dataclass(frozen=True)
-class EdgeDropSpec:
-    probability: float
-    band_width: int
+class RandomPeriodicShift:
+    """A uniform periodic shift of up to +-max_frac of each dimension."""
+
+    max_frac: float = 0.25
 
     def __post_init__(self):
-        if not _is_fraction(self.probability):
-            raise ValueError(f"probability must be a number in [0, 1], "
-                             f"got {self.probability!r}")
-        if type(self.band_width) is not int or self.band_width < 1:
-            raise ValueError(f"band_width must be an integer >= 1, "
-                             f"got {self.band_width!r}")
+        if not 0 <= self.max_frac <= 1:
+            raise ValueError(
+                f"max_frac must be in [0, 1], got {self.max_frac!r}")
+
+    def __call__(self, x, t, rng):
+        return _shift_pair(x, t, random_shift(t.shape, rng, self.max_frac))
+
+
+@dataclass(frozen=True)
+class ShiftObjectToBoundary:
+    """The periodic shift that moves the object onto its nearest edge."""
+
+    def __call__(self, x, t, rng):
+        # one object per sample: its box is the mask's tight bbox, so no box
+        # is drawn and `rng` is left untouched
+        box = mask_bbox(t > 0)
+        if box is None:
+            return x, t
+        return _shift_pair(x, t, boundary_shift(box, t.shape))
+
+
+@dataclass(frozen=True)
+class EdgeDropSpec:
+    """The input-level edge-band drop (see edge_block_drop)."""
+
+    probability: float = 0.5
+    band_width: int = 4
+
+    def __post_init__(self):
+        if not 0 <= self.probability <= 1:
+            raise ValueError(
+                f"probability must be in [0, 1], got {self.probability!r}")
+        if self.band_width < 1:
+            raise ValueError(
+                f"band_width must be >= 1, got {self.band_width!r}")
 
     def check_fits(self, hw: tuple[int, int]) -> None:
         """Raise unless a band leaves part of an (H, W) image standing."""
@@ -58,10 +90,8 @@ class EdgeDropSpec:
             raise ValueError(f"band_width {self.band_width} too wide for "
                              f"{hw[0]}x{hw[1]} images")
 
-
-def _is_fraction(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0 <= value <= 1)
+    def __call__(self, x, t, rng):
+        return edge_block_drop(x, self, rng), t
 
 
 def periodic_shift(array: np.ndarray, spec: ShiftSpec) -> np.ndarray:
@@ -139,71 +169,40 @@ def edge_block_drop(x: np.ndarray, spec: EdgeDropSpec,
     return out
 
 
-# --------------------------------------------------------------------------
-# registry of (x, t, rng) -> (x, t) transforms, referenced by name in
-# config JSON; each factory takes the image size and the spec's parameters
-
 def _shift_pair(x, t, spec):
     return periodic_shift(x, spec), periodic_shift(t, spec)
 
 
-def _build_random_shift(hw, max_frac=0.25):
-    if not _is_fraction(max_frac):
-        raise ValueError(
-            f"max_frac must be a number in [0, 1], got {max_frac!r}")
-
-    def apply(x, t, rng):
-        return _shift_pair(x, t, random_shift(t.shape, rng, max_frac))
-
-    return apply
-
-
-def _build_boundary_shift(hw):
-    # one object per sample: its box is the mask's tight bbox, so no box is
-    # drawn and `rng` is left untouched
-    def apply(x, t, rng):
-        box = mask_bbox(t > 0)
-        if box is None:
-            return x, t
-        return _shift_pair(x, t, boundary_shift(box, t.shape))
-
-    return apply
-
-
-def _build_edge_drop(hw, probability=0.5, band_width=4):
-    spec = EdgeDropSpec(probability, band_width)
-    spec.check_fits(hw)
-
-    def apply(x, t, rng):
-        return edge_block_drop(x, spec, rng), t
-
-    return apply
-
-
+# the kinds, by the "name" that config JSON gives them
 _AUGMENTS = {
-    "random_periodic_shift": _build_random_shift,
-    "shift_object_to_boundary": _build_boundary_shift,
-    "edge_block_drop": _build_edge_drop,
+    "random_periodic_shift": RandomPeriodicShift,
+    "shift_object_to_boundary": ShiftObjectToBoundary,
+    "edge_block_drop": EdgeDropSpec,
 }
 
 
 def build_augmentations(specs, hw: tuple[int, int]) -> list:
-    """One `(x, t, rng) -> (x, t)` transform per spec, for (H, W) images.
+    """The transform of each spec, for (H, W) images.
 
-    Raises ValueError for an unknown name, an unknown parameter key or a
-    parameter out of range.
+    Raises a ValueError naming `augmentations[i]`, or the parameter as
+    `augmentations[i].<param>`, for an unknown name, an unknown or mistyped
+    parameter, or a parameter out of range.
     """
     fns = []
-    for spec in specs:
-        name = spec.get("name") if isinstance(spec, dict) else None
+    for i, spec in enumerate(specs):
+        where = f"augmentations[{i}]"
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where} must be a dict, got {spec!r}")
+        name = spec.get("name")
         if not isinstance(name, str) or name not in _AUGMENTS:
-            raise ValueError(f"unknown augmentation {spec!r}")
-        factory = _AUGMENTS[name]
+            raise ValueError(f"{where}.name must be one of "
+                             f"{list(_AUGMENTS)}, got {name!r}")
         params = {k: v for k, v in spec.items() if k != "name"}
-        allowed = list(inspect.signature(factory).parameters)[1:]
-        unknown = sorted(set(params) - set(allowed))
-        if unknown:
-            raise ValueError(f"augmentation {name!r} has unknown parameters "
-                             f"{unknown}; allowed: {allowed}")
-        fns.append(factory(hw, **params))
+        fn = from_dict(_AUGMENTS[name], params, where)
+        if isinstance(fn, EdgeDropSpec):
+            try:
+                fn.check_fits(hw)
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
+        fns.append(fn)
     return fns

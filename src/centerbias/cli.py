@@ -165,7 +165,10 @@ def cmd_asymmetry(args) -> int:
 
 def cmd_eval(args) -> int:
     model = unet.load_checkpoint(args.checkpoint)
-    policies = [data.parse_policy(tok) for tok in args.bands.split(",")]
+    try:
+        policies = [data.parse_policy(tok) for tok in args.bands.split(",")]
+    except ValueError as e:
+        raise ValueError(f"--bands: {e}") from None
     template = _load_config(data.DatasetConfig(), args.dataset_config,
                             args.set)
     row = harness.evaluate_bands(model, policies, args.count, args.seed,
@@ -212,14 +215,12 @@ def _load_sample_pair(image_path, label_path):
     return img[None], lab // LABEL_SCALE
 
 
-# `augment --transform` choice -> the registry spec (as training runs it)
-# built from the command's flags
+# `augment --transform` choice -> the augmentation record (the transform
+# training runs) built from the command's flags
 AUGMENT_SPECS = {
-    "random-shift": lambda a: {"name": "random_periodic_shift",
-                               "max_frac": a.max_frac},
-    "to-boundary": lambda a: {"name": "shift_object_to_boundary"},
-    "edge-drop": lambda a: {"name": "edge_block_drop", "probability": 1.0,
-                            "band_width": a.band_width},
+    "random-shift": lambda a: augment.RandomPeriodicShift(a.max_frac),
+    "to-boundary": lambda a: augment.ShiftObjectToBoundary(),
+    "edge-drop": lambda a: augment.EdgeDropSpec(1.0, a.band_width),
 }
 
 
@@ -228,8 +229,7 @@ def cmd_augment(args) -> int:
     H, W = t.shape
     if args.transform == "to-boundary" and not (t > 0).any():
         raise ValueError("label map has no object to shift")
-    (transform,) = augment.build_augmentations(
-        [AUGMENT_SPECS[args.transform](args)], (H, W))
+    transform = AUGMENT_SPECS[args.transform](args)
     out_x, out_t = transform(x, t, stream(args.seed, AUGMENT))
     checks = []
     if args.transform == "random-shift":

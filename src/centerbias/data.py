@@ -25,7 +25,8 @@ __all__ = [
     "PlacementPolicy", "admits", "policy_label", "parse_policy",
     "GlyphSet", "parse_idx", "load_glyph_dir", "builtin_glyphs",
     "NoisePool", "ImageDir", "generate_background",
-    "normalized_offset", "sample_placement", "composite_sample",
+    "edge_distance", "normalized_offset", "sample_placement",
+    "composite_sample",
     "Sample", "SampleMeta", "DatasetConfig",
     "sample_at", "iter_samples", "mask_bbox",
 ]
@@ -105,18 +106,24 @@ def policy_label(policy: PlacementPolicy) -> str:
 
 
 def parse_policy(token: str) -> PlacementPolicy:
-    """Inverse of policy_label, also used for CLI flags."""
+    """Inverse of policy_label, also used for CLI flags.  A token that is
+    not a label raises `cannot parse placement policy`; a label out of its
+    policy's range raises the policy's own error."""
     token = token.strip()
     if token == "unrestricted":
         return Unrestricted()
     kind, _, arg = token.partition(":")
-    if kind == "allowed":
-        return AllowedCentral(float(arg))
-    if kind == "band":
-        lo, _, hi = arg.partition("-")
-        return Band(float(lo), float(hi))
-    if kind == "forbidden":
-        return ForbiddenCentral(float(arg))
+    parts = arg.split("-") if kind == "band" else [arg]
+    try:
+        values = [float(v) for v in parts]
+    except ValueError:
+        values = []
+    if kind == "allowed" and len(values) == 1:
+        return AllowedCentral(*values)
+    if kind == "band" and len(values) == 2:
+        return Band(*values)
+    if kind == "forbidden" and len(values) == 1:
+        return ForbiddenCentral(*values)
     raise ValueError(f"cannot parse placement policy {token!r}")
 
 
@@ -232,8 +239,10 @@ def _glyphs_for(source: str) -> GlyphSet:
 # --------------------------------------------------------------------------
 # placement geometry
 
-def _edge_distance(adx, ady, max_dx: int, max_dy: int):
-    """r of absolute offsets (scalars or arrays) within (max_dx, max_dy)."""
+def edge_distance(adx, ady, max_dx: int, max_dy: int):
+    """r of absolute offsets (scalars or arrays) within (max_dx, max_dy): the
+    larger of adx / max_dx and ady / max_dy, an axis of zero extent counting
+    as 0."""
     rx = adx / max_dx if max_dx else 0.0
     ry = ady / max_dy if max_dy else 0.0
     return np.maximum(rx, ry)
@@ -254,7 +263,7 @@ def normalized_offset(dx: int, dy: int, image_hw: tuple[int, int],
     max_dx = (W - w) // 2
     if abs(dx) > max_dx or abs(dy) > max_dy:
         raise ValueError(f"offset ({dx}, {dy}) exceeds ({max_dx}, {max_dy})")
-    return float(_edge_distance(abs(dx), abs(dy), max_dx, max_dy))
+    return float(edge_distance(abs(dx), abs(dy), max_dx, max_dy))
 
 
 MAX_REJECTIONS = 10_000
@@ -283,7 +292,7 @@ def sample_placement(policy: PlacementPolicy, image_hw: tuple[int, int],
     for start in range(0, MAX_REJECTIONS, PLACEMENT_BLOCK):
         k = min(PLACEMENT_BLOCK, MAX_REJECTIONS - start)
         d = rng.integers(low, high, (k, 2))
-        r = _edge_distance(np.abs(d[:, 0]), np.abs(d[:, 1]), max_dx, max_dy)
+        r = edge_distance(np.abs(d[:, 0]), np.abs(d[:, 1]), max_dx, max_dy)
         hits = np.flatnonzero(admits(policy, r))
         if hits.size:
             dx, dy = d[hits[0]]

@@ -240,17 +240,28 @@ def default_workers() -> int:
     return min(2, os.cpu_count() or 1)
 
 
+# arrays of results.json, by dimension count
+Matrix = np.ndarray[tuple[int, int], np.dtype[np.float64]]
+Cube = np.ndarray[tuple[int, int, int], np.dtype[np.float64]]
+
+
 @dataclass
 class RunRecord:
+    """An experiment's outcome; results.json is this record, written by
+    export_results and read by load_results through the config codec."""
+
+    schema_version: int = field(default=SCHEMA_VERSION, kw_only=True)
     config: ExperimentConfig
     config_hash: str
     train_labels: list[str]
     eval_labels: list[str]
-    per_repeat: np.ndarray          # (rows, repeats, bands)
-    raw: np.ndarray                 # (rows, bands), mean over repeats
-    normalized: dict[str, np.ndarray] = field(default_factory=dict)
-    traces: list = field(default_factory=list)      # [row][repeat][epoch]
-    checkpoints: list = field(default_factory=list)  # [row][repeat] paths
+    per_repeat: Cube                # (rows, repeats, bands)
+    raw: Matrix                     # (rows, bands), mean over repeats
+    normalized: dict[str, Matrix] = field(default_factory=dict)
+    traces: list[list[list[float]]] = field(  # [row][repeat][epoch]
+        default_factory=list)
+    checkpoints: list[list[str]] = field(  # [row][repeat] paths
+        default_factory=list)
     wall_clock: dict = field(default_factory=dict)
 
 
@@ -341,10 +352,13 @@ def summarize_asymmetry(record: RunRecord) -> list[float]:
 # --------------------------------------------------------------------------
 # persistence
 
-def write_matrix_csv(path, row_labels, col_labels, matrix):
+def write_matrix_csv(path, row_labels, col_labels, matrix,
+                     corner: str = "train\\eval"):
+    """One header row (`corner`, then the column labels), then each row's
+    label and its values to 9 significant digits."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["train\\eval"] + list(col_labels))
+        writer.writerow([corner] + list(col_labels))
         for label, row in zip(row_labels, matrix):
             writer.writerow([label] + [f"{v:.9g}" for v in row])
 
@@ -356,24 +370,6 @@ def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
     row_labels = [r[0] for r in rows[1:]]
     matrix = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
     return row_labels, col_labels, matrix
-
-
-@dataclass(frozen=True)
-class _ResultsFile:
-    """results.json, written by export_results through config.to_dict and
-    read by load_results through config.from_dict."""
-
-    schema_version: int
-    config: ExperimentConfig
-    config_hash: str
-    train_labels: tuple[str, ...]
-    eval_labels: tuple[str, ...]
-    per_repeat: tuple[tuple[tuple[float, ...], ...], ...]
-    raw: tuple[tuple[float, ...], ...]
-    normalized: dict
-    traces: tuple[tuple[tuple[float, ...], ...], ...]
-    checkpoints: tuple[tuple[str, ...], ...]
-    wall_clock: dict
 
 
 def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
@@ -388,21 +384,8 @@ def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
              "matrix_raw": os.path.join(out, "matrix_raw.csv"),
              "curves": os.path.join(out, "curves.csv")}
 
-    doc = _ResultsFile(
-        schema_version=record.config.schema_version,
-        config=record.config,
-        config_hash=record.config_hash,
-        train_labels=record.train_labels,
-        eval_labels=record.eval_labels,
-        per_repeat=record.per_repeat.tolist(),
-        raw=record.raw.tolist(),
-        normalized={k: v.tolist() for k, v in record.normalized.items()},
-        traces=record.traces,
-        checkpoints=record.checkpoints,
-        wall_clock=record.wall_clock,
-    )
     with open(paths["results"], "w") as f:
-        json.dump(to_dict(doc), f, indent=1)
+        json.dump(to_dict(record), f, indent=1)
 
     write_matrix_csv(paths["matrix_raw"], record.train_labels,
                      record.eval_labels, record.raw)
@@ -413,12 +396,8 @@ def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
         break  # one canonical normalized matrix; JSON holds all modes
 
     # Fig-3-style curves: one column of raw mean loss per training policy
-    with open(paths["curves"], "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["eval_band"] + record.train_labels)
-        for j, band in enumerate(record.eval_labels):
-            writer.writerow([band] + [f"{record.raw[i, j]:.9g}"
-                                      for i in range(record.raw.shape[0])])
+    write_matrix_csv(paths["curves"], record.eval_labels,
+                     record.train_labels, record.raw.T, corner="eval_band")
     return paths
 
 
@@ -439,32 +418,20 @@ def load_results(path) -> RunRecord:
         payload = json.load(f)
     if not isinstance(payload, dict):
         raise ValueError(f"{path} must hold a JSON object")
-    doc = from_dict(_ResultsFile, payload)
-    rows, bands = len(doc.train_labels), len(doc.eval_labels)
-    repeats, epochs = doc.config.repeats, doc.config.epochs
-    shapes = {"per_repeat": (doc.per_repeat, (rows, repeats, bands)),
-              "raw": (doc.raw, (rows, bands)),
-              "traces": (doc.traces, (rows, repeats, epochs)),
-              "checkpoints": (doc.checkpoints, (rows, repeats))}
-    for mode, matrix in doc.normalized.items():
+    record = from_dict(RunRecord, payload)
+    rows, bands = len(record.train_labels), len(record.eval_labels)
+    repeats, epochs = record.config.repeats, record.config.epochs
+    shapes = {"per_repeat": (record.per_repeat, (rows, repeats, bands)),
+              "raw": (record.raw, (rows, bands)),
+              "traces": (record.traces, (rows, repeats, epochs)),
+              "checkpoints": (record.checkpoints, (rows, repeats))}
+    for mode, matrix in record.normalized.items():
         key = f"normalized.{mode}"
         if mode not in _REFERENCE:
             raise ValueError(f"{key} is not one of {list(_REFERENCE)}")
-        shapes[key] = (from_dict(tuple[tuple[float, ...], ...], matrix, key),
-                       (rows, bands))
+        shapes[key] = (matrix, (rows, bands))
     for key, (value, shape) in shapes.items():
         if not _has_shape(value, shape):
             raise ValueError(f"{key} must have shape {shape}, from the "
                              f"labels, repeats and epochs")
-    return RunRecord(
-        config=doc.config,
-        config_hash=doc.config_hash,
-        train_labels=list(doc.train_labels),
-        eval_labels=list(doc.eval_labels),
-        per_repeat=np.array(doc.per_repeat),
-        raw=np.array(doc.raw),
-        normalized={k: np.array(v) for k, v in doc.normalized.items()},
-        traces=to_dict(doc.traces),
-        checkpoints=to_dict(doc.checkpoints),
-        wall_clock=doc.wall_clock,
-    )
+    return record

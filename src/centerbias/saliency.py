@@ -24,7 +24,6 @@ peak RSS at 80 MB at batch 1 and 4 (the evaluation's own peak), 84 MB at 8,
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +31,8 @@ import numpy as np
 
 from . import unet
 from .data import (BackgroundSpec, Sample, SampleMeta, composite_sample,
-                   generate_background, mask_bbox)
+                   edge_distance, generate_background, mask_bbox)
+from .harness import write_matrix_csv
 from .netpbm import to_u8, write_pgm
 from .rng import BACKGROUND, stream
 
@@ -210,14 +210,14 @@ def saliency_shift_map(model: unet.Model, scene: CanvasScene,
 def ring_ratio(shift_map: SaliencyShiftMap) -> float:
     """Mean raw entry of the outer ring (r > 0.8) over the inner (r < 0.2).
 
-    A shift's r is the larger of |dx| / extent_x and |dy| / extent_y, an
-    axis of zero extent counting as 0.  inf when the inner mean is 0; nan
-    when both extents are 0, which leaves no outer ring.
+    A shift's r is its placement edge distance (`data.edge_distance`)
+    within the extents: the larger of |dx| / extent_x and |dy| / extent_y,
+    an axis of zero extent counting as 0.  inf when the inner mean is 0;
+    nan when both extents are 0, which leaves no outer ring.
     """
     grid = shift_map.grid
-    ry = np.abs(grid.dys) / (grid.extent_y or 1)
-    rx = np.abs(grid.dxs) / (grid.extent_x or 1)
-    r = np.maximum(ry[:, None], rx[None, :])
+    r = edge_distance(np.abs(grid.dxs)[None, :], np.abs(grid.dys)[:, None],
+                      grid.extent_x, grid.extent_y)
     outer = shift_map.raw[r > 0.8]
     if not outer.size:
         return float("nan")
@@ -228,9 +228,6 @@ def ring_ratio(shift_map: SaliencyShiftMap) -> float:
 def export_shift_map(shift_map: SaliencyShiftMap, stem) -> None:
     """Write <stem>.csv (one row per dy) and <stem>.pgm (max-scaled)."""
     stem = str(stem)
-    with open(stem + ".csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["dy\\dx"] + [str(dx) for dx in shift_map.grid.dxs])
-        for dy, row in zip(shift_map.grid.dys, shift_map.values):
-            writer.writerow([str(dy)] + [f"{v:.9g}" for v in row])
+    write_matrix_csv(stem + ".csv", shift_map.grid.dys, shift_map.grid.dxs,
+                     shift_map.values, corner="dy\\dx")
     write_pgm(stem + ".pgm", to_u8(shift_map.values))

@@ -92,7 +92,8 @@ class Model:
     encoder: list[list[ConvLayer]]   # depth levels, two convs each
     decoder: list[list[ConvLayer]]   # depth-1 levels, shallowest first
     head: ConvLayer
-    flat_params: np.ndarray          # backing store; layers hold views
+    flat_params: np.ndarray          # backing store in parameters() order;
+                                     # layers hold views
     step: int = 0
 
     def layers(self) -> list[ConvLayer]:
@@ -136,32 +137,33 @@ def param_count(config: UNetConfig) -> int:
 
 
 def build_unet(config: UNetConfig) -> Model:
-    """He-uniform initialized model; bit-identical for equal seeds."""
+    """He-uniform initialized model; bit-identical for equal seeds.
+
+    The init draws go layer by layer in `_layer_plan` order.  `flat_params`
+    holds the parameters in `Model.parameters()` order, the order of
+    `backward`'s gradients and of a checkpoint's payload.
+    """
     rng = stream(config.seed, MODEL_INIT)
     dtype = config.dtype
-    flat = np.empty(param_count(config), dtype=dtype)
     layers = {}
-    cursor = 0
-
-    def carve(shape):
-        nonlocal cursor
-        size = int(np.prod(shape))
-        view = flat[cursor:cursor + size].reshape(shape)
-        cursor += size
-        return view
-
     for name, cin, cout, k in _layer_plan(config):
         spec = tc.ConvSpec(cin, cout, k, config.padding)
-        fan_in = cin * k * k
-        bound = np.sqrt(6.0 / fan_in)
-        weight = carve((cout, cin, k, k))
-        weight[...] = rng.uniform(-bound, bound, weight.shape)
-        bias = carve((cout,))
-        bias[...] = 0
-        layers[name] = ConvLayer(name, spec, weight, bias)
+        bound = np.sqrt(6.0 / (cin * k * k))
+        weight = rng.uniform(-bound, bound, (cout, cin, k, k)).astype(dtype)
+        layers[name] = ConvLayer(name, spec, weight, np.zeros(cout, dtype))
     encoder = [[layers[f"enc{l}a"], layers[f"enc{l}b"]] for l in range(config.depth)]
     decoder = [[layers[f"dec{l}a"], layers[f"dec{l}b"]] for l in range(config.depth - 1)]
-    return Model(config, encoder, decoder, layers["head"], flat)
+    model = Model(config, encoder, decoder, layers["head"],
+                  np.empty(param_count(config), dtype=dtype))
+    cursor = 0
+    for layer in model.layers():  # the layers become views of flat_params
+        for attr in ("weight", "bias"):
+            p = getattr(layer, attr)
+            view = model.flat_params[cursor:cursor + p.size].reshape(p.shape)
+            view[...] = p
+            setattr(layer, attr, view)
+            cursor += p.size
+    return model
 
 
 # --------------------------------------------------------------------------
@@ -478,17 +480,16 @@ class _CheckpointHeader:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """One JSON header line, then all parameters as little-endian floats."""
-    params = model.parameters()
+    """One JSON header line, then `flat_params` (every parameter, in
+    declaration order) as little-endian floats."""
     header = _CheckpointHeader(
         CHECKPOINT_FORMAT, CHECKPOINT_VERSION, model.config,
         model.config.precision, model.step,
-        tuple(p.shape for p in params))
+        tuple(p.shape for p in model.parameters()))
     le = "<f4" if model.config.precision == "f32" else "<f8"
     with open(path, "wb") as f:
         f.write(json.dumps(to_dict(header)).encode() + b"\n")
-        for p in params:
-            f.write(np.ascontiguousarray(p, dtype=le).tobytes())
+        f.write(model.flat_params.astype(le).tobytes())
 
 
 def load_checkpoint(path) -> Model:
@@ -517,19 +518,12 @@ def load_checkpoint(path) -> Model:
         raise ValueError("header precision disagrees with config")
     model = build_unet(config)
     model.step = header.step
-    params = model.parameters()
-    if header.param_shapes != tuple(p.shape for p in params):
+    if header.param_shapes != tuple(p.shape for p in model.parameters()):
         raise ValueError("param_shapes do not match config")
     le = np.dtype("<f4" if config.precision == "f32" else "<f8")
     expected = model.flat_params.size * le.itemsize
     if len(payload) != expected:
         raise ValueError(
             f"payload holds {len(payload)} bytes, header declares {expected}")
-    offset = 0
-    for p in params:
-        nbytes = p.size * le.itemsize
-        chunk = np.frombuffer(payload, dtype=le, count=p.size,
-                              offset=offset).reshape(p.shape)
-        p[...] = chunk.astype(config.dtype)
-        offset += nbytes
+    model.flat_params[...] = np.frombuffer(payload, dtype=le)
     return model

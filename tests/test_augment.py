@@ -266,8 +266,10 @@ class TestBuildAugmentations:
         {"name": "edge_block_drop", "band_width": 100},
     ])
     def test_bad_spec_rejected(self, spec):
-        with pytest.raises(ValueError):
-            augment.build_augmentations([spec], (32, 48))
+        # the error names the spec, or its parameter, by its key
+        with pytest.raises(ValueError, match=r"augmentations\[1\]"):
+            augment.build_augmentations(
+                [{"name": "shift_object_to_boundary"}, spec], (32, 48))
 
     def test_widest_band_accepted(self):
         augment.build_augmentations(

@@ -5,17 +5,68 @@ import hashlib
 import json
 import os
 import struct
+import types
 import warnings
-from dataclasses import replace
+from dataclasses import MISSING, fields, is_dataclass, replace
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
 
 from centerbias import augment, cli, data, harness, netpbm, unet
+from centerbias.config import to_dict
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def wrong_typed_sets():
+    """(`--set` argument, dotted key) pairs that put one wrong-typed value at
+    each key of an experiment: every field of every nested record, of every
+    variant of a union, and each augmentation kind's parameters.  The keys
+    read before the wrong one hold valid values (defaults, or a value of
+    the field's type)."""
+    cases = []
+
+    def wrong(tp):
+        return 5 if tp in (str, dict) else "x"
+
+    def walk(tp, key, place):
+        # place(v) is the --set argument that puts v at `key`
+        cases.append((place(wrong(tp)), key))
+        if get_origin(tp) is tuple:
+            walk(get_args(tp)[0], f"{key}[0]", lambda v: place([v]))
+        elif get_origin(tp) in (Union, types.UnionType):
+            for cls in get_args(tp):
+                walk_fields(cls, key,
+                            lambda d, cls=cls: place({"kind": cls.KIND, **d}))
+        elif is_dataclass(tp):
+            walk_fields(tp, key, place)
+
+    def walk_fields(cls, key, place):
+        hints = get_type_hints(cls)
+        valid = {f.name: {int: 1, float: 0.5, str: "x"}[hints[f.name]]
+                 if f.default is MISSING else to_dict(f.default)
+                 for f in fields(cls)}
+        for f in fields(cls):
+            walk(hints[f.name], f"{key}.{f.name}",
+                 lambda v, name=f.name: place({**valid, name: v}))
+
+    hints = get_type_hints(harness.ExperimentConfig)
+    for f in fields(harness.ExperimentConfig):
+        walk(hints[f.name], f.name,
+             lambda v, name=f.name: f"{name}={json.dumps(v)}")
+    # augmentations are {"name": ..., <the kind's parameters>} dicts
+    cases.append(('augmentations=[{"name": 5}]', "augmentations[0].name"))
+    for name, cls in augment._AUGMENTS.items():
+        walk_fields(cls, "augmentations[0]",
+                    lambda d, name=name: "augmentations=" + json.dumps(
+                        [{"name": name, **d}]))
+    return cases
+
+
+WRONG_TYPED_SETS = wrong_typed_sets()
 
 
 class TestUsage:
@@ -74,6 +125,15 @@ class TestConfigErrors:
         monkeypatch.chdir(tmp_path)  # no --out, so output_dir is read
         assert run(["train", "--set", override, "--workers", "1"]) == 4
         assert key in self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("override, key", WRONG_TYPED_SETS,
+                             ids=[key for _, key in WRONG_TYPED_SETS])
+    def test_every_wrong_typed_key_exits_4_naming_it(
+            self, tmp_path, capsys, monkeypatch, no_samples, override, key):
+        monkeypatch.chdir(tmp_path)  # no --out, so output_dir is read
+        assert run(["train", "--set", override, "--workers", "1"]) == 4
+        err = self.assert_one_line_error(capsys)
+        assert err.startswith(f"error: {key} must be "), (override, err)
 
     @pytest.mark.parametrize("override, key", [
         ("epochs=0", "epochs"), ("batch_size=0", "batch_size"),
@@ -261,6 +321,19 @@ class TestConfigErrors:
         path = self.rewrite_checkpoint(tmp_path, lambda doc: [doc])
         assert run(["eval", "--checkpoint", str(path), "--count", "1"]) == 4
         assert "JSON object" in self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("bands, message", [
+        ("band:x-1", "cannot parse placement policy 'band:x-1'"),
+        ("band:0.5", "cannot parse placement policy 'band:0.5'"),
+        ("band:0-0.1,band:0.5-0.2", "Band needs 0 <= lo < hi <= 1"),
+    ], ids=["not-a-number", "one-bound", "out-of-range"])
+    def test_malformed_bands_exit_4_naming_the_flag(self, tmp_path, capsys,
+                                                    bands, message):
+        path = self.rewrite_checkpoint(tmp_path, lambda doc: doc)
+        assert run(["eval", "--checkpoint", str(path), "--bands", bands,
+                    "--count", "1"]) == 4
+        assert self.assert_one_line_error(capsys) == \
+            f"error: --bands: {message}\n"
 
     @pytest.fixture
     def results_doc(self, tmp_path):
@@ -733,16 +806,17 @@ class TestAugmentCommand:
                     "--out", str(tmp_path / "aug")] + flags) == 4
 
     def test_every_registered_transform_has_a_choice(self):
-        # each --transform choice builds a different registry transform and
-        # every registered transform has a choice, so none skips its probe
+        # each --transform choice builds a different registered kind and
+        # every registered kind has a choice, so none skips its probe
         parser = cli.build_parser()
-        names = []
+        kinds = []
         for choice, spec_of in cli.AUGMENT_SPECS.items():
             args = parser.parse_args(["augment", "--input", "a", "--label",
                                       "b", "--transform", choice,
                                       "--out", "o"])
-            names.append(spec_of(args)["name"])
-        assert sorted(names) == sorted(augment._AUGMENTS)
+            kinds.append(type(spec_of(args)))
+        assert len(set(kinds)) == len(kinds)
+        assert set(kinds) == set(augment._AUGMENTS.values())
 
 
 class TestGradcheckCommand:

@@ -361,6 +361,23 @@ class TestExport:
         with open(first, "rb") as f, open(again["results"], "rb") as g:
             assert f.read() == g.read()
 
+    def test_curves_csv_text_is_pinned(self, tmp_path):
+        # one row per eval band, one column per train policy, 9 digits
+        config = harness.ExperimentConfig(repeats=1, epochs=1,
+                                          output_dir=str(tmp_path))
+        raw = np.array([[0.1, 1 / 3], [2.5, 1e-10]])
+        record = harness.RunRecord(
+            config, harness.config_hash(config),
+            ["allowed:0.3", "forbidden:0.7"], ["band:0-0.1", "band:0.8-1"],
+            per_repeat=raw[:, None], raw=raw, traces=[[[2.0]], [[2.0]]],
+            checkpoints=[["a.ckpt"], ["b.ckpt"]])
+        path = harness.export_results(record)["curves"]
+        with open(path, newline="") as f:
+            assert f.read() == (
+                "eval_band,allowed:0.3,forbidden:0.7\r\n"
+                "band:0-0.1,0.1,2.5\r\n"
+                "band:0.8-1,0.333333333,1e-10\r\n")
+
     def test_csv_matches_json_matrix(self, tmp_path):
         cfg = tiny_config(tmp_path)
         record = harness.run_regional_training(cfg, workers=1)

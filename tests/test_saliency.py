@@ -206,16 +206,42 @@ class TestShiftMap:
         sm = saliency.saliency_shift_map(model, scene, grid)
         assert sm.raw.max() < 1e-4, sm.raw.max()
 
-    def test_zero_model_not_equivariant(self):
-        # same weights, same scene: only the padding mode differs, and the
-        # zero-padded net's saliency drifts orders of magnitude more
-        model_z, scene = self.make(tc.ZERO, seed=1)
-        model_c, _ = self.make(tc.CIRCULAR, seed=1)
-        grid = saliency.ShiftGrid(8, 8, 4)
-        raw_z = saliency.saliency_shift_map(model_z, scene, grid).raw
-        raw_c = saliency.saliency_shift_map(model_c, scene, grid).raw
-        assert raw_z.max() > 1e-4
-        assert raw_z.max() > 100 * raw_c.max()
+    @staticmethod
+    def gated_model(padding):
+        """Depth-1 net, every parameter set by hand: channel 0 is the
+        constant 1 and channel 1 the input; the next conv gates the input
+        by the 3x3 sum of the constant (9 where the padding fills it with
+        1s, 6 on an edge and 4 at a corner under zero padding), so a lit
+        pixel on the frame's edge is shut off under zero padding alone; the
+        head passes the gated channel to the digit's class."""
+        model = unet.build_unet(unet.UNetConfig(
+            depth=1, base_channels=2, padding=padding, precision="f64"))
+        model.flat_params[...] = 0
+        a, b = model.encoder[0]
+        a.bias[0] = 1.0
+        a.weight[1, 0, 1, 1] = 1.0
+        b.weight[0, 0] = 1.0
+        b.weight[0, 1, 1, 1] = 1.0
+        b.bias[0] = -9.0
+        model.head.weight[5 + 1, 0] = 1.0
+        return model
+
+    def test_zero_padding_breaks_equivariance_in_closed_form(self):
+        # a 4x4 object in 12x12 crops on a black canvas, shifted by up to 4:
+        # each map is 1/16 on the object's pixels except, under zero
+        # padding, those on the frame's edge: 4 at an edge shift and 7 at a
+        # corner shift, over overlaps of 8x12 and 8x8 pixels
+        scene = saliency.make_scene(np.ones((4, 4)), 5, (12, 12), (4, 4))
+        grid = saliency.ShiftGrid(4, 4, 4)
+        edge, corner = 4 / 16 / 96, 7 / 16 / 64
+        expected = [[corner, edge, corner], [edge, 0, edge],
+                    [corner, edge, corner]]
+        raw_z = saliency.saliency_shift_map(self.gated_model(tc.ZERO), scene,
+                                            grid).raw
+        np.testing.assert_allclose(raw_z, expected, rtol=1e-12, atol=0)
+        raw_c = saliency.saliency_shift_map(self.gated_model(tc.CIRCULAR),
+                                            scene, grid).raw
+        assert raw_c.max() <= 1e-12, raw_c
 
     def test_export_roundtrip(self, tmp_path):
         model, scene = self.make(tc.ZERO)
@@ -229,6 +255,23 @@ class TestShiftMap:
                          for r in rows[1:]])
         np.testing.assert_allclose(back, sm.values, rtol=1e-6)
         assert (tmp_path / "probe.pgm").exists()
+
+    def test_export_csv_text_is_pinned(self, tmp_path):
+        # one row per dy, one column per dx, the normalized values to 9
+        # digits
+        grid = saliency.ShiftGrid(2, 1, 1)
+        values = np.array([[0.0, 1 / 7, 2.0, -0.5, 12345678.9],
+                           [1e-12, 0.25, 0.0, 3.0, 1.5],
+                           [2 / 3, 1.0, 4.0, 0.125, 100.0]])
+        saliency.export_shift_map(
+            saliency.SaliencyShiftMap(values, 2 * values, grid, True),
+            tmp_path / "shift_map")
+        with open(tmp_path / "shift_map.csv", newline="") as f:
+            assert f.read() == (
+                "dy\\dx,-2,-1,0,1,2\r\n"
+                "-1,0,0.142857143,2,-0.5,12345678.9\r\n"
+                "0,1e-12,0.25,0,3,1.5\r\n"
+                "1,0.666666667,1,4,0.125,100\r\n")
 
 
 class TestRingRatio:

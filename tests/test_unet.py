@@ -459,35 +459,42 @@ class TestShards:
         assert sharded.dtype == np.float64
         assert sharded.tobytes() == whole.tobytes()
 
-    def test_step_gradient_and_loss_are_the_whole_batch_ones(self):
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_step_gradient_and_loss_are_the_whole_batch_ones(self, depth):
         # f64, odd batch: the shards' gradients and losses, each scaled by
         # the whole batch's pixel count, add up to the whole batch's; a
-        # fresh Adam state holds (1 - beta1) * gradient after one step
-        model = unet.build_unet(small_config(precision="f64", seed=6))
+        # fresh Adam state holds (1 - beta1) * gradient after one step, each
+        # parameter's part where that parameter lives in flat_params (at
+        # depth 3 the decoder levels are declared in another order than
+        # _layer_plan's)
+        model = unet.build_unet(small_config(depth=depth, precision="f64",
+                                             seed=6))
         rng = np.random.default_rng(2)
         x = rng.random((5, 1, 8, 8))
         t = rng.integers(0, 11, (5, 8, 8))
         logits, tape = unet.forward(model, x)
         loss, tape.grad_logits = tc.softmax_cross_entropy_pixelwise(logits, t)
         grads, _ = unet.backward(model, tape)
-        whole = np.concatenate([g.reshape(-1) for g in grads])
         adam = tc.AdamState.for_params([model.flat_params])
         assert unet.train_step(model, x, t, adam) == pytest.approx(
             loss, rel=1e-12)
-        np.testing.assert_allclose(adam.m[0] / (1 - tc.ADAM_BETA1), whole,
-                                   rtol=1e-9, atol=1e-15)
+        # read the moment through each parameter's view of the buffer
+        model.flat_params[...] = adam.m[0] / (1 - tc.ADAM_BETA1)
+        for p, g in zip(model.parameters(), grads):
+            np.testing.assert_allclose(p, g, rtol=1e-9, atol=1e-15)
 
 
 class TestPinnedLosses:
-    """f32 losses of a fixed-seed smoke run, recorded with the
-    shift-accumulate conv engine (see tensor_core); a faster engine must keep
-    them within f32 rounding."""
+    """f32 losses of a fixed-seed smoke run; a faster engine must keep them
+    within f32 rounding.  Recorded with the shift-accumulate conv engine
+    (see tensor_core), and the last three again once each decoder layer's
+    Adam step took its own gradient (flat_params in parameter order)."""
 
     PINNED = {
-        "zero": [2.1200844049453735, 1.9993574619293213, 1.9637731313705444,
-                 2.0198501348495483],
-        "circular": [2.0751118659973145, 1.9518680572509766,
-                     1.9383276104927063, 1.9992257952690125],
+        "zero": [2.1200844049453735, 1.7758036255836487, 1.492984414100647,
+                 1.4440754652023315],
+        "circular": [2.0751118659973145, 1.6985971927642822,
+                     1.4055597186088562, 1.334703505039215],
     }
 
     @pytest.mark.parametrize("kind", ["zero", "circular"])
@@ -507,19 +514,21 @@ class TestPinnedLosses:
 
 class TestBitsAcrossPaddings:
     """Digests of four train steps (weights and losses), saliency maps and
-    per-image losses of the default net, recorded while the tape still kept
-    each decoder's input frame; rebuilding that frame and refilling its
-    ring in the backward must keep every bit."""
+    per-image losses of the default net.  First recorded while the tape
+    still kept each decoder's input frame, so rebuilding that frame and
+    refilling its ring in the backward kept every bit; recorded again once
+    each decoder layer's Adam step took its own gradient (flat_params in
+    parameter order), which moved every digest."""
 
     DIGESTS = {
-        "zero": {"train": "708787a7b50f844a", "saliency": "09526fd97339b508",
-                 "losses": "eb94f4a93db0bf1f"},
-        "circular": {"train": "c3ea5f3a3db4af2e",
-                     "saliency": "184ad8592c1d66c4",
-                     "losses": "8174617a45352eed"},
-        "reflect": {"train": "2f7c4acbd28fdc7f",
-                    "saliency": "af19d4ebda16bea9",
-                    "losses": "264cb23fb91e1a53"},
+        "zero": {"train": "40dc89a2a2c3aa57", "saliency": "b87ea367c6a91aeb",
+                 "losses": "3f8c4c0063818393"},
+        "circular": {"train": "591d7a6fc11df95f",
+                     "saliency": "93a802c2ecfb037c",
+                     "losses": "59809a32bf448bce"},
+        "reflect": {"train": "070d0036a21abc98",
+                    "saliency": "516eba3b34185117",
+                    "losses": "15892ce88b2ff2c9"},
     }
 
     @staticmethod

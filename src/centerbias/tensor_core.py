@@ -527,8 +527,9 @@ def softmax_cross_entropy_pixelwise(
     gradient of that loss w.r.t. the logits), the gradient in the interior
     of the same frame.  `npix` defaults to n*h*w, the mean; a shard of a
     larger batch passes the whole batch's pixel count, so the shards'
-    losses and gradients add up to the batch's.  Without it, returns
-    (each image's mean pixel loss as an (n,) float64 array, None).
+    losses and gradients add up to the batch's.  Entries below the dtype's
+    tiny / eps are 0.  Without it, returns (each image's mean pixel loss as
+    an (n,) float64 array, None).
     """
     Z = _rows(logits, "logits")
     k, n, hp, wp = logits.shape
@@ -557,6 +558,11 @@ def softmax_cross_entropy_pixelwise(
         npix = n * h * w
     loss = float(-logp_t.sum() / npix)
     Z /= denom
+    # flush each probability whose entry p / npix would lie below tiny / eps
+    # (2**-103 in f32) to 0: a converged model's entries otherwise turn
+    # subnormal, in here and in every layer's backward, and each subnormal
+    # operand stalls the GEMMs.  Adam's eps (1e-8) hides such entries anyway.
+    Z *= Z >= np.finfo(Z.dtype).tiny / np.finfo(Z.dtype).eps * npix
     Z[target, cols] -= 1
     Z /= npix
     return loss, logits

@@ -558,6 +558,24 @@ class TestSoftmaxCrossEntropy:
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert grad.dtype == dtype and grad.tobytes() == ref_grad.tobytes()
 
+    def test_confident_gradient_holds_no_subnormals(self):
+        # logits tens apart put probabilities far below f32's normal range:
+        # entries under tiny / eps are 0, the others match the f64 gradient
+        rng = np.random.default_rng(12)
+        logits = (30 * rng.standard_normal((2, 11, 6, 8))).astype(np.float32)
+        target = logits.argmax(axis=1)
+        ref_loss, ref_grad = ce_nchw(logits.astype(np.float64), target)
+        loss, grad = ce_nchw(logits, target)
+        fi = np.finfo(np.float32)
+        thr = fi.tiny / fi.eps
+        other = np.arange(11)[None, :, None, None] != target[:, None]
+        small = other & (ref_grad < thr / 2)
+        large = other & (ref_grad >= 2 * thr)
+        assert loss == pytest.approx(ref_loss, rel=1e-5)
+        assert small.any() and (grad[small] == 0).all()
+        np.testing.assert_allclose(grad[large], ref_grad[large], rtol=1e-4)
+        assert np.abs(grad[grad != 0]).min() >= thr
+
     def test_per_sample_losses_without_gradient(self):
         rng = np.random.default_rng(11)
         logits = rng.standard_normal((3, 5, 4, 6))

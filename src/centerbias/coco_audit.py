@@ -166,8 +166,3 @@ def write_heatmap_pgm(heatmap: Heatmap, path) -> None:
         writer = csv.writer(f)
         for row in heatmap.grid:
             writer.writerow([f"{v:g}" for v in row])
-
-
-def read_heatmap_csv(path) -> np.ndarray:
-    with open(path, newline="") as f:
-        return np.array([[float(v) for v in row] for row in csv.reader(f)])

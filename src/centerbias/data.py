@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterator, Union
 
 import numpy as np
@@ -25,8 +26,8 @@ __all__ = [
     "PlacementPolicy", "admits", "policy_label", "parse_policy",
     "GlyphSet", "parse_idx", "load_glyph_dir", "builtin_glyphs",
     "NoisePool", "ImageDir", "generate_background",
-    "edge_distance", "normalized_offset", "sample_placement",
-    "composite_sample",
+    "edge_distance", "normalized_offset", "admitted_offsets",
+    "sample_placement", "composite_sample",
     "Sample", "SampleMeta", "DatasetConfig",
     "sample_at", "iter_samples", "mask_bbox",
 ]
@@ -37,6 +38,15 @@ BACKGROUND_CAP = 0.95  # keeps the pasted object the unique maximum intensity
 # --------------------------------------------------------------------------
 # placement policies over normalized edge distance r
 
+def _check_label_digits(*bounds):
+    """Reject a bound that a label's 6 significant digits cannot carry: its
+    label would name another policy, and so share an eval band's samples."""
+    for v in bounds:
+        if float(f"{v:g}") != v:
+            raise ValueError(f"bound {v!r} has more than the 6 significant "
+                             f"digits a policy label carries")
+
+
 @dataclass(frozen=True)
 class AllowedCentral:
     KIND = "allowed_central"
@@ -45,6 +55,7 @@ class AllowedCentral:
     def __post_init__(self):
         if not 0 < self.a <= 1:
             raise ValueError("AllowedCentral needs a in (0, 1]")
+        _check_label_digits(self.a)
 
 
 @dataclass(frozen=True)
@@ -56,6 +67,7 @@ class Band:
     def __post_init__(self):
         if not 0 <= self.lo < self.hi <= 1:
             raise ValueError("Band needs 0 <= lo < hi <= 1")
+        _check_label_digits(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -66,6 +78,7 @@ class ForbiddenCentral:
     def __post_init__(self):
         if not 0 <= self.c < 1:
             raise ValueError("ForbiddenCentral needs c in [0, 1)")
+        _check_label_digits(self.c)
 
 
 @dataclass(frozen=True)
@@ -95,14 +108,17 @@ def admits(policy: PlacementPolicy, r):
     raise TypeError(f"not a placement policy: {policy!r}")
 
 
+# the label prefix of each policy kind with bounds; a label is the prefix,
+# ":" and the bounds to 6 significant digits, joined by "-"
+_LABEL_PREFIX = {AllowedCentral: "allowed", Band: "band",
+                 ForbiddenCentral: "forbidden"}
+
+
 def policy_label(policy: PlacementPolicy) -> str:
-    if isinstance(policy, AllowedCentral):
-        return f"allowed:{policy.a:g}"
-    if isinstance(policy, Band):
-        return f"band:{policy.lo:g}-{policy.hi:g}"
-    if isinstance(policy, ForbiddenCentral):
-        return f"forbidden:{policy.c:g}"
-    return "unrestricted"
+    if isinstance(policy, Unrestricted):
+        return "unrestricted"
+    bounds = "-".join(f"{v:g}" for v in astuple(policy))
+    return f"{_LABEL_PREFIX[type(policy)]}:{bounds}"
 
 
 def parse_policy(token: str) -> PlacementPolicy:
@@ -112,19 +128,15 @@ def parse_policy(token: str) -> PlacementPolicy:
     token = token.strip()
     if token == "unrestricted":
         return Unrestricted()
-    kind, _, arg = token.partition(":")
-    parts = arg.split("-") if kind == "band" else [arg]
-    try:
-        values = [float(v) for v in parts]
+    prefix, _, arg = token.partition(":")
+    cls = {p: c for c, p in _LABEL_PREFIX.items()}.get(prefix)
+    try:  # an exponent's "-" (band:1e-05-0.1) does not split the bounds
+        values = [float(v) for v in re.split(r"(?<![eE])-", arg)]
     except ValueError:
         values = []
-    if kind == "allowed" and len(values) == 1:
-        return AllowedCentral(*values)
-    if kind == "band" and len(values) == 2:
-        return Band(*values)
-    if kind == "forbidden" and len(values) == 1:
-        return ForbiddenCentral(*values)
-    raise ValueError(f"cannot parse placement policy {token!r}")
+    if cls is None or len(values) != len(fields(cls)):
+        raise ValueError(f"cannot parse placement policy {token!r}")
+    return cls(*values)
 
 
 # --------------------------------------------------------------------------
@@ -266,40 +278,34 @@ def normalized_offset(dx: int, dy: int, image_hw: tuple[int, int],
     return float(edge_distance(abs(dx), abs(dy), max_dx, max_dy))
 
 
-MAX_REJECTIONS = 10_000
-# candidates drawn per rng call; a band:0-0.1 sample at 64x96 needs about
-# 120 draws, an unrestricted one a single draw
-PLACEMENT_BLOCK = 64
+@functools.lru_cache(maxsize=16)
+def admitted_offsets(policy: PlacementPolicy, image_hw: tuple[int, int],
+                     object_hw: tuple[int, int]) -> np.ndarray:
+    """Every in-frame (dx, dy) whose edge distance the policy admits, as a
+    read-only (n, 2) int array in row-major order of the offset rectangle
+    (dy, then dx).  A policy that admits none at these sizes raises."""
+    H, W = image_hw
+    h, w = object_hw
+    max_dy = (H - h) // 2
+    max_dx = (W - w) // 2
+    dy, dx = np.mgrid[-max_dy:max_dy + 1, -max_dx:max_dx + 1]
+    keep = admits(policy, edge_distance(np.abs(dx), np.abs(dy),
+                                        max_dx, max_dy))
+    if not keep.any():
+        raise ValueError(f"{policy_label(policy)} admits no offset of a "
+                         f"{h}x{w} glyph on a {H}x{W} image")
+    offsets = np.stack([dx[keep], dy[keep]], axis=1)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def sample_placement(policy: PlacementPolicy, image_hw: tuple[int, int],
                      object_hw: tuple[int, int],
                      rng: np.random.Generator) -> tuple[int, int]:
-    """Uniform integer offset over the policy's admissible set.
-
-    Rejection-sampled over the full offset rectangle: the first admitted
-    (dx, dy) of a sequence of candidates, drawn PLACEMENT_BLOCK at a time.
-    A block of (k, 2) draws takes from `rng` exactly what k alternating
-    scalar dx, dy draws take, so the candidates do not depend on the block
-    size; the rest of the last block is drawn but unused.  A policy whose
-    admissible set is empty for these dims fails after MAX_REJECTIONS draws.
-    """
-    H, W = image_hw
-    h, w = object_hw
-    max_dy = (H - h) // 2
-    max_dx = (W - w) // 2
-    low, high = (-max_dx, -max_dy), (max_dx + 1, max_dy + 1)
-    for start in range(0, MAX_REJECTIONS, PLACEMENT_BLOCK):
-        k = min(PLACEMENT_BLOCK, MAX_REJECTIONS - start)
-        d = rng.integers(low, high, (k, 2))
-        r = edge_distance(np.abs(d[:, 0]), np.abs(d[:, 1]), max_dx, max_dy)
-        hits = np.flatnonzero(admits(policy, r))
-        if hits.size:
-            dx, dy = d[hits[0]]
-            return int(dx), int(dy)
-    raise ValueError(
-        f"no admissible placement for {policy_label(policy)} on {H}x{W} "
-        f"after {MAX_REJECTIONS} draws")
+    """Uniform integer offset over the policy's admitted set: one draw of
+    an index into `admitted_offsets`."""
+    offsets = admitted_offsets(policy, tuple(image_hw), tuple(object_hw))
+    return tuple(offsets[rng.integers(len(offsets))].tolist())
 
 
 # --------------------------------------------------------------------------
@@ -460,6 +466,8 @@ class DatasetConfig:
         if gh > self.height or gw > self.width:
             raise ValueError(f"glyph {gh}x{gw} does not fit a "
                              f"{self.height}x{self.width} image")
+        # raises if the policy admits no offset
+        admitted_offsets(self.policy, (self.height, self.width), (gh, gw))
 
 
 def sample_at(config: DatasetConfig, index: int) -> Sample:

@@ -31,7 +31,7 @@ from .rng import AUGMENT, EPOCH_ORDER, EVAL_SAMPLES, REPEAT, derive, stream
 __all__ = [
     "ExperimentConfig", "RunRecord", "run_regional_training",
     "evaluate_bands", "normalize_matrix", "summarize_asymmetry",
-    "export_results", "load_results", "write_matrix_csv", "read_matrix_csv",
+    "export_results", "load_results", "write_matrix_csv",
     "SCHEMA_VERSION",
 ]
 
@@ -91,6 +91,11 @@ class ExperimentConfig:
         for name in ("train_policies", "eval_bands"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+            for i, policy in enumerate(getattr(self, name)):
+                try:  # the dataset a job builds rejects an empty policy
+                    replace(self.dataset, policy=policy)
+                except ValueError as e:
+                    raise ValueError(f"{name}[{i}]: {e}") from None
         augment.build_augmentations(  # validate before any job starts
             self.augmentations, (h, w))
         for record, key, source in _SET_BY_JOBS:
@@ -361,15 +366,6 @@ def write_matrix_csv(path, row_labels, col_labels, matrix,
         writer.writerow([corner] + list(col_labels))
         for label, row in zip(row_labels, matrix):
             writer.writerow([label] + [f"{v:.9g}" for v in row])
-
-
-def read_matrix_csv(path) -> tuple[list[str], list[str], np.ndarray]:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    col_labels = rows[0][1:]
-    row_labels = [r[0] for r in rows[1:]]
-    matrix = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return row_labels, col_labels, matrix
 
 
 def export_results(record: RunRecord, output_dir: str | None = None) -> dict:

@@ -118,6 +118,9 @@ class TestConfigErrors:
          "train_policies[0].a"),
         ("model.padding={}", "model.padding.kind"),
         ('train_policies=[{"kind": "band"}]', "train_policies[0].lo"),
+        ('train_policies=[{"kind": "band", "lo": 0.1234567, "hi": 0.2}]',
+         "train_policies[0]: bound 0.1234567 has more than the 6 "
+         "significant digits"),
     ])
     def test_bad_value_exits_4_naming_the_key(self, tmp_path, capsys,
                                               monkeypatch, no_samples,
@@ -189,6 +192,20 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert run([command, "--workers", workers, "--out", str(out)]) == 4
         assert "workers must be >= 1" in self.assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["train_policies", "eval_bands"])
+    def test_policy_admitting_no_offset_exits_4_before_any_output(
+            self, tmp_path, capsys, no_samples, key):
+        # a 28x28 glyph on 32x32 moves at most 2 pixels: r is 0, 0.5 or 1
+        out = tmp_path / "out"
+        band = json.dumps([{"kind": "band", "lo": 0.6, "hi": 0.9}])
+        assert run(["train", "--set", "dataset.height=32",
+                    "--set", "dataset.width=32", "--set", f"{key}={band}",
+                    "--workers", "1", "--out", str(out)]) == 4
+        assert self.assert_one_line_error(capsys) == (
+            f"error: {key}[0]: band:0.6-0.9 admits no offset of a 28x28 "
+            f"glyph on a 32x32 image\n")
         assert not out.exists()
 
     def test_indivisible_dims_exit_4_before_generation(self, tmp_path,
@@ -326,7 +343,9 @@ class TestConfigErrors:
         ("band:x-1", "cannot parse placement policy 'band:x-1'"),
         ("band:0.5", "cannot parse placement policy 'band:0.5'"),
         ("band:0-0.1,band:0.5-0.2", "Band needs 0 <= lo < hi <= 1"),
-    ], ids=["not-a-number", "one-bound", "out-of-range"])
+        ("band:0.1234567-0.2", "bound 0.1234567 has more than the 6 "
+                               "significant digits a policy label carries"),
+    ], ids=["not-a-number", "one-bound", "out-of-range", "too-many-digits"])
     def test_malformed_bands_exit_4_naming_the_flag(self, tmp_path, capsys,
                                                     bands, message):
         path = self.rewrite_checkpoint(tmp_path, lambda doc: doc)
@@ -473,6 +492,19 @@ class TestConfigErrors:
         assert "extent" in err
 
 
+class TestEval:
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_narrow_band_evaluates_at_every_seed(self, tmp_path, capsys,
+                                                 seed):
+        # band:0-0.02 admits only the centered offset, 1 of 2553 at 64x96
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(unet.build_unet(unet.UNetConfig(
+            depth=1, base_channels=2)), path)
+        assert run(["eval", "--checkpoint", str(path), "--bands",
+                    "band:0-0.02", "--count", "64", "--seed", seed]) == 0
+        assert capsys.readouterr().out.startswith("band:0-0.02: ")
+
+
 class TestGen:
     def test_emits_exact_pairs(self, tmp_path, capsys):
         out = tmp_path / "previews"
@@ -491,7 +523,8 @@ class TestGen:
 
     def test_label_maps_keep_their_bytes(self, tmp_path, capsys):
         # digest of 16 label PGMs written from int64 class maps; uint8 maps
-        # must not wrap in the LABEL_SCALE product (class 10 -> gray 230)
+        # must not wrap in the LABEL_SCALE product (class 10 -> gray 230).
+        # Re-recorded once placements were drawn from the admitted set.
         out = tmp_path / "previews"
         assert run(["gen", "--count", "16", "--out", str(out),
                     "--set", "height=32", "--set", "width=32",
@@ -503,8 +536,8 @@ class TestGen:
             digest.update(path.read_bytes())
             grays.update(np.unique(netpbm.read_pnm(path)).tolist())
         assert 10 * cli.LABEL_SCALE in grays
-        assert digest.hexdigest() == ("35d26b0a46d064cacf89998f5c02a359"
-                                      "4149da2a924a845b3a5ba364a3cc1153")
+        assert digest.hexdigest() == ("b46d6ffce16284cfe0efe59a739ffe58"
+                                      "f4cd462e81d51b23e795fc4257a2051e")
 
     def test_idempotent(self, tmp_path, capsys):
         out = tmp_path / "previews"

@@ -1,6 +1,7 @@
 """Annotation parsing and heatmap oracles, including brute-force cell
 assignment cross-checks."""
 
+import csv
 import json
 
 import numpy as np
@@ -181,5 +182,7 @@ class TestExport:
         grid = np.arange(16, dtype=np.float64).reshape(4, 4)
         hm = coco_audit.Heatmap(grid, "bbox", "widget", 16)
         coco_audit.write_heatmap_pgm(hm, tmp_path / "grid.pgm")
-        back = coco_audit.read_heatmap_csv(tmp_path / "grid.csv")
+        with open(tmp_path / "grid.csv", newline="") as f:
+            back = np.array([[float(v) for v in row]
+                             for row in csv.reader(f)])
         np.testing.assert_array_equal(back, grid)

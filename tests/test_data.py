@@ -111,7 +111,73 @@ class TestNormalizedOffset:
                                     for r in rs], policy
 
 
+def brute_force_offsets(policy, image_hw, object_hw):
+    """Every offset of the rectangle that the policy admits, tested one at
+    a time through the scalar edge distance."""
+    H, W = image_hw
+    h, w = object_hw
+    max_dy, max_dx = (H - h) // 2, (W - w) // 2
+    return [(dx, dy) for dy in range(-max_dy, max_dy + 1)
+            for dx in range(-max_dx, max_dx + 1)
+            if data.admits(policy, data.normalized_offset(dx, dy, image_hw,
+                                                          object_hw))]
+
+
 class TestSamplePlacement:
+    @pytest.mark.parametrize("policy, image_hw", [
+        (data.AllowedCentral(0.3), (64, 96)),
+        (data.Band(0.45, 0.55), (64, 96)),
+        (data.Band(0.9, 1.0), (64, 96)),
+        (data.Band(0.0, 0.02), (64, 96)),
+        (data.ForbiddenCentral(0.7), (64, 96)),
+        (data.Unrestricted(), (64, 96)),
+        (data.Band(0.5, 1.0), (64, 28)),  # max_dx == 0
+    ], ids=["allowed", "interior-band", "edge-band", "narrow-band",
+            "forbidden", "unrestricted", "no-x-room"])
+    def test_admitted_set_is_the_brute_force_filter(self, policy, image_hw):
+        offsets = data.admitted_offsets(policy, image_hw, (28, 28))
+        assert offsets.shape[1:] == (2,)
+        assert [tuple(o) for o in offsets.tolist()] == \
+            brute_force_offsets(policy, image_hw, (28, 28))
+
+    def test_narrow_band_admits_only_the_center(self):
+        # 1 of the 2553 offsets at 64x96
+        policy = data.Band(0.0, 0.02)
+        assert data.admitted_offsets(policy, (64, 96), (28, 28)).tolist() \
+            == [[0, 0]]
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            assert data.sample_placement(policy, (64, 96), (28, 28),
+                                         rng) == (0, 0)
+
+    def test_one_draw_per_placement(self):
+        policy = data.Band(0.9, 1.0)
+        n = len(data.admitted_offsets(policy, (64, 96), (28, 28)))
+        rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(20):
+            dx, dy = data.sample_placement(policy, (64, 96), (28, 28), rng)
+            k = oracle.integers(n)
+            assert [dx, dy] == data.admitted_offsets(
+                policy, (64, 96), (28, 28))[k].tolist()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("policy, seed", [
+        (data.AllowedCentral(0.3), 3), (data.Band(0.9, 1.0), 2)])
+    def test_draws_are_uniform_over_the_admitted_set(self, policy, seed):
+        offsets = data.admitted_offsets(policy, (64, 96), (28, 28))
+        index = {tuple(o): i for i, o in enumerate(offsets.tolist())}
+        k = len(offsets)
+        counts = np.zeros(k)
+        rng = np.random.default_rng(seed)
+        for _ in range(200 * k):
+            counts[index[data.sample_placement(policy, (64, 96), (28, 28),
+                                               rng)]] += 1
+        # chi-square over k cells of expected count 200; the bound is the
+        # mean plus 5 standard deviations of the statistic under uniformity
+        chi2 = ((counts - 200) ** 2 / 200).sum()
+        df = k - 1
+        assert chi2 < df + 5 * np.sqrt(2 * df), (chi2, df)
+
     def test_unrestricted_r_range(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -139,57 +205,16 @@ class TestSamplePlacement:
         # 28x28 glyph on 30x30 image: max offset 1 pixel, so r is 0 or 1
         # and a thin interior band admits nothing
         rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="band:0.4-0.6 admits no offset"):
             data.sample_placement(data.Band(0.4, 0.6), (30, 30), (28, 28), rng)
-
-
-def scalar_placement(policy, image_hw, object_hw, rng):
-    """The one-candidate-at-a-time rejection loop that block placement
-    replaced: dx, then dy, one scalar draw each."""
-    H, W = image_hw
-    h, w = object_hw
-    max_dy, max_dx = (H - h) // 2, (W - w) // 2
-    for _ in range(data.MAX_REJECTIONS):
-        dx = int(rng.integers(-max_dx, max_dx + 1))
-        dy = int(rng.integers(-max_dy, max_dy + 1))
-        if data.admits(policy, data.normalized_offset(dx, dy, image_hw,
-                                                      object_hw)):
-            return dx, dy
-    raise ValueError("no admissible placement")
-
-
-class TestBlockPlacement:
-    @pytest.mark.parametrize("policy, image_hw", [
-        (data.AllowedCentral(0.3), (64, 96)),
-        (data.Band(0.45, 0.55), (64, 96)),
-        (data.Band(0.9, 1.0), (64, 96)),
-        (data.ForbiddenCentral(0.7), (64, 96)),
-        (data.Unrestricted(), (64, 96)),
-        (data.Band(0.5, 1.0), (64, 28)),  # max_dx == 0
-    ], ids=["allowed", "interior-band", "edge-band", "forbidden",
-            "unrestricted", "no-x-room"])
-    def test_offsets_equal_the_scalar_loop(self, policy, image_hw):
-        for seed in range(200):
-            block = data.sample_placement(policy, image_hw, (28, 28),
-                                          np.random.default_rng(seed))
-            scalar = scalar_placement(policy, image_hw, (28, 28),
-                                      np.random.default_rng(seed))
-            assert block == scalar, seed
-
-    def test_block_size_does_not_divide_the_draw_limit(self):
-        assert data.MAX_REJECTIONS % data.PLACEMENT_BLOCK != 0
-
-    def test_degenerate_policy_raises_after_exactly_the_draw_limit(self):
-        # max offset 1 pixel on each axis, so r is 0 or 1
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError, match="after 10000 draws"):
-            data.sample_placement(data.Band(0.4, 0.6), (30, 30), (28, 28),
-                                  rng)
-        oracle = np.random.default_rng(4)
-        for _ in range(data.MAX_REJECTIONS):
-            oracle.integers(-1, 2)
-            oracle.integers(-1, 2)
-        assert rng.bit_generator.state == oracle.bit_generator.state
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="admits no offset of a 28x28 "
+                                             "glyph on a 30x30 image"):
+            data.admitted_offsets(data.Band(0.4, 0.6), (30, 30), (28, 28))
+        with pytest.raises(ValueError, match="admits no offset"):
+            data.DatasetConfig(height=30, width=30,
+                               policy=data.Band(0.4, 0.6))
 
 
 class TestBackgrounds:
@@ -361,12 +386,46 @@ class TestBorderIndependence:
             (("digit_class", "dx", "dy")[worst[0]], worst[1], corr[worst])
 
 
+# bounds a label carries: at most 6 significant digits
+LABEL_BOUNDS = st.floats(0, 1).map(lambda v: float(f"{v:g}"))
+
+
 class TestPolicyParsing:
-    @pytest.mark.parametrize("policy", [
-        data.Unrestricted(), data.AllowedCentral(0.3), data.Band(0.0, 0.1),
-        data.Band(0.9, 1.0), data.ForbiddenCentral(0.7)])
-    def test_label_roundtrip(self, policy):
-        assert data.parse_policy(data.policy_label(policy)) == policy
+    @pytest.mark.parametrize("policy, label", [
+        (data.Band(0.0, 0.1), "band:0-0.1"),
+        (data.Band(0.8, 1.0), "band:0.8-1"),
+        (data.Band(0.9, 1.0), "band:0.9-1"),
+        (data.AllowedCentral(0.3), "allowed:0.3"),
+        (data.ForbiddenCentral(0.7), "forbidden:0.7"),
+        (data.Unrestricted(), "unrestricted"),
+        (data.Band(1e-5, 0.1), "band:1e-05-0.1"),
+    ])
+    def test_labels_keep_their_bytes(self, policy, label):
+        # an eval band's label names its sample stream
+        assert data.policy_label(policy) == label
+        assert data.parse_policy(label) == policy
+
+    @given(st.one_of(
+        st.just(data.Unrestricted()),
+        LABEL_BOUNDS.filter(lambda a: a > 0).map(data.AllowedCentral),
+        st.tuples(LABEL_BOUNDS, LABEL_BOUNDS).filter(
+            lambda b: b[0] < b[1]).map(lambda b: data.Band(*b)),
+        LABEL_BOUNDS.filter(lambda c: c < 1).map(data.ForbiddenCentral)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_label_roundtrips(self, policy):
+        label = data.policy_label(policy)
+        assert data.parse_policy(label) == policy
+        assert data.policy_label(data.parse_policy(label)) == label
+
+    @pytest.mark.parametrize("make", [
+        lambda: data.Band(0.1234567, 0.2), lambda: data.Band(0.1, 0.2000001),
+        lambda: data.AllowedCentral(0.3000001),
+        lambda: data.ForbiddenCentral(1 / 3),
+        lambda: data.parse_policy("band:0.1234567-0.2")])
+    def test_a_bound_the_label_cannot_carry_is_rejected(self, make):
+        # band:0.123457-0.2 would name another band and share its samples
+        with pytest.raises(ValueError, match="more than the 6 significant"):
+            make()
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Harness oracles at smoke scale: determinism, normalization arithmetic,
 asymmetry ratios, and artifact round trips."""
 
+import csv
 import os
 import threading
 
@@ -382,11 +383,12 @@ class TestExport:
         cfg = tiny_config(tmp_path)
         record = harness.run_regional_training(cfg, workers=1)
         paths = harness.export_results(record)
-        labels_r, labels_c, matrix = harness.read_matrix_csv(
-            paths["matrix_raw"])
-        assert labels_r == record.train_labels
-        assert labels_c == record.eval_labels
-        np.testing.assert_allclose(matrix, record.raw, rtol=1e-8)
+        with open(paths["matrix_raw"], newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header[1:] == record.eval_labels
+        assert [r[0] for r in rows] == record.train_labels
+        np.testing.assert_allclose([[float(v) for v in r[1:]] for r in rows],
+                                   record.raw, rtol=1e-8)
 
 
 class TestPairing:

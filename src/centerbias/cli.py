@@ -165,12 +165,13 @@ def cmd_asymmetry(args) -> int:
 
 def cmd_eval(args) -> int:
     model = unet.load_checkpoint(args.checkpoint)
-    try:
-        policies = [data.parse_policy(tok) for tok in args.bands.split(",")]
-    except ValueError as e:
-        raise ValueError(f"--bands: {e}") from None
     template = _load_config(data.DatasetConfig(), args.dataset_config,
                             args.set)
+    try:  # each band must admit an offset at the template's size
+        policies = [replace(template, policy=data.parse_policy(tok)).policy
+                    for tok in args.bands.split(",")]
+    except ValueError as e:
+        raise ValueError(f"--bands: {e}") from None
     row = harness.evaluate_bands(model, policies, args.count, args.seed,
                                  template)
     for policy, loss in zip(policies, row):
@@ -188,6 +189,7 @@ def cmd_eval(args) -> int:
 def cmd_saliency(args) -> int:
     grid = saliency.ShiftGrid(args.extent_x, args.extent_y, args.stride)
     model = unet.load_checkpoint(args.checkpoint)
+    model.config.check_input_hw((args.height, args.width), "--height/--width")
     glyphs = data.builtin_glyphs()
     glyph = glyphs.images[args.digit]
     background = None if args.background == "black" else data.NoisePool()
@@ -488,6 +490,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:  # seed-tree names are non-negative
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "count", 1) < 1:  # gen's and eval's
+            raise ValueError(f"--count must be >= 1, got {args.count}")
         return args.fn(args)
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename or e}", file=sys.stderr)

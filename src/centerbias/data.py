@@ -40,7 +40,7 @@ BACKGROUND_CAP = 0.95  # keeps the pasted object the unique maximum intensity
 
 def _check_label_digits(*bounds):
     """Reject a bound that a label's 6 significant digits cannot carry: its
-    label would name another policy, and so share an eval band's samples."""
+    label would read back through `--bands` and results.json as another."""
     for v in bounds:
         if float(f"{v:g}") != v:
             raise ValueError(f"bound {v!r} has more than the 6 significant "

@@ -77,10 +77,7 @@ class ExperimentConfig:
             raise ValueError(f"learning_rate must be a finite number > 0, "
                              f"got {self.learning_rate!r}")
         h, w = self.dataset.height, self.dataset.width
-        div = 2 ** (self.model.depth - 1)
-        if h % div or w % div:
-            raise ValueError(f"dataset height and width ({h}x{w}) must be "
-                             f"divisible by {div}, 2**(model.depth-1)")
+        self.model.check_input_hw((h, w), "dataset height and width")
         for name in ("epochs", "batch_size", "eval_count", "repeats"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -141,19 +138,21 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
                    ) -> list[float]:
     """Mean per-pixel cross-entropy on fresh samples under each policy.
 
-    A cell is the mean of its samples' mean pixel cross-entropies.  Samples
-    are generated and scored one EVAL_BATCH at a time, so memory does not
-    grow with `eval_count`, and a sample's loss does not depend on the batch
-    size or the shard split, so neither does the cell.  Each cell's samples
-    are named after the policy's label, so duplicate policies in the list
-    produce identical cells.
+    A cell is the mean of its samples' mean pixel cross-entropies.  All
+    bands share one dataset seed, so sample i has the same digit and
+    background in every band; only its offset follows the band.  Every
+    band's dataset is built before the first sample.  Samples are scored
+    one EVAL_BATCH at a time, so memory does not grow with `eval_count`,
+    and no cell depends on the batch size or the shard split.
     """
     template = dataset_template or data.DatasetConfig()
+    model.config.check_input_hw((template.height, template.width),
+                                "dataset height and width")
+    configs = [replace(template, policy=policy, count=eval_count,
+                       master_seed=derive(seed, EVAL_SAMPLES))
+               for policy in eval_policies]
     row = []
-    for policy in eval_policies:
-        label = data.policy_label(policy)
-        ds_cfg = replace(template, policy=policy, count=eval_count,
-                         master_seed=derive(seed, EVAL_SAMPLES, label))
+    for ds_cfg in configs:
         losses = np.empty(eval_count)
         for start in range(0, eval_count, EVAL_BATCH):
             stop = min(start + EVAL_BATCH, eval_count)
@@ -163,13 +162,12 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
     return row
 
 
-def _train_job(config_dict: dict, ti: int, rep: int) -> dict:
+def _train_job(config: ExperimentConfig, ti: int, rep: int) -> dict:
     """Train one (policy, repeat) model and evaluate it on every band.
 
-    Top-level and argument-picklable so it can run in a worker process;
+    Top-level and picklable with its validated config, for a worker process;
     every stream is named under the repeat's seed, never `ti` (see rng).
     """
-    config = from_dict(ExperimentConfig, config_dict)
     policy = config.train_policies[ti]
     seed = derive(config.master_seed, REPEAT, rep)
 
@@ -290,10 +288,10 @@ def run_regional_training(config: ExperimentConfig,
     os.makedirs(config.output_dir, exist_ok=True)
     started = time.time()
     if workers == 1:
-        results = {job: _train_job(to_dict(config), *job) for job in jobs}
+        results = {job: _train_job(config, *job) for job in jobs}
     else:
         with _worker_pool(workers) as pool:
-            futures = {job: pool.submit(_train_job, to_dict(config), *job)
+            futures = {job: pool.submit(_train_job, config, *job)
                        for job in jobs}
             results = {job: fut.result() for job, fut in futures.items()}
 

@@ -77,6 +77,13 @@ class UNetConfig:
     def dtype(self) -> np.dtype:
         return np.dtype(_DTYPES[self.precision])
 
+    def check_input_hw(self, hw, what: str = "input dims") -> None:
+        """Raise unless both dims divide by 2**(depth-1), naming `what`."""
+        div = 2 ** (self.depth - 1)
+        if hw[0] % div or hw[1] % div:
+            raise ValueError(f"{what} ({hw[0]}x{hw[1]}) must be divisible "
+                             f"by {div}, 2**(depth-1) of the model")
+
 
 @dataclass
 class ConvLayer:
@@ -104,11 +111,8 @@ class Model:
 
     def parameters(self) -> list[np.ndarray]:
         """Weight and bias arrays in declaration order (views of flat_params)."""
-        params = []
-        for layer in self.layers():
-            params.append(layer.weight)
-            params.append(layer.bias)
-        return params
+        return [p for layer in self.layers()
+                for p in (layer.weight, layer.bias)]
 
 
 def _layer_plan(config: UNetConfig) -> list[tuple[str, int, int, int]]:
@@ -130,10 +134,8 @@ def _layer_plan(config: UNetConfig) -> list[tuple[str, int, int, int]]:
 
 def param_count(config: UNetConfig) -> int:
     """Closed-form parameter count for a config."""
-    total = 0
-    for _, cin, cout, k in _layer_plan(config):
-        total += cout * cin * k * k + cout
-    return total
+    return sum(cout * cin * k * k + cout
+               for _, cin, cout, k in _layer_plan(config))
 
 
 def build_unet(config: UNetConfig) -> Model:
@@ -324,10 +326,7 @@ def forward(model: Model, batch: np.ndarray, keep_tape: bool = True
     and the input alone.
     """
     cfg = model.config
-    div = 2 ** (cfg.depth - 1)
-    if batch.shape[2] % div or batch.shape[3] % div:
-        raise ValueError(
-            f"input dims {batch.shape[2:]} must be divisible by {div}")
+    cfg.check_input_hw(batch.shape[2:])
     x = tc.to_frame(batch, cfg.dtype)
     tape = _Tape() if keep_tape else None
     skips = []

@@ -493,6 +493,40 @@ class TestConfigErrors:
 
 
 class TestEval:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of data.sample_at and unet.forward, by name."""
+        calls = {"sample_at": 0, "forward": 0}
+        for module, name in ((data, "sample_at"), (unet, "forward")):
+            def counted(*args, fn=getattr(module, name), name=name,
+                        **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("argv, depth, name", [
+        (["eval", "--bands", "band:0-0.1,band:0.6-0.9",
+          "--set", "height=32", "--set", "width=32"], 1, "--bands"),
+        (["eval", "--count", "0"], 1, "--count"),
+        (["eval", "--set", "height=30"], 3, "height"),
+        (["saliency", "--height", "62", "--width", "94", "--out", "sal"],
+         3, "--height"),
+    ], ids=["bands", "count", "eval-height", "saliency-height"])
+    def test_bad_input_exits_4_before_the_first_sample(
+            self, tmp_path, capsys, monkeypatch, calls, argv, depth, name):
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(unet.build_unet(unet.UNetConfig(
+            depth=depth, base_channels=2)), path)
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--checkpoint", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert name in err
+        assert calls == {"sample_at": 0, "forward": 0}
+        assert not (tmp_path / "sal").exists()
+
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
     def test_narrow_band_evaluates_at_every_seed(self, tmp_path, capsys,
                                                  seed):
@@ -506,6 +540,12 @@ class TestEval:
 
 
 class TestGen:
+    def test_count_below_one_exits_4_naming_the_flag(self, tmp_path, capsys):
+        assert run(["gen", "--count", "0", "--out", str(tmp_path / "g")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: --count") and err.count("\n") == 1
+        assert not (tmp_path / "g").exists()
+
     def test_emits_exact_pairs(self, tmp_path, capsys):
         out = tmp_path / "previews"
         code = run(["gen", "--count", "3", "--out", str(out),

@@ -401,7 +401,7 @@ class TestPolicyParsing:
         (data.Band(1e-5, 0.1), "band:1e-05-0.1"),
     ])
     def test_labels_keep_their_bytes(self, policy, label):
-        # an eval band's label names its sample stream
+        # results.json and --bands hold these labels
         assert data.policy_label(policy) == label
         assert data.parse_policy(label) == policy
 
@@ -423,7 +423,7 @@ class TestPolicyParsing:
         lambda: data.ForbiddenCentral(1 / 3),
         lambda: data.parse_policy("band:0.1234567-0.2")])
     def test_a_bound_the_label_cannot_carry_is_rejected(self, make):
-        # band:0.123457-0.2 would name another band and share its samples
+        # band:0.123457-0.2 would read back as another band
         with pytest.raises(ValueError, match="more than the 6 significant"):
             make()
 

@@ -87,12 +87,61 @@ class TestEvaluateBands:
         row = harness.evaluate_bands(model, [Unrestricted()], 1, seed=5,
                                      dataset_template=self.template())
         ds = replace(self.template(), policy=Unrestricted(), count=1,
-                     master_seed=derive(5, EVAL_SAMPLES, "unrestricted"))
+                     master_seed=derive(5, EVAL_SAMPLES))
         s = data.sample_at(ds, 0)
         logits, _ = unet.forward(model, s.input)
         loss, _ = tc.softmax_cross_entropy_pixelwise(
             logits, s.target[None].astype(np.int64))
         assert row[0] == pytest.approx(loss, rel=1e-6)
+
+    def test_bands_score_the_same_digits_on_the_same_backgrounds(
+            self, monkeypatch):
+        # sample i of every band: one digit and one background, and only
+        # the offset follows the band
+        bands = [Band(0.0, 0.1), Band(0.4, 0.6), Band(0.9, 1.0)]
+        inputs, materialize = [], harness._materialize
+
+        def materializing(ds_cfg, indices):
+            X, T = materialize(ds_cfg, indices)
+            inputs.append((X[:, 0], T))
+            return X, T
+
+        monkeypatch.setattr(harness, "_materialize", materializing)
+        harness.evaluate_bands(self.model(), bands, 8, seed=4,
+                               dataset_template=self.template())
+        assert len(inputs) == len(bands)
+        (X0, T0), others = inputs[0], inputs[1:]
+        for X, T in others:
+            assert not np.array_equal(T, T0)  # the placements differ
+            np.testing.assert_array_equal(T.max(axis=(1, 2)),
+                                          T0.max(axis=(1, 2)))
+            outside = ~((T > 0) | (T0 > 0))
+            np.testing.assert_array_equal(X[outside], X0[outside])
+
+    @pytest.mark.parametrize("others", [
+        [], [Band(0.0, 0.1)], [Band(0.0, 0.1), Unrestricted()],
+        [Unrestricted(), Band(0.9, 1.0), Band(0.0, 0.1)]])
+    def test_cell_does_not_depend_on_the_other_bands(self, others):
+        edge = Band(0.9, 1.0)
+        alone = harness.evaluate_bands(self.model(), [edge], 8, seed=2,
+                                       dataset_template=self.template())
+        for listed in ([edge, *others], [*others, edge]):
+            row = harness.evaluate_bands(self.model(), listed, 8, seed=2,
+                                         dataset_template=self.template())
+            assert row[listed.index(edge)] == alone[0]
+
+    def test_band_admitting_no_offset_raises_before_any_sample(
+            self, monkeypatch):
+        # a 14x14 glyph on 32x32 moves at most 9 pixels; 0.95-0.99 admits
+        # no r of k / 9
+        def no_samples(*args):
+            raise AssertionError("a sample was generated")
+
+        monkeypatch.setattr(data, "sample_at", no_samples)
+        with pytest.raises(ValueError, match="band:0.95-0.99 admits no"):
+            harness.evaluate_bands(self.model(),
+                                   [Band(0.0, 0.1), Band(0.95, 0.99)], 8,
+                                   seed=0, dataset_template=self.template())
 
     def test_deterministic_given_seed(self):
         a = harness.evaluate_bands(self.model(), [Band(0.9, 1.0)], 8, seed=7,
@@ -223,10 +272,13 @@ class TestRunRegionalTraining:
                 assert unet.load_checkpoint(path).config.depth == 2
 
     def test_bitwise_determinism_and_worker_invariance(self, tmp_path):
-        # two jobs, so workers=2 really trains them in the spawned pool
+        # two jobs, so workers=2 really trains them in the spawned pool,
+        # each sent the validated config, augmentation and all
         kw = dict(train_policies=(Unrestricted(), ForbiddenCentral(0.5)),
                   model=unet.UNetConfig(depth=2, base_channels=2,
-                                        padding=tc.CIRCULAR))
+                                        padding=tc.CIRCULAR),
+                  augmentations=({"name": "random_periodic_shift",
+                                  "max_frac": 0.25},))
         cfg1 = tiny_config(tmp_path, output_dir=str(tmp_path / "r1"), **kw)
         cfg2 = tiny_config(tmp_path, output_dir=str(tmp_path / "r2"), **kw)
         a = harness.run_regional_training(cfg1, workers=1)
@@ -267,7 +319,7 @@ class TestWorkerPool:
     def test_pool_workers_start_no_shard_thread(self, tmp_path):
         cfg = tiny_config(tmp_path)  # batches of 8 images: two shards each
         with harness._worker_pool(1) as pool:
-            job = pool.submit(harness._train_job, to_dict(cfg), 0, 0)
+            job = pool.submit(harness._train_job, cfg, 0, 0)
             assert len(job.result(timeout=120)["trace"]) == cfg.epochs
             assert pool.submit(threading.active_count).result(
                 timeout=120) == 1

@@ -1,5 +1,6 @@
 """The seed tree's purpose numbers and how a stream is named."""
 
+import numpy as np
 import pytest
 
 from centerbias import rng
@@ -23,13 +24,12 @@ def test_every_purpose_is_pinned_and_retired_numbers_stay_free():
     assert not {6, 8} & set(purposes.values())
 
 
-def test_string_index_enters_as_its_utf8_integer():
-    label = "band:0-0.1"
-    as_int = int.from_bytes(label.encode(), "big")
-    assert rng.derive(3, rng.EVAL_SAMPLES, label) == \
-        rng.derive(3, rng.EVAL_SAMPLES, as_int)
-    a = rng.stream(3, rng.EVAL_SAMPLES, label).random(4)
-    b = rng.stream(3, rng.EVAL_SAMPLES, as_int).random(4)
+def test_indices_are_integers():
+    # no placement policy names a stream: a label is not an index
+    with pytest.raises(TypeError):
+        rng.stream(3, rng.EVAL_SAMPLES, "band:0-0.1")
+    with pytest.raises(TypeError):
+        rng.derive(3, rng.SAMPLE, 1.0)
+    a = rng.stream(3, rng.SAMPLE, np.int64(5)).random(4)
+    b = rng.stream(3, rng.SAMPLE, 5).random(4)
     assert a.tobytes() == b.tobytes()
-    assert rng.derive(3, rng.EVAL_SAMPLES, "band:0.9-1") != \
-        rng.derive(3, rng.EVAL_SAMPLES, label)

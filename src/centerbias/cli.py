@@ -122,9 +122,9 @@ def _run_experiment(config, workers) -> harness.RunRecord:
     """Train, export and print one experiment."""
     record = harness.run_regional_training(config, workers=workers)
     paths = harness.export_results(record)
-    print(f"config {record.config_hash}: trained "
+    print(f"config {harness.config_hash(config)}: trained "
           f"{len(config.train_policies)} x {config.repeats} models in "
-          f"{record.wall_clock['total_seconds']:.1f}s")
+          f"{record.wall_clock.total_seconds:.1f}s")
     for label, row in zip(record.train_labels, record.raw):
         cells = "  ".join(f"{l}={v:.5g}"
                           for l, v in zip(record.eval_labels, row))
@@ -187,15 +187,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_saliency(args) -> int:
-    grid = saliency.ShiftGrid(args.extent_x, args.extent_y, args.stride)
+    try:
+        grid = saliency.ShiftGrid(args.extent_x, args.extent_y, args.stride)
+    except ValueError as e:
+        raise ValueError(f"--extent-x/--extent-y/--stride: {e}") from None
     model = unet.load_checkpoint(args.checkpoint)
     model.config.check_input_hw((args.height, args.width), "--height/--width")
     glyphs = data.builtin_glyphs()
     glyph = glyphs.images[args.digit]
     background = None if args.background == "black" else data.NoisePool()
-    scene = saliency.make_scene(glyph, args.digit, (args.height, args.width),
-                                (args.extent_x, args.extent_y),
-                                background, seed=args.seed)
+    try:
+        scene = saliency.make_scene(glyph, args.digit,
+                                    (args.height, args.width),
+                                    (args.extent_x, args.extent_y),
+                                    background, seed=args.seed)
+    except ValueError as e:
+        raise ValueError(f"--extent-x/--extent-y: {e}") from None
     sm = saliency.saliency_shift_map(model, scene, grid)
     os.makedirs(args.out, exist_ok=True)
     saliency.export_shift_map(sm, os.path.join(args.out, "shift_map"))
@@ -224,6 +231,8 @@ AUGMENT_SPECS = {
     "to-boundary": lambda a: augment.ShiftObjectToBoundary(),
     "edge-drop": lambda a: augment.EdgeDropSpec(1.0, a.band_width),
 }
+# the flag behind each choice's one parameter
+AUGMENT_FLAGS = {"random-shift": "--max-frac", "edge-drop": "--band-width"}
 
 
 def cmd_augment(args) -> int:
@@ -231,7 +240,12 @@ def cmd_augment(args) -> int:
     H, W = t.shape
     if args.transform == "to-boundary" and not (t > 0).any():
         raise ValueError("label map has no object to shift")
-    transform = AUGMENT_SPECS[args.transform](args)
+    try:
+        transform = AUGMENT_SPECS[args.transform](args)
+        if isinstance(transform, augment.EdgeDropSpec):
+            transform.check_fits((H, W))
+    except ValueError as e:
+        raise ValueError(f"{AUGMENT_FLAGS[args.transform]}: {e}") from None
     out_x, out_t = transform(x, t, stream(args.seed, AUGMENT))
     checks = []
     if args.transform == "random-shift":
@@ -378,7 +392,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_report(args) -> int:
     record = harness.load_results(args.results)
     paths = harness.export_results(record, args.out)
-    print(f"re-rendered {record.config_hash} -> {args.out}")
+    print(f"re-rendered {harness.config_hash(record.config)} -> {args.out}")
     for name, path in paths.items():
         print(f"  {name}: {path}")
     return EXIT_OK
@@ -473,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                                          "every backward op")
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("report", help="re-render matrices/curves from "
+    p = sub.add_parser("report", help="re-render the matrices from "
                                       "results.json")
     p.add_argument("--results", required=True)
     p.add_argument("--out", required=True)

@@ -29,13 +29,13 @@ from .config import from_dict, to_dict
 from .rng import AUGMENT, EPOCH_ORDER, EVAL_SAMPLES, REPEAT, derive, stream
 
 __all__ = [
-    "ExperimentConfig", "RunRecord", "run_regional_training",
-    "evaluate_bands", "normalize_matrix", "summarize_asymmetry",
+    "ExperimentConfig", "RunRecord", "WallClock", "config_hash",
+    "run_regional_training", "evaluate_bands", "summarize_asymmetry",
     "export_results", "load_results", "write_matrix_csv",
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EVAL_BATCH = 32
 
@@ -243,29 +243,58 @@ def default_workers() -> int:
     return min(2, os.cpu_count() or 1)
 
 
-# arrays of results.json, by dimension count
-Matrix = np.ndarray[tuple[int, int], np.dtype[np.float64]]
+# the array of results.json, typed by its dimension count for the codec
 Cube = np.ndarray[tuple[int, int, int], np.dtype[np.float64]]
+
+
+@dataclass(frozen=True)
+class WallClock:
+    """How long a run took, and in how many processes it trained."""
+
+    total_seconds: float
+    workers: int
+
+    def __post_init__(self):
+        if not (math.isfinite(self.total_seconds) and self.total_seconds >= 0):
+            raise ValueError(f"total_seconds must be a finite number >= 0, "
+                             f"got {self.total_seconds!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
 class RunRecord:
-    """An experiment's outcome; results.json is this record, written by
-    export_results and read by load_results through the config codec."""
+    """What an experiment measured; results.json is this record, written by
+    export_results and read by load_results through the config codec.  The
+    labels and matrices are derived from `config` and `per_repeat`, so they
+    cannot disagree with them."""
 
     schema_version: int = field(default=SCHEMA_VERSION, kw_only=True)
     config: ExperimentConfig
-    config_hash: str
-    train_labels: list[str]
-    eval_labels: list[str]
-    per_repeat: Cube                # (rows, repeats, bands)
-    raw: Matrix                     # (rows, bands), mean over repeats
-    normalized: dict[str, Matrix] = field(default_factory=dict)
-    traces: list[list[list[float]]] = field(  # [row][repeat][epoch]
-        default_factory=list)
-    checkpoints: list[list[str]] = field(  # [row][repeat] paths
-        default_factory=list)
-    wall_clock: dict = field(default_factory=dict)
+    per_repeat: Cube                        # (rows, repeats, bands)
+    traces: list[list[list[float]]]         # [row][repeat][epoch]
+    checkpoints: list[list[str]]            # [row][repeat] paths
+    wall_clock: WallClock
+
+    @property
+    def train_labels(self) -> list[str]:
+        return [data.policy_label(p) for p in self.config.train_policies]
+
+    @property
+    def eval_labels(self) -> list[str]:
+        return [data.policy_label(p) for p in self.config.eval_bands]
+
+    @property
+    def raw(self) -> np.ndarray:
+        """(rows, bands): the mean over repeats."""
+        return self.per_repeat.mean(axis=1)
+
+    @property
+    def normalized(self) -> np.ndarray:
+        """Each row of `raw` over its first band's cell (the center, for
+        bands listed from the center out)."""
+        raw = self.raw
+        return raw / raw[:, :1]
 
 
 def run_regional_training(config: ExperimentConfig,
@@ -277,7 +306,7 @@ def run_regional_training(config: ExperimentConfig,
     min(workers, jobs) processes, spawned fresh, with single-threaded BLAS
     unless the user set OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, so the
     workers do not oversubscribe the cores; with one, the jobs train in
-    this process.  `wall_clock["workers"]` records that count.
+    this process.  `wall_clock.workers` records that count.
     """
     workers = default_workers() if workers is None else workers
     if workers < 1:
@@ -286,7 +315,7 @@ def run_regional_training(config: ExperimentConfig,
             for rep in range(config.repeats)]
     workers = min(workers, len(jobs))
     os.makedirs(config.output_dir, exist_ok=True)
-    started = time.time()
+    started = time.perf_counter()
     if workers == 1:
         results = {job: _train_job(config, *job) for job in jobs}
     else:
@@ -297,52 +326,18 @@ def run_regional_training(config: ExperimentConfig,
 
     grid = [[results[ti, rep] for rep in range(config.repeats)]
             for ti in range(len(config.train_policies))]
-    per_repeat = np.array([[job["row"] for job in row] for row in grid],
-                          dtype=np.float64)  # (rows, repeats, bands)
-    raw = per_repeat.mean(axis=1)
-    record = RunRecord(
+    return RunRecord(
         config=config,
-        config_hash=config_hash(config),
-        train_labels=[data.policy_label(p) for p in config.train_policies],
-        eval_labels=[data.policy_label(p) for p in config.eval_bands],
-        per_repeat=per_repeat,
-        raw=raw,
+        per_repeat=np.array([[job["row"] for job in row] for row in grid],
+                            dtype=np.float64),
         traces=[[job["trace"] for job in row] for row in grid],
         checkpoints=[[job["checkpoint"] for job in row] for row in grid],
-        wall_clock={"total_seconds": time.time() - started,
-                    "workers": workers},
+        wall_clock=WallClock(time.perf_counter() - started, workers),
     )
-    for mode in ("by_central_band", "by_unrestricted"):
-        try:
-            record.normalized[mode] = normalize_matrix(
-                raw, list(config.eval_bands), mode)
-        except ValueError:
-            pass
-    return record
 
 
 # --------------------------------------------------------------------------
 # matrix post-processing
-
-_REFERENCE = {
-    "by_central_band": data.Band(0.0, 0.1),
-    "by_unrestricted": data.Unrestricted(),
-}
-
-
-def normalize_matrix(raw: np.ndarray, eval_policies, mode: str) -> np.ndarray:
-    """Divide each row by its reference cell (central band or unrestricted)."""
-    if mode not in _REFERENCE:
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    ref = _REFERENCE[mode]
-    try:
-        col = list(eval_policies).index(ref)
-    except ValueError:
-        raise ValueError(
-            f"normalization {mode!r} needs eval column "
-            f"{data.policy_label(ref)}") from None
-    return raw / raw[:, col:col + 1]
-
 
 def summarize_asymmetry(record: RunRecord) -> list[float]:
     """The cross-test ratio of each train row, in `train_labels` order: the
@@ -367,7 +362,7 @@ def write_matrix_csv(path, row_labels, col_labels, matrix,
 
 
 def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
-    """Write results.json plus raw/normalized matrices and band curves.
+    """Write results.json and the raw and normalized matrices.
 
     Idempotent: re-exporting the same record overwrites identical files.
     Returns the written paths.
@@ -376,22 +371,13 @@ def export_results(record: RunRecord, output_dir: str | None = None) -> dict:
     os.makedirs(out, exist_ok=True)
     paths = {"results": os.path.join(out, "results.json"),
              "matrix_raw": os.path.join(out, "matrix_raw.csv"),
-             "curves": os.path.join(out, "curves.csv")}
-
+             "matrix_norm": os.path.join(out, "matrix_norm.csv")}
     with open(paths["results"], "w") as f:
         json.dump(to_dict(record), f, indent=1)
-
-    write_matrix_csv(paths["matrix_raw"], record.train_labels,
-                     record.eval_labels, record.raw)
-    for mode, matrix in record.normalized.items():
-        p = os.path.join(out, "matrix_norm.csv")
-        write_matrix_csv(p, record.train_labels, record.eval_labels, matrix)
-        paths["matrix_norm"] = p
-        break  # one canonical normalized matrix; JSON holds all modes
-
-    # Fig-3-style curves: one column of raw mean loss per training policy
-    write_matrix_csv(paths["curves"], record.eval_labels,
-                     record.train_labels, record.raw.T, corner="eval_band")
+    for name, matrix in (("matrix_raw", record.raw),
+                         ("matrix_norm", record.normalized)):
+        write_matrix_csv(paths[name], record.train_labels,
+                         record.eval_labels, matrix)
     return paths
 
 
@@ -403,29 +389,28 @@ def _has_shape(value, shape) -> bool:
 def load_results(path) -> RunRecord:
     """Rebuild a RunRecord from results.json (inverse of export_results).
 
-    The file is read by the config rule (see config): an unknown or missing
-    key or a mistyped value raises a ValueError naming the key, and so does
-    a matrix or trace whose shape disagrees with the labels, repeats and
-    epochs.
+    A file of another schema_version raises a ValueError naming both
+    versions.  The rest is read by the config rule (see config): an unknown
+    or missing key or a mistyped value raises a ValueError naming the key,
+    and so does a measurement whose shape disagrees with the config's train
+    policies, eval bands, repeats and epochs.
     """
     with open(path) as f:
         payload = json.load(f)
     if not isinstance(payload, dict):
         raise ValueError(f"{path} must hold a JSON object")
+    version = payload.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"results schema_version {version!r}: "
+                         f"this build reads {SCHEMA_VERSION}")
     record = from_dict(RunRecord, payload)
-    rows, bands = len(record.train_labels), len(record.eval_labels)
-    repeats, epochs = record.config.repeats, record.config.epochs
-    shapes = {"per_repeat": (record.per_repeat, (rows, repeats, bands)),
-              "raw": (record.raw, (rows, bands)),
-              "traces": (record.traces, (rows, repeats, epochs)),
-              "checkpoints": (record.checkpoints, (rows, repeats))}
-    for mode, matrix in record.normalized.items():
-        key = f"normalized.{mode}"
-        if mode not in _REFERENCE:
-            raise ValueError(f"{key} is not one of {list(_REFERENCE)}")
-        shapes[key] = (matrix, (rows, bands))
-    for key, (value, shape) in shapes.items():
-        if not _has_shape(value, shape):
+    config = record.config
+    rows, bands = len(config.train_policies), len(config.eval_bands)
+    shapes = {"per_repeat": (rows, config.repeats, bands),
+              "traces": (rows, config.repeats, config.epochs),
+              "checkpoints": (rows, config.repeats)}
+    for key, shape in shapes.items():
+        if not _has_shape(getattr(record, key), shape):
             raise ValueError(f"{key} must have shape {shape}, from the "
-                             f"labels, repeats and epochs")
+                             f"config's policies, bands, repeats and epochs")
     return record

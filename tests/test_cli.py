@@ -361,11 +361,9 @@ class TestConfigErrors:
         config = harness.ExperimentConfig(repeats=1, epochs=1,
                                           output_dir=str(tmp_path / "run"))
         record = harness.RunRecord(
-            config, harness.config_hash(config), ["unrestricted"],
-            ["band:0-0.1", "band:0.9-1"], per_repeat=np.ones((1, 1, 2)),
-            raw=np.ones((1, 2)),
-            normalized={"by_central_band": np.ones((1, 2))},
-            traces=[[[2.0]]], checkpoints=[["train0_rep0.ckpt"]])
+            config, per_repeat=np.ones((1, 1, 2)), traces=[[[2.0]]],
+            checkpoints=[["train0_rep0.ckpt"]],
+            wall_clock=harness.WallClock(1.0, 1))
         path = harness.export_results(record)["results"]
         with open(path) as f:
             return json.load(f)
@@ -380,20 +378,33 @@ class TestConfigErrors:
         assert self.report(tmp_path, results_doc) == 0
 
     @pytest.mark.parametrize("key, value, message", [
-        ("raw", "x", "raw must be a list, got 'x'"),
-        ("raw", [1.0, 1.0], "raw[0] must be a list"),
-        ("raw", [[1.0]], "raw must have shape (1, 2)"),
+        ("per_repeat", "x", "per_repeat must be a list, got 'x'"),
+        ("per_repeat", [[1.0, 1.0]], "per_repeat[0][0] must be a list"),
         ("per_repeat", [[[1.0, 1.0]], [[1.0, 1.0]]],
          "per_repeat must have shape (1, 1, 2)"),
-        ("train_labels", 5, "train_labels must be a list, got 5"),
+        ("per_repeat", [[["x", 1.0]]], "per_repeat[0][0][0] must be a number"),
         ("traces", None, "traces is required"),
         ("traces", [[[1.0, 2.0]]], "traces must have shape (1, 1, 1)"),
         ("checkpoints", [[3]], "checkpoints[0][0] must be a string"),
-        ("normalized", {"by_edge": [[1.0, 1.0]]}, "normalized.by_edge"),
-        ("normalized", {"by_central_band": [["x", 1.0]]},
-         "normalized.by_central_band[0][0] must be a number"),
+        ("checkpoints", [["a", "b"]], "checkpoints must have shape (1, 1)"),
+        ("wall_clock", None, "wall_clock is required"),
+        ("wall_clock", {"total_seconds": 1.0, "workers": "two"},
+         "wall_clock.workers must be an integer, got 'two'"),
+        ("wall_clock", {"total_seconds": 1.0, "workers": 1, "mystery": [1]},
+         "['wall_clock.mystery']"),
+        ("wall_clock", {"workers": 1}, "wall_clock.total_seconds is required"),
+        ("wall_clock", {"total_seconds": -1.0, "workers": 1},
+         "wall_clock: total_seconds must be a finite number >= 0"),
+        ("wall_clock", {"total_seconds": 1.0, "workers": 0},
+         "wall_clock: workers must be >= 1, got 0"),
         ("config", None, "config is required"),
         ("mystery", 1, "['mystery']"),
+        # schema 2's derived keys, now properties of the record
+        ("raw", [[9.0, 9.0]], "['raw']"),
+        ("normalized", {"by_central_band": [[1.0, 42.0]]}, "['normalized']"),
+        ("train_labels", ["band:0.5-0.6"], "['train_labels']"),
+        ("eval_labels", ["band:0-0.1", "band:0.9-1"], "['eval_labels']"),
+        ("config_hash", "deadbeef", "['config_hash']"),
     ])
     def test_malformed_results_exit_4_naming_the_key(
             self, tmp_path, capsys, results_doc, key, value, message):
@@ -402,6 +413,32 @@ class TestConfigErrors:
             results_doc[key] = value
         assert self.report(tmp_path, results_doc) == 4
         assert message in self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("version", [2, 99, None])
+    def test_other_schema_version_exits_4_naming_both(
+            self, tmp_path, capsys, results_doc, version):
+        # checked before any other key: a schema-2 file holds keys this
+        # build rejects
+        results_doc.update(schema_version=version, raw=[[9.0, 9.0]])
+        assert self.report(tmp_path, results_doc) == 4
+        assert self.assert_one_line_error(capsys) == (
+            f"error: results schema_version {version!r}: this build reads "
+            f"{harness.SCHEMA_VERSION}\n")
+        assert not (tmp_path / "report").exists()
+
+    def test_report_derives_both_matrices_from_the_repeats(
+            self, tmp_path, capsys, results_doc):
+        results_doc["config"]["repeats"] = 2
+        results_doc["per_repeat"] = [[[1.0, 3.0], [2.0, 7.0]]]
+        results_doc["traces"] = [[[2.0], [2.0]]]
+        results_doc["checkpoints"] = [["a.ckpt", "b.ckpt"]]
+        assert self.report(tmp_path, results_doc) == 0
+        out = tmp_path / "report"
+        header = "train\\eval,band:0-0.1,band:0.9-1\n"
+        assert (out / "matrix_raw.csv").read_text() == \
+            header + "unrestricted,1.5,5\n"
+        assert (out / "matrix_norm.csv").read_text() == \
+            header + "unrestricted,1,3.33333333\n"
 
     def test_results_list_exits_4(self, tmp_path, capsys):
         assert self.report(tmp_path, [1, 2]) == 4
@@ -513,7 +550,10 @@ class TestEval:
         (["eval", "--set", "height=30"], 3, "height"),
         (["saliency", "--height", "62", "--width", "94", "--out", "sal"],
          3, "--height"),
-    ], ids=["bands", "count", "eval-height", "saliency-height"])
+        (["saliency", "--extent-x", "40", "--out", "sal"], 1, "--extent-x"),
+        (["saliency", "--stride", "3", "--out", "sal"], 1, "--stride"),
+    ], ids=["bands", "count", "eval-height", "saliency-height",
+            "saliency-extent", "saliency-stride"])
     def test_bad_input_exits_4_before_the_first_sample(
             self, tmp_path, capsys, monkeypatch, calls, argv, depth, name):
         path = tmp_path / "model.ckpt"
@@ -679,8 +719,7 @@ def trained(tmp_path_factory):
 class TestTrainEvalReport:
     def test_artifacts_exist(self, trained, capsys):
         run_dir = trained / "run"
-        for name in ("results.json", "matrix_raw.csv", "matrix_norm.csv",
-                     "curves.csv"):
+        for name in ("results.json", "matrix_raw.csv", "matrix_norm.csv"):
             assert (run_dir / name).exists(), name
         assert (run_dir / "checkpoints" / "train0_rep0.ckpt").exists()
 
@@ -699,9 +738,9 @@ class TestTrainEvalReport:
         assert run(["report", "--results",
                     str(trained / "run" / "results.json"),
                     "--out", str(out)]) == 0
-        a = (trained / "run" / "matrix_raw.csv").read_text()
-        b = (out / "matrix_raw.csv").read_text()
-        assert a == b
+        for name in ("matrix_raw.csv", "matrix_norm.csv"):
+            assert (trained / "run" / name).read_text() == \
+                (out / name).read_text(), name
 
     def test_saliency_from_checkpoint(self, trained, capsys):
         ckpt = trained / "run" / "checkpoints" / "train0_rep0.ckpt"
@@ -734,10 +773,10 @@ class TestAsymmetry:
         return argv
 
     @pytest.mark.parametrize("flags, hashes", [
-        ([], ["aaf1ca7f16a07d5a", "fc1b82d5d578ac4d", "e9c87a6886af24db",
-              "505ebcc3b6d31405"]),
-        (["--quick"], ["06cce5189ed6d546", "6d2232315907c532",
-                       "949a060c16872d75", "213f1c3ad61c8e94"]),
+        ([], ["ccf2e07fd4072938", "e031464d34c79c0a", "77acc6ab718259be",
+              "8f82c4605a7d3535"]),
+        (["--quick"], ["2a64792491a4f0a2", "78027d6a0a4b1930",
+                       "3d71c84c34a0a7b6", "c76064054ad9aa16"]),
     ], ids=["default", "quick"])
     def test_arm_config_hashes_are_pinned(self, flags, hashes):
         # the preset, each of its train policies alone (the center and edge
@@ -785,7 +824,7 @@ class TestAsymmetry:
             pair = harness.run_regional_training(
                 replace(config, output_dir=str(tmp_path / f"w{workers}")),
                 workers=workers)
-            assert pair.wall_clock["workers"] == workers
+            assert pair.wall_clock.workers == workers
             for ti, record in enumerate(alone):
                 np.testing.assert_array_equal(pair.per_repeat[ti],
                                               record.per_repeat[0])
@@ -869,14 +908,23 @@ class TestAugmentCommand:
         assert (out / "augmented.pgm").exists()
         assert (out / "augmented_label.pgm").exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--transform", "random-shift", "--max-frac", "1.5"],
-        ["--transform", "edge-drop", "--band-width", "32"],
+    @pytest.mark.parametrize("transform, flag, value", [
+        ("random-shift", "--max-frac", "1.5"),
+        ("random-shift", "--max-frac", "2"),
+        ("edge-drop", "--band-width", "32"),
+        ("edge-drop", "--band-width", "500"),
+        ("edge-drop", "--band-width", "0"),
     ])
-    def test_out_of_range_flag_exits_4(self, tmp_path, flags, capsys):
+    def test_out_of_range_flag_exits_4(
+            self, tmp_path, capsys, transform, flag, value):
         img, lab = self.make_pair(tmp_path)
+        capsys.readouterr()
         assert run(["augment", "--input", str(img), "--label", str(lab),
-                    "--out", str(tmp_path / "aug")] + flags) == 4
+                    "--out", str(tmp_path / "aug"), "--transform", transform,
+                    flag, value]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+        assert not (tmp_path / "aug").exists()
 
     def test_every_registered_transform_has_a_choice(self):
         # each --transform choice builds a different registered kind and

@@ -116,7 +116,7 @@ class TestFormat:
 
     def test_default_config_hash_is_pinned(self):
         assert harness.config_hash(harness.ExperimentConfig()) \
-            == "07a995a3101f48e4"
+            == "f647f2cafec76900"
 
     def model(self):
         return unet.build_unet(unet.UNetConfig(

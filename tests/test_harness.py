@@ -1,7 +1,8 @@
-"""Harness oracles at smoke scale: determinism, normalization arithmetic,
+"""Harness oracles at smoke scale: determinism, the derived matrices,
 asymmetry ratios, and artifact round trips."""
 
 import csv
+import json
 import os
 import threading
 
@@ -285,7 +286,7 @@ class TestRunRegionalTraining:
         b = harness.run_regional_training(cfg2, workers=2)
         np.testing.assert_array_equal(a.per_repeat, b.per_repeat)
         assert a.traces == b.traces
-        assert a.config_hash == b.config_hash
+        assert harness.config_hash(a.config) == harness.config_hash(b.config)
 
     @pytest.mark.parametrize("workers, policies, trained_by", [
         (2, 1, 1), (1, 2, 1), (8, 2, 2)])
@@ -297,7 +298,7 @@ class TestRunRegionalTraining:
                           train_policies=(Unrestricted(),
                                           ForbiddenCentral(0.5))[:policies])
         record = harness.run_regional_training(cfg, workers=workers)
-        assert record.wall_clock["workers"] == trained_by
+        assert record.wall_clock.workers == trained_by
 
     def test_augmented_run_executes(self, tmp_path):
         cfg = tiny_config(tmp_path, augmentations=(
@@ -334,44 +335,46 @@ class TestWorkerPool:
         assert seen == [None, "2"]
 
 
+def make_record(per_repeat, output_dir, train_policies=(Unrestricted(),),
+                eval_bands=(Band(0.0, 0.1), Band(0.9, 1.0)), epochs=1):
+    """A record of the given measurements, with a config of their shape."""
+    per_repeat = np.array(per_repeat, dtype=np.float64)
+    rows, repeats, _ = per_repeat.shape
+    config = harness.ExperimentConfig(
+        train_policies=train_policies, eval_bands=eval_bands,
+        repeats=repeats, epochs=epochs, output_dir=str(output_dir))
+    return harness.RunRecord(
+        config, per_repeat,
+        traces=[[[2.0] * epochs] * repeats] * rows,
+        checkpoints=[[f"train{ti}_rep{rep}.ckpt" for rep in range(repeats)]
+                     for ti in range(rows)],
+        wall_clock=harness.WallClock(1.25, 2))
+
+
 class TestNormalize:
-    def test_reference_column_becomes_one(self):
-        raw = np.array([[2.0, 6.0], [0.5, 4.0]])
-        out = harness.normalize_matrix(
-            raw, [Band(0.0, 0.1), Band(0.9, 1.0)], "by_central_band")
-        np.testing.assert_allclose(out[:, 0], 1.0)
-        np.testing.assert_allclose(out[:, 1], [3.0, 8.0])
-
-    def test_by_unrestricted(self):
-        raw = np.array([[2.0, 6.0]])
-        out = harness.normalize_matrix(
-            raw, [Unrestricted(), ForbiddenCentral(0.9)], "by_unrestricted")
-        np.testing.assert_allclose(out, [[1.0, 3.0]])
-
-    def test_missing_reference_column(self):
-        with pytest.raises(ValueError):
-            harness.normalize_matrix(
-                np.ones((1, 2)), [Band(0.2, 0.4), Band(0.9, 1.0)],
-                "by_central_band")
+    def test_reference_column_becomes_one(self, tmp_path):
+        # the first band's cell is the reference of its row
+        record = make_record([[[2.0, 6.0]], [[0.5, 4.0]]], tmp_path,
+                             train_policies=(Unrestricted(),
+                                             ForbiddenCentral(0.5)))
+        np.testing.assert_allclose(record.normalized[:, 0], 1.0)
+        np.testing.assert_allclose(record.normalized[:, 1], [3.0, 8.0])
 
 
 class TestAsymmetry:
     @staticmethod
-    def fake_record(labels, per_repeat):
-        per_repeat = np.array(per_repeat)
-        return harness.RunRecord(
-            config=None, config_hash="", train_labels=labels,
-            eval_labels=["center", "middle", "edge"], per_repeat=per_repeat,
-            raw=per_repeat.mean(axis=1))
+    def fake_record(per_repeat):
+        return harness.RunRecord(config=None, per_repeat=np.array(per_repeat),
+                                 traces=[], checkpoints=[], wall_clock=None)
 
     def test_equal_cells_ratio_one(self):
-        rec = self.fake_record(["t"], [[[0.5, 2.0, 0.5], [0.5, 2.0, 0.5]]])
+        rec = self.fake_record([[[0.5, 2.0, 0.5], [0.5, 2.0, 0.5]]])
         assert harness.summarize_asymmetry(rec) == [1.0]
 
     def test_one_ratio_per_row_mean_over_repeats(self):
-        # rows in train_labels order, two of them under one label; each is
-        # the mean over repeats of last band / first band
-        rec = self.fake_record(["a", "b", "a"], [
+        # one ratio per row, in row order; each is the mean over repeats of
+        # last band / first band
+        rec = self.fake_record([
             [[1.0, 7.0, 10.0], [2.0, 7.0, 10.0]],
             [[3.0, 7.0, 1.0], [1.0, 7.0, 1.0]],
             [[4.0, 7.0, 2.0], [4.0, 7.0, 4.0]]])
@@ -395,41 +398,58 @@ class TestExport:
             assert f.read() == first
 
     def test_loaded_record_exports_the_same_bytes(self, tmp_path):
-        config = harness.ExperimentConfig(repeats=2, epochs=2,
-                                          output_dir=str(tmp_path))
-        record = harness.RunRecord(
-            config, harness.config_hash(config), ["unrestricted"],
-            ["band:0-0.1", "band:0.9-1"],
-            per_repeat=np.arange(4.0).reshape(1, 2, 2) / 3,
-            raw=np.array([[0.1, 1 / 7]]),
-            normalized={"by_central_band": np.ones((1, 2)) / 3},
-            traces=[[[2.0, 1.5], [2.5, 1 / 3]]],
-            checkpoints=[["a.ckpt", "b.ckpt"]],
-            wall_clock={"total_seconds": 1.25, "workers": 2})
-        first = harness.export_results(record)["results"]
-        loaded = harness.load_results(first)
+        record = make_record(np.arange(4.0).reshape(1, 2, 2) / 3, tmp_path,
+                             epochs=2)
+        record.traces = [[[2.0, 1.5], [2.5, 1 / 3]]]
+        paths = harness.export_results(record)
+        loaded = harness.load_results(paths["results"])
         assert loaded.traces == record.traces
         assert loaded.checkpoints == record.checkpoints
+        assert loaded.wall_clock == record.wall_clock
         again = harness.export_results(loaded, str(tmp_path / "again"))
-        with open(first, "rb") as f, open(again["results"], "rb") as g:
-            assert f.read() == g.read()
+        for name, path in paths.items():
+            with open(path, "rb") as f, open(again[name], "rb") as g:
+                assert f.read() == g.read(), name
 
-    def test_curves_csv_text_is_pinned(self, tmp_path):
-        # one row per eval band, one column per train policy, 9 digits
-        config = harness.ExperimentConfig(repeats=1, epochs=1,
-                                          output_dir=str(tmp_path))
-        raw = np.array([[0.1, 1 / 3], [2.5, 1e-10]])
-        record = harness.RunRecord(
-            config, harness.config_hash(config),
-            ["allowed:0.3", "forbidden:0.7"], ["band:0-0.1", "band:0.8-1"],
-            per_repeat=raw[:, None], raw=raw, traces=[[[2.0]], [[2.0]]],
-            checkpoints=[["a.ckpt"], ["b.ckpt"]])
-        path = harness.export_results(record)["curves"]
-        with open(path, newline="") as f:
-            assert f.read() == (
-                "eval_band,allowed:0.3,forbidden:0.7\r\n"
-                "band:0-0.1,0.1,2.5\r\n"
-                "band:0.8-1,0.333333333,1e-10\r\n")
+    def test_results_json_holds_the_measurements_only(self, tmp_path):
+        record = make_record([[[1.0, 2.0]]], tmp_path)
+        with open(harness.export_results(record)["results"]) as f:
+            assert list(json.load(f)) == [
+                "schema_version", "config", "per_repeat", "traces",
+                "checkpoints", "wall_clock"]
+
+    def test_matrix_csv_text_is_pinned(self, tmp_path):
+        # one row per train policy, one column per eval band, 9 significant
+        # digits, CRLF line ends
+        record = make_record(
+            [[[0.1, 1 / 3]], [[2.5, 1e-10]]], tmp_path,
+            train_policies=(data.AllowedCentral(0.3), ForbiddenCentral(0.7)),
+            eval_bands=(Band(0.0, 0.1), Band(0.8, 1.0)))
+        paths = harness.export_results(record)
+        texts = {}
+        for name in ("matrix_raw", "matrix_norm"):
+            with open(paths[name], newline="") as f:
+                texts[name] = f.read()
+        assert texts == {
+            "matrix_raw": "train\\eval,band:0-0.1,band:0.8-1\r\n"
+                          "allowed:0.3,0.1,0.333333333\r\n"
+                          "forbidden:0.7,2.5,1e-10\r\n",
+            "matrix_norm": "train\\eval,band:0-0.1,band:0.8-1\r\n"
+                           "allowed:0.3,1,3.33333333\r\n"
+                           "forbidden:0.7,1,4e-11\r\n"}
+
+    def test_rerun_with_other_bands_rewrites_every_matrix(self, tmp_path):
+        # no band is the central one: the normalized matrix is still
+        # rewritten, so no file of the first run is left behind
+        harness.export_results(make_record([[[1.0, 2.0]]], tmp_path))
+        paths = harness.export_results(make_record(
+            [[[2.0, 4.0]]], tmp_path,
+            eval_bands=(Band(0.4, 0.6), Band(0.8, 1.0))))
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(p) for p in paths.values())
+        with open(paths["matrix_norm"], newline="") as f:
+            assert f.read() == ("train\\eval,band:0.4-0.6,band:0.8-1\r\n"
+                                "unrestricted,1,2\r\n")
 
     def test_csv_matches_json_matrix(self, tmp_path):
         cfg = tiny_config(tmp_path)

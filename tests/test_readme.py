@@ -7,6 +7,7 @@ import pathlib
 import re
 import shlex
 
+import numpy as np
 import pytest
 
 from centerbias import cli, harness
@@ -62,3 +63,17 @@ def test_readme_command_parses(command):
         cli.build_parser().parse_args(shlex.split(command)[1:])
     except SystemExit:
         pytest.fail(f"the parser rejects {command!r}")
+
+
+def test_outputs_paragraph_names_the_exported_files(tmp_path):
+    paragraph = README.split("Outputs under `output_dir`:", 1)[1]
+    paragraph = paragraph.split("\n\n", 1)[0]
+    named = set(re.findall(r"`(\w+\.(?:json|csv))`", paragraph))
+    config = harness.ExperimentConfig(repeats=1, epochs=1)
+    record = harness.RunRecord(
+        config, np.ones((1, 1, 2)), traces=[[[1.0]]],
+        checkpoints=[["train0_rep0.ckpt"]],
+        wall_clock=harness.WallClock(1.0, 1))
+    written = harness.export_results(record, str(tmp_path)).values()
+    assert named == {pathlib.Path(p).name for p in written}
+    assert "`checkpoints/train{i}_rep{j}.ckpt`" in paragraph

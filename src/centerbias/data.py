@@ -4,7 +4,10 @@ Digit glyphs are pasted at policy-constrained positions over procedural-noise
 or image-pool backgrounds; every non-background pixel is set to the maximum
 intensity and labeled with its digit class + 1.  Sample i of a dataset is a
 pure function of its SAMPLE and BACKGROUND streams (see rng), so datasets
-are identical across generation order and worker counts.
+are identical across generation order, block size and worker counts.
+`sample_block` is the one generator: it makes a block of samples under
+one or several placement policies; `sample_at` is a block of one, and
+`iter_samples` a run of blocks.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ __all__ = [
     "NoisePool", "ImageDir", "generate_background",
     "edge_distance", "normalized_offset", "admitted_offsets",
     "sample_placement", "composite_sample",
-    "Sample", "SampleMeta", "DatasetConfig",
-    "sample_at", "iter_samples", "mask_bbox",
+    "Sample", "SampleMeta", "DatasetConfig", "SampleBlock",
+    "sample_block", "sample_at", "iter_samples", "mask_bbox",
 ]
 
 BACKGROUND_CAP = 0.95  # keeps the pasted object the unique maximum intensity
@@ -327,25 +330,27 @@ BackgroundSpec = Union[NoisePool, ImageDir]
 
 
 def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
-    """Mean filter with clamped windows, separable via cumulative sums."""
+    """Mean filter over the last two axes with clamped windows, separable
+    via cumulative sums; a stack of images is blurred image by image."""
     if radius <= 0:
         return img
 
     def blur_axis(a, axis):
+        # window sum of pixel i: cs[hi - 1] - cs[lo - 1], the second term
+        # only where the window does not start at pixel 0
         n = a.shape[axis]
-        cs = np.cumsum(a, axis=axis)
-        cs = np.concatenate([np.zeros_like(np.take(cs, [0], axis=axis)), cs],
-                            axis=axis)
         idx = np.arange(n)
-        lo = np.clip(idx - radius, 0, n)
-        hi = np.clip(idx + radius + 1, 0, n)
-        sums = np.take(cs, hi, axis=axis) - np.take(cs, lo, axis=axis)
-        counts = (hi - lo).astype(a.dtype)
-        shape = [1, 1]
-        shape[axis] = n
-        return sums / counts.reshape(shape)
+        lo = np.maximum(idx - radius, 0)
+        hi = np.minimum(idx + radius + 1, n)
+        cs = np.cumsum(a, axis=axis)
+        sums = np.take(cs, hi - 1, axis=axis)
+        last = np.moveaxis(sums, axis, -1)
+        last[..., radius + 1:] -= np.moveaxis(cs, axis, -1)[
+            ..., :max(n - radius - 1, 0)]
+        last /= (hi - lo).astype(a.dtype)
+        return sums
 
-    return blur_axis(blur_axis(img, 0), 1)
+    return blur_axis(blur_axis(img, -2), -1)
 
 
 @functools.lru_cache(maxsize=4)
@@ -364,29 +369,46 @@ def _nearest_resize(img: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     return img[rows][:, cols]
 
 
+def _image_crop(pool: tuple, hw: tuple[int, int],
+                rng: np.random.Generator) -> np.ndarray:
+    """A random image of the pool, randomly cropped and scaled to hw."""
+    H, W = hw
+    src = pool[int(rng.integers(len(pool)))]
+    sh, sw = src.shape
+    scale_max = min(sh / H, sw / W)
+    if scale_max <= 1.0:
+        crop = src
+    else:
+        f = float(rng.uniform(1.0, scale_max))
+        ch, cw = int(H * f), int(W * f)
+        top = int(rng.integers(0, sh - ch + 1))
+        left = int(rng.integers(0, sw - cw + 1))
+        crop = src[top:top + ch, left:left + cw]
+    return _nearest_resize(crop, hw)
+
+
+def _backgrounds(spec: BackgroundSpec, hw: tuple[int, int],
+                 rngs: list[np.random.Generator]) -> np.ndarray:
+    """(n, H, W) float32 backgrounds in [0, BACKGROUND_CAP], one from each
+    generator.  Noise is drawn image by image and blurred as one stack."""
+    H, W = hw
+    if isinstance(spec, NoisePool):
+        noise = np.empty((len(rngs), H, W))
+        for rng, out in zip(rngs, noise):
+            rng.random(out=out)
+        img = _box_blur(noise, spec.smoothing)
+    elif isinstance(spec, ImageDir):
+        pool = _image_pool(spec.path)
+        img = np.stack([_image_crop(pool, hw, rng) for rng in rngs])
+    else:
+        raise TypeError(f"not a background spec: {spec!r}")
+    return np.clip(img, 0.0, BACKGROUND_CAP, out=img).astype(np.float32)
+
+
 def generate_background(spec: BackgroundSpec, hw: tuple[int, int],
                         rng: np.random.Generator) -> np.ndarray:
     """Background image in [0, BACKGROUND_CAP] as float32."""
-    H, W = hw
-    if isinstance(spec, NoisePool):
-        img = _box_blur(rng.random((H, W)), spec.smoothing)
-    elif isinstance(spec, ImageDir):
-        pool = _image_pool(spec.path)
-        src = pool[int(rng.integers(len(pool)))]
-        sh, sw = src.shape
-        scale_max = min(sh / H, sw / W)
-        if scale_max <= 1.0:
-            crop = src
-        else:
-            f = float(rng.uniform(1.0, scale_max))
-            ch, cw = int(H * f), int(W * f)
-            top = int(rng.integers(0, sh - ch + 1))
-            left = int(rng.integers(0, sw - cw + 1))
-            crop = src[top:top + ch, left:left + cw]
-        img = _nearest_resize(crop, hw)
-    else:
-        raise TypeError(f"not a background spec: {spec!r}")
-    return np.clip(img, 0.0, BACKGROUND_CAP).astype(np.float32)
+    return _backgrounds(spec, hw, [rng])[0]
 
 
 # --------------------------------------------------------------------------
@@ -420,6 +442,26 @@ def mask_bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
 GLYPH_THRESHOLD = 0.5
 
 
+def _composite(glyphs: np.ndarray, classes, backgrounds: np.ndarray,
+               offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Paste binarized glyph j onto background j at offsets[j] = (dx, dy)
+    from the center: (n, 1, H, W) float32 inputs and (n, H, W) uint8 class
+    maps.  Mask pixels get intensity exactly 1.0 and class value
+    classes[j] + 1."""
+    n, H, W = backgrounds.shape
+    gh, gw = glyphs.shape[1:]
+    X = backgrounds.astype(np.float32).reshape(n, 1, H, W)
+    T = np.zeros((n, H, W), dtype=np.uint8)
+    for x, t, glyph, cls, (dx, dy) in zip(X[:, 0], T, glyphs, classes,
+                                          offsets):
+        mask = glyph > GLYPH_THRESHOLD
+        oy = (H - gh) // 2 + dy
+        ox = (W - gw) // 2 + dx
+        x[oy:oy + gh, ox:ox + gw][mask] = 1.0
+        t[oy:oy + gh, ox:ox + gw][mask] = cls + 1
+    return X, T
+
+
 def composite_sample(glyph: np.ndarray, digit_class: int,
                      background: np.ndarray, offset: tuple[int, int]
                      ) -> Sample:
@@ -427,21 +469,12 @@ def composite_sample(glyph: np.ndarray, digit_class: int,
 
     Mask pixels get intensity exactly 1.0 and target value digit_class + 1.
     """
-    H, W = background.shape
-    gh, gw = glyph.shape
     dx, dy = offset
-    r = normalized_offset(dx, dy, (H, W), (gh, gw))  # validates the offset
-    oy = (H - gh) // 2 + dy
-    ox = (W - gw) // 2 + dx
-    mask = glyph > GLYPH_THRESHOLD
-    img = background.astype(np.float32, copy=True)
-    img[oy:oy + gh, ox:ox + gw][mask] = 1.0
-    target = np.zeros((H, W), dtype=np.uint8)
-    target[oy:oy + gh, ox:ox + gw][mask] = digit_class + 1
-    full = np.zeros((H, W), dtype=bool)
-    full[oy:oy + gh, ox:ox + gw] = mask
-    meta = SampleMeta(digit_class, (dx, dy), r, mask_bbox(full))
-    return Sample(img.reshape(1, 1, H, W), target, meta)
+    r = normalized_offset(dx, dy, background.shape, glyph.shape)  # validates
+    X, T = _composite(glyph[None], [digit_class], background[None],
+                      [(dx, dy)])
+    meta = SampleMeta(digit_class, (dx, dy), r, mask_bbox(T[0] > 0))
+    return Sample(X, T[0], meta)
 
 
 # --------------------------------------------------------------------------
@@ -470,20 +503,70 @@ class DatasetConfig:
         admitted_offsets(self.policy, (self.height, self.width), (gh, gw))
 
 
+BLOCK = 32  # samples per sample_block call of iter_samples and training
+
+
+@dataclass(frozen=True)
+class SampleBlock:
+    """Samples of one stream under several placement policies: each has
+    one digit and one background, and an offset per policy."""
+
+    glyphs: np.ndarray       # (n, gh, gw) the samples' glyphs
+    classes: np.ndarray      # (n,) their digit classes
+    backgrounds: np.ndarray  # (n, H, W) float32
+    offsets: np.ndarray      # (policies, n, 2) (dx, dy) from the center
+
+    def composite(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """Inputs (n, 1, H, W) float32 and class maps (n, H, W) uint8 of
+        the samples placed by policy p."""
+        return _composite(self.glyphs, self.classes, self.backgrounds,
+                          self.offsets[p])
+
+
+def sample_block(config: DatasetConfig, indices: range,
+                 policies=None) -> SampleBlock:
+    """Samples `indices` of the stream under each of `policies` (default:
+    the config's own).  Each index's digit and background are made once:
+    its digit and then, from the same state for every policy, its offset
+    are drawn from its SAMPLE stream, and the noise of all its backgrounds
+    is blurred as one stack.  No bit depends on the block or on the other
+    policies: policy p's samples equal sample_at of the config with policy
+    p."""
+    policies = (config.policy,) if policies is None else tuple(policies)
+    glyph_set = _glyphs_for(config.glyph_source)
+    hw = (config.height, config.width)
+    ghw = glyph_set.images.shape[1:]
+    ks = np.empty(len(indices), dtype=np.int64)
+    offsets = np.empty((len(policies), len(indices), 2), dtype=np.int64)
+    for j, i in enumerate(indices):
+        rng = stream(config.master_seed, SAMPLE, i)
+        ks[j] = rng.integers(len(glyph_set.images))
+        drawn = rng.bit_generator.state
+        for p, policy in enumerate(policies):
+            rng.bit_generator.state = drawn
+            offsets[p, j] = sample_placement(policy, hw, ghw, rng)
+    backgrounds = _backgrounds(
+        config.background, hw,
+        [stream(config.master_seed, BACKGROUND, i) for i in indices])
+    return SampleBlock(glyph_set.images[ks], glyph_set.labels[ks],
+                       backgrounds, offsets)
+
+
+def _samples(block: SampleBlock) -> Iterator[Sample]:
+    """The block's samples under its first policy, with their metadata."""
+    for glyph, digit_class, background, offset in zip(
+            block.glyphs, block.classes, block.backgrounds, block.offsets[0]):
+        yield composite_sample(glyph, int(digit_class), background,
+                               tuple(offset.tolist()))
+
+
 def sample_at(config: DatasetConfig, index: int) -> Sample:
     """Sample `index` of the stream, reproducible in isolation."""
-    glyphs = _glyphs_for(config.glyph_source)
-    rng = stream(config.master_seed, SAMPLE, index)
-    k = int(rng.integers(len(glyphs.images)))
-    glyph = glyphs.images[k]
-    hw = (config.height, config.width)
-    dx, dy = sample_placement(config.policy, hw, glyph.shape, rng)
-    background = generate_background(
-        config.background, hw, stream(config.master_seed, BACKGROUND, index))
-    return composite_sample(glyph, int(glyphs.labels[k]), background,
-                            (dx, dy))
+    return next(_samples(sample_block(config, range(index, index + 1))))
 
 
 def iter_samples(config: DatasetConfig) -> Iterator[Sample]:
-    for i in range(config.count):
-        yield sample_at(config, i)
+    """The whole stream, generated one block of BLOCK samples at a time."""
+    for start in range(0, config.count, BLOCK):
+        yield from _samples(sample_block(
+            config, range(start, min(start + BLOCK, config.count))))

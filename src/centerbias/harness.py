@@ -114,21 +114,17 @@ def config_hash(config: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 # training and evaluation
 
-def _materialize(ds_cfg: data.DatasetConfig, indices: range | None = None):
-    """The samples at `indices` (default: the whole stream) as dense arrays:
-    float32 inputs and the samples' own uint8 class maps, which the loss
-    reads as they are (an eighth of the bytes of int64 maps)."""
-    H, W = ds_cfg.height, ds_cfg.width
-    if indices is None:
-        n, samples = ds_cfg.count, data.iter_samples(ds_cfg)
-    else:
-        n = len(indices)
-        samples = (data.sample_at(ds_cfg, i) for i in indices)
+def _materialize(ds_cfg: data.DatasetConfig):
+    """The whole stream as dense arrays, generated one data.BLOCK at a
+    time: float32 inputs and the samples' own uint8 class maps, which the
+    loss reads as they are (an eighth of the bytes of int64 maps)."""
+    n, H, W = ds_cfg.count, ds_cfg.height, ds_cfg.width
     X = np.empty((n, 1, H, W), dtype=np.float32)
     T = np.empty((n, H, W), dtype=np.uint8)
-    for i, sample in enumerate(samples):
-        X[i] = sample.input[0]
-        T[i] = sample.target
+    for start in range(0, n, data.BLOCK):
+        block = slice(start, min(start + data.BLOCK, n))
+        X[block], T[block] = data.sample_block(
+            ds_cfg, range(n)[block]).composite(0)
     return X, T
 
 
@@ -141,25 +137,28 @@ def evaluate_bands(model: unet.Model, eval_policies, eval_count: int,
     A cell is the mean of its samples' mean pixel cross-entropies.  All
     bands share one dataset seed, so sample i has the same digit and
     background in every band; only its offset follows the band.  Every
-    band's dataset is built before the first sample.  Samples are scored
-    one EVAL_BATCH at a time, so memory does not grow with `eval_count`,
-    and no cell depends on the batch size or the shard split.
+    band's dataset is built before the first sample.  Samples come one
+    block of EVAL_BATCH at a time: the block's digits and backgrounds are
+    made once (see data.sample_block), and each band's inputs are placed
+    and scored in turn, so one band's batch is alive at a time and memory
+    does not grow with `eval_count`.  No cell depends on the batch size or
+    the shard split.
     """
     template = dataset_template or data.DatasetConfig()
     model.config.check_input_hw((template.height, template.width),
                                 "dataset height and width")
-    configs = [replace(template, policy=policy, count=eval_count,
-                       master_seed=derive(seed, EVAL_SAMPLES))
-               for policy in eval_policies]
-    row = []
-    for ds_cfg in configs:
-        losses = np.empty(eval_count)
-        for start in range(0, eval_count, EVAL_BATCH):
-            stop = min(start + EVAL_BATCH, eval_count)
-            X, T = _materialize(ds_cfg, range(start, stop))
-            losses[start:stop] = unet.sample_losses(model, X, T)
-        row.append(float(losses.mean()))
-    return row
+    ds_cfg = replace(template, count=eval_count,
+                     master_seed=derive(seed, EVAL_SAMPLES))
+    # each band's dataset checks that the band admits an offset
+    policies = [replace(ds_cfg, policy=p).policy for p in eval_policies]
+    losses = np.empty((len(policies), eval_count))
+    for start in range(0, eval_count, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, eval_count)
+        block = data.sample_block(ds_cfg, range(start, stop), policies)
+        for b in range(len(policies)):
+            losses[b, start:stop] = unet.sample_losses(model,
+                                                       *block.composite(b))
+    return [float(cell.mean()) for cell in losses]
 
 
 def _train_job(config: ExperimentConfig, ti: int, rep: int) -> dict:

@@ -400,19 +400,22 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray, *,
 @dataclass
 class PoolRecord:
     """Pooled output frame plus the window cell (0-3, row-major) of each
-    maximum."""
+    maximum, or None if the forward was not asked for it."""
 
     output: np.ndarray
-    argmax: np.ndarray
+    argmax: np.ndarray | None
     input_shape: tuple[int, int, int, int]   # the input frame's shape
 
 
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def maxpool2x2_forward(x: np.ndarray) -> PoolRecord:
+def maxpool2x2_forward(x: np.ndarray, *, need_argmax: bool = True
+                       ) -> PoolRecord:
     """2x2/stride-2 max pool of a frame's interior into a new frame; ties
-    break to the lowest window cell."""
+    break to the lowest window cell.  The argmax codes, which only the
+    backward reads, are computed only if `need_argmax`; the output is the
+    same either way."""
     _require_frame(x)
     c, n, hp, wp = x.shape
     h, w = hp - 2, wp - 2
@@ -423,6 +426,8 @@ def maxpool2x2_forward(x: np.ndarray) -> PoolRecord:
     out = new_frame(c, n, h // 2, w // 2, x.dtype)
     top, bottom = np.maximum(tl, tr), np.maximum(bl, br)
     np.maximum(top, bottom, out=out[:, :, 1:-1, 1:-1])
+    if not need_argmax:
+        return PoolRecord(out, None, x.shape)
     # the first window cell equal to the max is the tie rule: the top pair
     # wins ties with the bottom pair, the left cell with the right one
     low = bottom > top

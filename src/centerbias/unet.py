@@ -319,9 +319,10 @@ def forward(model: Model, batch: np.ndarray, keep_tape: bool = True
 
     Every activation is a padded frame (see tensor_core), the logits too:
     a (num_classes, n, h + 2, w + 2) frame.  With `keep_tape=False` the
-    tape is None and each activation is dropped once its consumer has run
-    (the skips once the decoder has used them); the logits are bit-identical
-    either way.  The tape keeps no decoder input frame: backward rebuilds
+    tape is None, the pools make no argmax codes, and each activation is
+    dropped once its consumer has run (a decoder's skip and low-res input
+    once its input frame is built); the logits are bit-identical either
+    way.  The tape keeps no decoder input frame: backward rebuilds
     it from two activations on the tape.  The logits depend on the weights
     and the input alone.
     """
@@ -336,12 +337,14 @@ def forward(model: Model, batch: np.ndarray, keep_tape: bool = True
         x = _conv_relu(b, x, tape)
         if lvl < cfg.depth - 1:
             skips.append(x)
-            rec = tc.maxpool2x2_forward(x)
+            rec = tc.maxpool2x2_forward(x, need_argmax=tape is not None)
             if tape is not None:
                 tape.pools.append(rec)
             x = rec.output
+            del rec  # so a tape-free pool's output goes with x
     for lvl in range(cfg.depth - 2, -1, -1):
         cat = _decoder_input(x, skips.pop())
+        del x  # the low-res frame, unless the tape holds it
         a, b = model.decoder[lvl]
         x = _conv_relu(a, cat, tape)
         if tape is not None:

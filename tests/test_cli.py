@@ -99,12 +99,23 @@ class TestConfigErrors:
         def no_samples(*args):
             raise AssertionError("a sample was generated")
 
-        monkeypatch.setattr(data, "sample_at", no_samples)
+        monkeypatch.setattr(data, "sample_block", no_samples)
 
     def assert_one_line_error(self, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         return err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--count", "1"],
+        ["train", "--set", "train_count=8", "--set", "batch_size=8",
+         "--set", "repeats=1", "--workers", "1"]], ids=["gen", "train"])
+    def test_no_samples_stops_the_first_sample(self, tmp_path, no_samples,
+                                               argv):
+        # the tests that use `no_samples` would pass vacuously if a command
+        # generated its samples past it
+        with pytest.raises(AssertionError, match="a sample was generated"):
+            run([*argv, "--out", str(tmp_path)])
 
     @pytest.mark.parametrize("override, key", [
         ('dataset.background.smoothing="x"', "dataset.background.smoothing"),
@@ -532,9 +543,9 @@ class TestConfigErrors:
 class TestEval:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Calls of data.sample_at and unet.forward, by name."""
-        calls = {"sample_at": 0, "forward": 0}
-        for module, name in ((data, "sample_at"), (unet, "forward")):
+        """Calls of data.sample_block and unet.forward, by name."""
+        calls = {"sample_block": 0, "forward": 0}
+        for module, name in ((data, "sample_block"), (unet, "forward")):
             def counted(*args, fn=getattr(module, name), name=name,
                         **kwargs):
                 calls[name] += 1
@@ -564,8 +575,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert name in err
-        assert calls == {"sample_at": 0, "forward": 0}
+        assert calls == {"sample_block": 0, "forward": 0}
         assert not (tmp_path / "sal").exists()
+
+    def test_eval_generates_each_block_once_for_every_band(
+            self, tmp_path, capsys, calls):
+        # 40 samples are two blocks; each block's two bands are scored as
+        # two shards each
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(unet.build_unet(unet.UNetConfig(
+            depth=1, base_channels=2)), path)
+        assert run(["eval", "--checkpoint", str(path), "--count", "40",
+                    "--bands", "band:0-0.1,band:0.8-1"]) == 0
+        assert calls == {"sample_block": 2, "forward": 2 * 2 * 2}
 
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
     def test_narrow_band_evaluates_at_every_seed(self, tmp_path, capsys,

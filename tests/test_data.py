@@ -256,6 +256,33 @@ class TestBackgrounds:
         img = np.ones((9, 9))
         np.testing.assert_allclose(data._box_blur(img, 2), 1.0)
 
+    @staticmethod
+    def box_blur_reference(img, radius):
+        """One image: zero-led cumulative sums, each window the difference
+        of two of them over its clamped pixel count, rows then columns."""
+        out = img
+        for axis in (0, 1):
+            n = out.shape[axis]
+            cs = np.cumsum(out, axis=axis)
+            cs = np.concatenate([np.zeros_like(np.take(cs, [0], axis)), cs],
+                                axis=axis)
+            idx = np.arange(n)
+            lo = np.clip(idx - radius, 0, n)
+            hi = np.clip(idx + radius + 1, 0, n)
+            sums = np.take(cs, hi, axis) - np.take(cs, lo, axis)
+            out = sums / (hi - lo).reshape((-1, 1) if axis == 0 else (1, -1))
+        return out
+
+    @pytest.mark.parametrize("hw", [(1, 1), (2, 5), (7, 3), (12, 9)])
+    def test_stacked_blur_equals_the_reference_per_image(self, hw):
+        # radii past either side included
+        stack = np.random.default_rng(9).random((3, *hw))
+        for radius in range(1, 15):
+            blurred = data._box_blur(stack, radius)
+            for img, got in zip(stack, blurred):
+                assert got.tobytes() == \
+                    self.box_blur_reference(img, radius).tobytes(), radius
+
 
 class TestComposite:
     def test_empty_glyph_all_background(self):
@@ -310,11 +337,14 @@ class TestDatasetStream:
         assert data.sample_at(config(), 3).target.dtype == np.uint8
 
     def test_per_index_seeding(self):
-        cfg = config()
-        alone = data.sample_at(cfg, 7)
-        streamed = list(data.iter_samples(cfg))[7]
-        np.testing.assert_array_equal(alone.input, streamed.input)
-        np.testing.assert_array_equal(alone.target, streamed.target)
+        cfg = config(count=40)
+        streamed = list(data.iter_samples(cfg))
+        for index in (7, 35):  # in the first and the second block
+            alone = data.sample_at(cfg, index)
+            np.testing.assert_array_equal(alone.input, streamed[index].input)
+            np.testing.assert_array_equal(alone.target,
+                                          streamed[index].target)
+            assert alone.meta == streamed[index].meta
 
     def test_class_histogram_uniform_4sigma(self):
         cfg = config(height=32, width=32, count=10_000, master_seed=9)
@@ -346,6 +376,45 @@ class TestDatasetStream:
         x, y, w, h = s.meta.bbox
         assert 0 <= x and 0 <= y and x + w <= 48 and y + h <= 32
         assert data.admits(policy, s.meta.r)
+
+
+class TestSampleBlock:
+    """A block of samples under several policies equals sample_at of each
+    policy's dataset, bit for bit: digits, offsets, inputs, class maps."""
+
+    POLICIES = (data.Unrestricted(), data.AllowedCentral(0.3),
+                data.Band(0.8, 1.0), data.ForbiddenCentral(0.7))
+
+    @pytest.fixture(scope="class")
+    def image_dir(self, tmp_path_factory):
+        # one source larger than the 32x48 image (scaled crops), one not
+        from centerbias import netpbm
+        path = tmp_path_factory.mktemp("backgrounds")
+        rng = np.random.default_rng(3)
+        for name, hw in (("big.pgm", (90, 120)), ("small.pgm", (20, 30))):
+            netpbm.write_pgm(path / name,
+                             rng.integers(0, 256, hw).astype(np.uint8))
+        return str(path)
+
+    @pytest.mark.parametrize("indices", [
+        range(5, 6), range(3, 10), range(0, 32), range(40, 73)],
+        ids=["1", "7", "32", "33"])
+    @pytest.mark.parametrize("background", ["noise0", "noise2", "images"])
+    def test_block_equals_sample_at(self, image_dir, background, indices):
+        spec = {"noise0": data.NoisePool(smoothing=0),
+                "noise2": data.NoisePool(smoothing=2),
+                "images": data.ImageDir(image_dir)}[background]
+        cfg = config(background=spec, master_seed=5)
+        block = data.sample_block(cfg, indices, self.POLICIES)
+        for p, policy in enumerate(self.POLICIES):
+            X, T = block.composite(p)
+            for j, i in enumerate(indices):
+                s = data.sample_at(config(background=spec, master_seed=5,
+                                          policy=policy), i)
+                assert X[j:j + 1].tobytes() == s.input.tobytes()
+                assert T[j].tobytes() == s.target.tobytes()
+                assert (block.classes[j], tuple(block.offsets[p, j])) == \
+                    (s.meta.digit_class, s.meta.offset)
 
 
 class TestBorderIndependence:

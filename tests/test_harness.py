@@ -97,27 +97,48 @@ class TestEvaluateBands:
 
     def test_bands_score_the_same_digits_on_the_same_backgrounds(
             self, monkeypatch):
-        # sample i of every band: one digit and one background, and only
-        # the offset follows the band
+        # each block of samples is generated once for every band, and its
+        # bands are scored in turn; sample i of every band has one digit
+        # and one background, and only the offset follows the band
         bands = [Band(0.0, 0.1), Band(0.4, 0.6), Band(0.9, 1.0)]
-        inputs, materialize = [], harness._materialize
+        blocks, scored = [], []
+        sample_block, score = data.sample_block, unet.sample_losses
 
-        def materializing(ds_cfg, indices):
-            X, T = materialize(ds_cfg, indices)
-            inputs.append((X[:, 0], T))
-            return X, T
+        def generating(ds_cfg, indices, policies):
+            blocks.append((indices, list(policies)))
+            return sample_block(ds_cfg, indices, policies)
 
-        monkeypatch.setattr(harness, "_materialize", materializing)
-        harness.evaluate_bands(self.model(), bands, 8, seed=4,
+        def scoring(model, X, T):
+            scored.append((X[:, 0].copy(), T.copy()))
+            return score(model, X, T)
+
+        monkeypatch.setattr(data, "sample_block", generating)
+        monkeypatch.setattr(unet, "sample_losses", scoring)
+        harness.evaluate_bands(self.model(), bands, 40, seed=4,
                                dataset_template=self.template())
-        assert len(inputs) == len(bands)
-        (X0, T0), others = inputs[0], inputs[1:]
-        for X, T in others:
-            assert not np.array_equal(T, T0)  # the placements differ
-            np.testing.assert_array_equal(T.max(axis=(1, 2)),
-                                          T0.max(axis=(1, 2)))
-            outside = ~((T > 0) | (T0 > 0))
-            np.testing.assert_array_equal(X[outside], X0[outside])
+        assert blocks == [(range(0, 32), bands), (range(32, 40), bands)]
+        assert [len(X) for X, _ in scored] == [32] * 3 + [8] * 3
+        for k in range(len(blocks)):
+            (X0, T0), *others = scored[3 * k:3 * k + 3]
+            for X, T in others:
+                assert not np.array_equal(T, T0)  # the placements differ
+                np.testing.assert_array_equal(T.max(axis=(1, 2)),
+                                              T0.max(axis=(1, 2)))
+                outside = ~((T > 0) | (T0 > 0))
+                np.testing.assert_array_equal(X[outside], X0[outside])
+
+    def test_default_background_row_is_pinned(self):
+        # the default background blurs its noise (smoothing 2); 40 samples
+        # are a full block and a remainder.  Recorded when every band still
+        # generated its own samples, one at a time
+        template = data.DatasetConfig(height=32, width=32,
+                                      glyph_source="builtin:14")
+        assert template.background == data.NoisePool(smoothing=2)
+        row = harness.evaluate_bands(
+            self.model(), [Band(0.0, 0.1), Band(0.4, 0.6), Band(0.9, 1.0)],
+            40, seed=9, dataset_template=template)
+        assert row == [2.388164449902251, 2.3890014917735245,
+                       2.3899803469597827]
 
     @pytest.mark.parametrize("others", [
         [], [Band(0.0, 0.1)], [Band(0.0, 0.1), Unrestricted()],
@@ -138,7 +159,7 @@ class TestEvaluateBands:
         def no_samples(*args):
             raise AssertionError("a sample was generated")
 
-        monkeypatch.setattr(data, "sample_at", no_samples)
+        monkeypatch.setattr(data, "sample_block", no_samples)
         with pytest.raises(ValueError, match="band:0.95-0.99 admits no"):
             harness.evaluate_bands(self.model(),
                                    [Band(0.0, 0.1), Band(0.95, 0.99)], 8,
@@ -180,7 +201,7 @@ class TestEvaluateBands:
         monkeypatch.setattr(unet, "sample_losses", taped)
         again = harness.evaluate_bands(self.model(), bands, 40, seed=9,
                                        dataset_template=self.template())
-        assert sizes == [32, 8] * 2
+        assert sizes == [32] * 2 + [8] * 2  # blocks, then bands
         assert np.array(again).tobytes() == np.array(row).tobytes()
 
     @pytest.mark.parametrize("padding", ["zero", "circular", "reflect"])
@@ -474,7 +495,7 @@ class TestPairing:
         band's evaluation inputs."""
         jobs = []
         build, materialize = unet.build_unet, harness._materialize
-        train_job = harness._train_job
+        train_job, score = harness._train_job, unet.sample_losses
 
         def job(*args):
             jobs.append({"eval": []})
@@ -485,17 +506,18 @@ class TestPairing:
             jobs[-1]["init"] = model.flat_params.copy()
             return model
 
-        def materializing(ds_cfg, *span):
-            X, T = materialize(ds_cfg, *span)
-            if "train" in jobs[-1]:
-                jobs[-1]["eval"].append(X)
-            else:
-                jobs[-1]["train"] = (X, T)
-            return X, T
+        def materializing(ds_cfg):
+            jobs[-1]["train"] = materialize(ds_cfg)
+            return jobs[-1]["train"]
+
+        def scoring(model, X, T):
+            jobs[-1]["eval"].append(X.copy())
+            return score(model, X, T)
 
         monkeypatch.setattr(harness, "_train_job", job)
         monkeypatch.setattr(unet, "build_unet", building)
         monkeypatch.setattr(harness, "_materialize", materializing)
+        monkeypatch.setattr(unet, "sample_losses", scoring)
         for cfg in configs:
             harness.run_regional_training(cfg, workers=1)
         return jobs

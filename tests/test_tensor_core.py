@@ -385,6 +385,20 @@ class TestMaxPool:
         with pytest.raises(ValueError):
             tc.maxpool2x2_forward(tc.to_frame(np.zeros((1, 1, 3, 4))))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_without_argmax_is_the_taped_output(self, dtype):
+        # ties and signed zeros (a ReLU passes -0.0) included
+        x = np.random.default_rng(4).standard_normal((3, 2, 6, 8))
+        x[0, 0, :2, :2] = 1.5
+        x[1, 1] = -0.0
+        x[1, 1, ::2, 1::2] = 0.0
+        frame = tc.to_frame(x.astype(dtype))
+        taped = tc.maxpool2x2_forward(frame)
+        bare = tc.maxpool2x2_forward(frame, need_argmax=False)
+        assert bare.argmax is None
+        assert bare.output.dtype == taped.output.dtype
+        assert bare.output.tobytes() == taped.output.tobytes()
+
     def test_backward_routes_to_argmax(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
         rec = tc.maxpool2x2_forward(tc.to_frame(x))

@@ -65,6 +65,20 @@ def _load_config(start, path: str | None, overrides: list[str], **fixed):
     return from_dict(type(start), {**doc, **fixed})
 
 
+def _dataset_config(path: str | None, overrides: list[str],
+                    owned: dict[str, str]) -> data.DatasetConfig:
+    """The DatasetConfig of a JSON file and --set overrides.  `owned` maps
+    each key the command takes from a flag instead to that flag: a
+    non-default value for it would be ignored, so it raises."""
+    default = data.DatasetConfig()
+    config = _load_config(default, path, overrides)
+    for key, flag in owned.items():
+        if getattr(config, key) != getattr(default, key):
+            raise ValueError(f"dataset key {key!r} is set by {flag}, not by "
+                             f"--set or a config file")
+    return config
+
+
 def cmd_audit(args) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be >= 1, got {args.grid}")
@@ -75,9 +89,7 @@ def cmd_audit(args) -> int:
     modes = ("centroid", "bbox") if args.mode == "both" else (args.mode,)
     category = int(args.category) if args.category.isdigit() else args.category
     for mode in modes:
-        fn = (coco_audit.centroid_heatmap if mode == "centroid"
-              else coco_audit.bbox_heatmap)
-        hm = fn(aset, category, args.grid)
+        hm = coco_audit.heatmap(aset, category, mode, args.grid)
         stem = os.path.join(args.out, f"heatmap_{mode}_{hm.category}.pgm")
         coco_audit.write_heatmap_pgm(hm, stem)
         print(f"{mode} heatmap for {hm.category!r}: {hm.total_count} "
@@ -86,8 +98,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_config(data.DatasetConfig(), args.config, args.set,
-                       count=args.count)
+    cfg = replace(_dataset_config(args.config, args.set,
+                                  {"count": "--count"}), count=args.count)
     os.makedirs(args.out, exist_ok=True)
     for i, sample in enumerate(data.iter_samples(cfg)):
         img = np.round(sample.input[0, 0] * 255).astype(np.uint8)
@@ -165,8 +177,9 @@ def cmd_asymmetry(args) -> int:
 
 def cmd_eval(args) -> int:
     model = unet.load_checkpoint(args.checkpoint)
-    template = _load_config(data.DatasetConfig(), args.dataset_config,
-                            args.set)
+    template = _dataset_config(
+        args.dataset_config, args.set,
+        {"policy": "--bands", "count": "--count", "master_seed": "--seed"})
     try:  # each band must admit an offset at the template's size
         policies = [replace(template, policy=data.parse_policy(tok)).policy
                     for tok in args.bands.split(",")]

@@ -18,7 +18,7 @@ from .netpbm import to_u8, write_pgm
 
 __all__ = [
     "Annotation", "AnnotationSet", "Heatmap",
-    "parse_annotations", "centroid_heatmap", "bbox_heatmap",
+    "parse_annotations", "heatmap",
     "write_heatmap_pgm",
 ]
 
@@ -104,56 +104,37 @@ def _resolve_category(aset: AnnotationSet, category) -> int:
     raise ValueError(f"unknown category id {category}")
 
 
-def centroid_heatmap(aset: AnnotationSet, category, grid_size: int = DEFAULT_GRID
-                     ) -> Heatmap:
-    """Count normalized box centers; grid sum equals the annotation count."""
-    cid = _resolve_category(aset, category)
-    G = grid_size
-    grid = np.zeros((G, G), dtype=np.float64)
-    count = 0
-    for ann in aset.annotations:
-        if ann.category_id != cid:
-            continue
-        iw, ih = aset.images[ann.image_id]
-        x, y, w, h = ann.bbox
-        u = (x + w / 2) / iw
-        v = (y + h / 2) / ih
-        gx = min(int(u * G), G - 1)
-        gy = min(int(v * G), G - 1)
-        grid[gy, gx] += 1
-        count += 1
-    return Heatmap(grid, "centroid", aset.categories[cid], count)
+def heatmap(aset: AnnotationSet, category, mode: str,
+            grid_size: int = DEFAULT_GRID) -> Heatmap:
+    """Count the category's normalized boxes into a G x G grid.
 
-
-def bbox_heatmap(aset: AnnotationSet, category, grid_size: int = DEFAULT_GRID
-                 ) -> Heatmap:
-    """Increment every cell whose center lies inside the normalized box.
-
-    A box too small to cover any cell center still contributes its
-    centroid's cell, so every annotation leaves a mark.
+    centroid: each box adds 1 to the cell of its center, so the grid sums
+    to the annotation count.  bbox: each box adds 1 to every cell whose
+    center lies inside it; a box too small to cover any cell center adds
+    its centroid's cell, so every annotation leaves a mark.
     """
+    if mode not in ("centroid", "bbox"):
+        raise ValueError(f"unknown heatmap mode {mode!r}")
     cid = _resolve_category(aset, category)
     G = grid_size
     grid = np.zeros((G, G), dtype=np.float64)
     centers = (np.arange(G) + 0.5) / G
-    count = 0
-    for ann in aset.annotations:
-        if ann.category_id != cid:
-            continue
+    anns = [ann for ann in aset.annotations if ann.category_id == cid]
+    for ann in anns:
         iw, ih = aset.images[ann.image_id]
         x, y, w, h = ann.bbox
-        u0, u1 = x / iw, (x + w) / iw
-        v0, v1 = y / ih, (y + h) / ih
-        cols = (centers >= u0) & (centers <= u1)
-        rows = (centers >= v0) & (centers <= v1)
-        if cols.any() and rows.any():
-            grid[np.ix_(rows, cols)] += 1
-        else:
-            gx = min(int((u0 + u1) / 2 * G), G - 1)
-            gy = min(int((v0 + v1) / 2 * G), G - 1)
-            grid[gy, gx] += 1
-        count += 1
-    return Heatmap(grid, "bbox", aset.categories[cid], count)
+        u, v = (x + w / 2) / iw, (y + h / 2) / ih
+        if mode == "bbox":
+            u0, u1 = x / iw, (x + w) / iw
+            v0, v1 = y / ih, (y + h) / ih
+            cols = (centers >= u0) & (centers <= u1)
+            rows = (centers >= v0) & (centers <= v1)
+            if cols.any() and rows.any():
+                grid[np.ix_(rows, cols)] += 1
+                continue
+            u, v = (u0 + u1) / 2, (v0 + v1) / 2
+        grid[min(int(v * G), G - 1), min(int(u * G), G - 1)] += 1
+    return Heatmap(grid, mode, aset.categories[cid], len(anns))
 
 
 def write_heatmap_pgm(heatmap: Heatmap, path) -> None:

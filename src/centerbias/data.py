@@ -29,9 +29,9 @@ __all__ = [
     "PlacementPolicy", "admits", "policy_label", "parse_policy",
     "GlyphSet", "parse_idx", "load_glyph_dir", "builtin_glyphs",
     "NoisePool", "ImageDir", "generate_background",
-    "edge_distance", "normalized_offset", "admitted_offsets",
+    "edge_distance", "admitted_offsets",
     "sample_placement", "composite_sample",
-    "Sample", "SampleMeta", "DatasetConfig", "SampleBlock",
+    "Sample", "DatasetConfig", "SampleBlock",
     "sample_block", "sample_at", "iter_samples", "mask_bbox",
 ]
 
@@ -263,24 +263,6 @@ def edge_distance(adx, ady, max_dx: int, max_dy: int):
     return np.maximum(rx, ry)
 
 
-def normalized_offset(dx: int, dy: int, image_hw: tuple[int, int],
-                      object_hw: tuple[int, int]) -> float:
-    """Chebyshev-normalized edge distance r of an object-center offset.
-
-    Each axis offset is divided by its largest in-frame value; r is the max
-    of the two, so r = 0 is centered and r = 1 touches an image edge.
-    """
-    H, W = image_hw
-    h, w = object_hw
-    if h > H or w > W:
-        raise ValueError(f"object {h}x{w} larger than image {H}x{W}")
-    max_dy = (H - h) // 2
-    max_dx = (W - w) // 2
-    if abs(dx) > max_dx or abs(dy) > max_dy:
-        raise ValueError(f"offset ({dx}, {dy}) exceeds ({max_dx}, {max_dy})")
-    return float(edge_distance(abs(dx), abs(dy), max_dx, max_dy))
-
-
 @functools.lru_cache(maxsize=16)
 def admitted_offsets(policy: PlacementPolicy, image_hw: tuple[int, int],
                      object_hw: tuple[int, int]) -> np.ndarray:
@@ -415,18 +397,9 @@ def generate_background(spec: BackgroundSpec, hw: tuple[int, int],
 # samples
 
 @dataclass
-class SampleMeta:
-    digit_class: int
-    offset: tuple[int, int] | None      # (dx, dy) pixels from center
-    r: float | None
-    bbox: tuple[int, int, int, int] | None  # (x, y, w, h), None if empty
-
-
-@dataclass
 class Sample:
     input: np.ndarray    # (1, 1, H, W) float32 in [0, 1]
     target: np.ndarray   # (H, W) uint8; 0 background, 1..10 digit classes
-    meta: SampleMeta
 
 
 def mask_bbox(mask: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -465,16 +438,18 @@ def _composite(glyphs: np.ndarray, classes, backgrounds: np.ndarray,
 def composite_sample(glyph: np.ndarray, digit_class: int,
                      background: np.ndarray, offset: tuple[int, int]
                      ) -> Sample:
-    """Paste a binarized glyph onto a background at an offset from center.
+    """Paste a binarized glyph onto a background at an offset (dx, dy) from
+    the center.
 
     Mask pixels get intensity exactly 1.0 and target value digit_class + 1.
     """
+    (H, W), (gh, gw) = background.shape, glyph.shape
     dx, dy = offset
-    r = normalized_offset(dx, dy, background.shape, glyph.shape)  # validates
-    X, T = _composite(glyph[None], [digit_class], background[None],
-                      [(dx, dy)])
-    meta = SampleMeta(digit_class, (dx, dy), r, mask_bbox(T[0] > 0))
-    return Sample(X, T[0], meta)
+    if abs(dx) > (W - gw) // 2 or abs(dy) > (H - gh) // 2:
+        raise ValueError(f"offset ({dx}, {dy}) puts the {gh}x{gw} glyph "
+                         f"outside the {H}x{W} image")
+    X, T = _composite(glyph[None], [digit_class], background[None], [offset])
+    return Sample(X, T[0])
 
 
 # --------------------------------------------------------------------------
@@ -553,11 +528,10 @@ def sample_block(config: DatasetConfig, indices: range,
 
 
 def _samples(block: SampleBlock) -> Iterator[Sample]:
-    """The block's samples under its first policy, with their metadata."""
-    for glyph, digit_class, background, offset in zip(
-            block.glyphs, block.classes, block.backgrounds, block.offsets[0]):
-        yield composite_sample(glyph, int(digit_class), background,
-                               tuple(offset.tolist()))
+    """The block's samples under its first policy."""
+    X, T = block.composite(0)
+    for j in range(len(T)):
+        yield Sample(X[j:j + 1], T[j])
 
 
 def sample_at(config: DatasetConfig, index: int) -> Sample:

@@ -1,12 +1,12 @@
 """Gradient saliency maps and saliency-shift difference matrices.
 
-The scalar score behind every map is the mean true-class logit over the
-object mask; the map is the absolute input gradient of that score.  A
-saliency-shift map slides a crop window over an oversized canvas (object and
-background move together), re-aligns each map into object-centered
-coordinates, and reduces each shift to the mean absolute difference from the
-centered map over the overlap, finally dividing the whole matrix by its
-population standard deviation.
+The scalar score behind every map is the mean, over the object mask, of
+each mask pixel's logit for its own class in the class map; the map is the
+absolute input gradient of that score.  A saliency-shift map slides a crop
+window over an oversized canvas (object and background move together),
+re-aligns each map into object-centered coordinates, and reduces each shift
+to the mean absolute difference from the centered map over the overlap,
+finally dividing the whole matrix by its population standard deviation.
 
 The crops of a shift map go through the network in batches of SHIFT_BATCH
 (8), each run by `unet.run_shards` as two shards of 4, with a backward pass
@@ -25,13 +25,13 @@ peak RSS at 80 MB at batch 1 and 4 (the evaluation's own peak), 84 MB at 8,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import unet
-from .data import (BackgroundSpec, Sample, SampleMeta, composite_sample,
-                   edge_distance, generate_background, mask_bbox)
+from .data import (BackgroundSpec, Sample, composite_sample, edge_distance,
+                   generate_background)
 from .harness import write_matrix_csv
 from .netpbm import to_u8, write_pgm
 from .rng import BACKGROUND, stream
@@ -45,38 +45,40 @@ __all__ = [
 SHIFT_BATCH = 8
 
 
-def saliency_maps(model: unet.Model, samples: Sequence[Sample]) -> np.ndarray:
-    """Absolute input gradient of each sample's mask-mean true-class logit.
+def saliency_maps(model: unet.Model, inputs: np.ndarray,
+                  targets: np.ndarray) -> np.ndarray:
+    """Absolute input gradient of each image's score: the mean, over its
+    object mask (targets > 0), of each mask pixel's logit for that pixel's
+    class in `targets`.
 
-    The samples run through `unet.run_shards`, each shard one
-    taped forward over its stacked inputs and one input-only backward;
-    returns an (N, H, W) array.  Raises before any forward pass if a sample
-    has an empty mask.
+    Takes the (N, 1, H, W) inputs and (N, H, W) class maps of
+    `unet.sample_losses`.  The images run through `unet.run_shards`, each
+    shard one taped forward and one input-only backward; returns an
+    (N, H, W) array.  Raises before any forward pass if an image has an
+    empty mask.
     """
-    masks = [s.target > 0 for s in samples]
-    for i, mask in enumerate(masks):
-        if not mask.any():
-            raise ValueError(f"sample {i} has an empty object mask")
+    counts = (targets > 0).sum(axis=(1, 2))
+    if not counts.all():
+        raise ValueError(f"sample {counts.argmin()} has an empty object mask")
 
     def shard(lo, hi):
-        logits, tape = unet.forward(
-            model, np.concatenate([s.input for s in samples[lo:hi]]))
+        logits, tape = unet.forward(model, inputs[lo:hi])
         # the score's gradient w.r.t. the logits, in their frame
         logits[...] = 0
-        for i in range(lo, hi):
-            k = samples[i].meta.digit_class + 1
-            logits[k, i - lo, 1:-1, 1:-1][masks[i]] = 1.0 / masks[i].sum()
+        t = targets[lo:hi]
+        i, y, x = np.nonzero(t)
+        logits[t[i, y, x], i, y + 1, x + 1] = 1.0 / counts[lo + i]
         tape.grad_logits = logits
         del logits  # so the backward frees the frame after the head's
         _, grad_input = unet.backward(model, tape, need_params=False)
         return np.abs(grad_input[:, 0])
 
-    return np.concatenate(unet.run_shards(shard, len(samples)))
+    return np.concatenate(unet.run_shards(shard, len(inputs)))
 
 
 def saliency_map(model: unet.Model, sample: Sample) -> np.ndarray:
     """One sample's (H, W) map.  perfbench/layers.py times this name."""
-    return saliency_maps(model, [sample])[0]
+    return saliency_maps(model, sample.input, sample.target[None])[0]
 
 
 @dataclass
@@ -85,26 +87,24 @@ class CanvasScene:
 
     canvas: np.ndarray        # (Hc, Wc) float32
     target: np.ndarray        # (Hc, Wc) uint8 class map
-    digit_class: int
     crop_hw: tuple[int, int]
 
-    @property
-    def margins(self) -> tuple[int, int]:
+    def crops(self, shifts) -> tuple[np.ndarray, np.ndarray]:
+        """Inputs (n, 1, H, W) and class maps (n, H, W) of the (H, W)
+        windows moved by each (dx, dy) of `shifts` from the centered
+        position."""
         H, W = self.crop_hw
-        return (self.canvas.shape[0] - H) // 2, (self.canvas.shape[1] - W) // 2
-
-    def crop(self, dx: int, dy: int) -> Sample:
-        """The (H, W) window moved (dx, dy) from the centered position."""
-        H, W = self.crop_hw
-        my, mx = self.margins
-        if abs(dy) > my or abs(dx) > mx:
-            raise ValueError(f"shift ({dx}, {dy}) exceeds margins ({mx}, {my})")
-        top, left = my + dy, mx + dx
-        img = self.canvas[top:top + H, left:left + W]
-        tgt = self.target[top:top + H, left:left + W]
-        meta = SampleMeta(self.digit_class, None, None, mask_bbox(tgt > 0))
-        return Sample(np.ascontiguousarray(img).reshape(1, 1, H, W),
-                      np.ascontiguousarray(tgt), meta)
+        my = (self.canvas.shape[0] - H) // 2
+        mx = (self.canvas.shape[1] - W) // 2
+        for dx, dy in shifts:
+            if abs(dx) > mx or abs(dy) > my:
+                raise ValueError(
+                    f"shift ({dx}, {dy}) exceeds margins ({mx}, {my})")
+        dx, dy = np.array(shifts, dtype=int).reshape(-1, 2).T
+        windows = (my + dy, mx + dx)
+        X = sliding_window_view(self.canvas, (H, W))[windows]
+        T = sliding_window_view(self.target, (H, W))[windows]
+        return X[:, None], T
 
 
 def make_scene(glyph: np.ndarray, digit_class: int, crop_hw: tuple[int, int],
@@ -127,7 +127,7 @@ def make_scene(glyph: np.ndarray, digit_class: int, crop_hw: tuple[int, int],
         canvas = generate_background(background, (ch, cw),
                                      stream(seed, BACKGROUND))
     scene = composite_sample(glyph, digit_class, canvas, (0, 0))
-    return CanvasScene(scene.input[0, 0], scene.target, digit_class, crop_hw)
+    return CanvasScene(scene.input[0, 0], scene.target, crop_hw)
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,7 @@ def saliency_shift_map(model: unet.Model, scene: CanvasScene,
     """
     shifts = [(dx, dy) for dy in grid.dys for dx in grid.dxs]
     maps = np.concatenate([
-        saliency_maps(model, [scene.crop(dx, dy) for dx, dy
-                              in shifts[i:i + SHIFT_BATCH]])
+        saliency_maps(model, *scene.crops(shifts[i:i + SHIFT_BATCH]))
         for i in range(0, len(shifts), SHIFT_BATCH)])
     s0 = maps[shifts.index((0, 0))]
     raw = np.array([_overlap_mean_absdiff(s0, s, dx, dy)

@@ -589,6 +589,37 @@ class TestEval:
                     "--bands", "band:0-0.1,band:0.8-1"]) == 0
         assert calls == {"sample_block": 2, "forward": 2 * 2 * 2}
 
+    @pytest.mark.parametrize("key, value, flag", [
+        ("count", 999, "--count"), ("master_seed", 5, "--seed"),
+        ("policy", {"kind": "forbidden_central", "c": 0.9}, "--bands")])
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_a_key_a_flag_sets_exits_4_naming_both(
+            self, tmp_path, capsys, calls, source, key, value, flag):
+        # the flag's value would be evaluated instead, silently
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(unet.build_unet(unet.UNetConfig(
+            depth=1, base_channels=2)), path)
+        if source == "set":
+            given = ["--set", f"{key}={json.dumps(value)}"]
+        else:
+            (tmp_path / "ds.json").write_text(json.dumps({key: value}))
+            given = ["--dataset-config", str(tmp_path / "ds.json")]
+        assert run(["eval", "--checkpoint", str(path), *given]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert repr(key) in err and flag in err
+        assert calls == {"sample_block": 0, "forward": 0}
+
+    def test_a_written_default_config_is_accepted(self, tmp_path, capsys):
+        # every key at its default, as to_dict writes the record
+        path = tmp_path / "model.ckpt"
+        unet.save_checkpoint(unet.build_unet(unet.UNetConfig(
+            depth=1, base_channels=2)), path)
+        (tmp_path / "ds.json").write_text(json.dumps(to_dict(
+            data.DatasetConfig(height=32, width=32))))
+        assert run(["eval", "--checkpoint", str(path), "--count", "2",
+                    "--dataset-config", str(tmp_path / "ds.json")]) == 0
+
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
     def test_narrow_band_evaluates_at_every_seed(self, tmp_path, capsys,
                                                  seed):
@@ -606,6 +637,22 @@ class TestGen:
         assert run(["gen", "--count", "0", "--out", str(tmp_path / "g")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: --count") and err.count("\n") == 1
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_a_dataset_count_exits_4_naming_the_flag(self, tmp_path, capsys,
+                                                     source):
+        # --count would be written instead, silently
+        if source == "set":
+            given = ["--set", "count=7"]
+        else:
+            (tmp_path / "ds.json").write_text(json.dumps({"count": 7}))
+            given = ["--config", str(tmp_path / "ds.json")]
+        assert run(["gen", "--count", "2", *given,
+                    "--out", str(tmp_path / "g")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'count'" in err and "--count" in err
         assert not (tmp_path / "g").exists()
 
     def test_emits_exact_pairs(self, tmp_path, capsys):

@@ -75,20 +75,25 @@ class TestCentroid:
     def test_arithmetic_oracle(self):
         anns = [{"image_id": 1, "category_id": 7, "bbox": [10, 10, 20, 20]}]
         aset = coco_audit.parse_annotations(doc(IMAGES, anns, CATS))
-        hm = coco_audit.centroid_heatmap(aset, "widget", 4)
+        hm = coco_audit.heatmap(aset, "widget", "centroid", 4)
         assert hm.grid[0, 0] == 1
         assert hm.grid.sum() == 1
 
     def test_corner_clamped(self):
         anns = [{"image_id": 1, "category_id": 7, "bbox": [90, 90, 10, 10]}]
         aset = coco_audit.parse_annotations(doc(IMAGES, anns, CATS))
-        hm = coco_audit.centroid_heatmap(aset, 7, 4)
+        hm = coco_audit.heatmap(aset, 7, "centroid", 4)
         assert hm.grid[3, 3] == 1
 
     def test_unknown_category(self):
         aset = coco_audit.parse_annotations(doc(IMAGES, [], CATS))
         with pytest.raises(ValueError):
-            coco_audit.centroid_heatmap(aset, "doohickey", 4)
+            coco_audit.heatmap(aset, "doohickey", "centroid", 4)
+
+    def test_unknown_mode(self):
+        aset = coco_audit.parse_annotations(doc(IMAGES, [], CATS))
+        with pytest.raises(ValueError, match="unknown heatmap mode 'box'"):
+            coco_audit.heatmap(aset, "widget", "box", 4)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 16))
     @settings(max_examples=40, deadline=None)
@@ -104,11 +109,11 @@ class TestCentroid:
                          "bbox": [x, y, float(rng.uniform(0.5, iw - x)),
                                   float(rng.uniform(0.5, ih - y))]})
         aset = coco_audit.parse_annotations(doc(IMAGES, anns, CATS))
-        hm = coco_audit.centroid_heatmap(aset, 7, G)
+        hm = coco_audit.heatmap(aset, 7, "centroid", G)
         assert hm.grid.sum() == len(aset.annotations)
         perm = coco_audit.parse_annotations(doc(IMAGES, anns[::-1], CATS))
         np.testing.assert_array_equal(
-            coco_audit.centroid_heatmap(perm, 7, G).grid, hm.grid)
+            coco_audit.heatmap(perm, 7, "centroid", G).grid, hm.grid)
 
     def test_scale_invariance(self):
         anns = [{"image_id": 1, "category_id": 7, "bbox": [10, 20, 30, 40]}]
@@ -116,21 +121,23 @@ class TestCentroid:
         big_anns = [{"image_id": 1, "category_id": 7, "bbox": [30, 60, 90, 120]}]
         a = coco_audit.parse_annotations(doc(IMAGES, anns, CATS))
         b = coco_audit.parse_annotations(doc(big_images, big_anns, CATS))
-        for fn in (coco_audit.centroid_heatmap, coco_audit.bbox_heatmap):
-            np.testing.assert_array_equal(fn(a, 7, 8).grid, fn(b, 7, 8).grid)
+        for mode in ("centroid", "bbox"):
+            np.testing.assert_array_equal(
+                coco_audit.heatmap(a, 7, mode, 8).grid,
+                coco_audit.heatmap(b, 7, mode, 8).grid)
 
 
 class TestBBox:
     def test_full_image_bbox_all_cells(self):
         anns = [{"image_id": 1, "category_id": 7, "bbox": [0, 0, 100, 100]}]
         aset = coco_audit.parse_annotations(doc(IMAGES, anns, CATS))
-        hm = coco_audit.bbox_heatmap(aset, 7, 4)
+        hm = coco_audit.heatmap(aset, 7, "bbox", 4)
         np.testing.assert_array_equal(hm.grid, np.ones((4, 4)))
 
     def test_tiny_bbox_single_cell(self):
         anns = [{"image_id": 1, "category_id": 7, "bbox": [30, 55, 2, 2]}]
         aset = coco_audit.parse_annotations(doc(IMAGES, anns, CATS))
-        hm = coco_audit.bbox_heatmap(aset, 7, 4)
+        hm = coco_audit.heatmap(aset, 7, "bbox", 4)
         assert hm.grid.sum() == 1
         assert hm.grid[2, 1] == 1
 
@@ -146,7 +153,7 @@ class TestBBox:
                          "bbox": [x, y, float(rng.uniform(1, 100 - x)),
                                   float(rng.uniform(1, 100 - y))]})
         aset = coco_audit.parse_annotations(doc(IMAGES, anns, CATS))
-        hm = coco_audit.bbox_heatmap(aset, 7, G)
+        hm = coco_audit.heatmap(aset, 7, "bbox", G)
         ref = np.zeros((G, G))
         for ann in aset.annotations:
             x, y, w, h = ann.bbox

@@ -74,21 +74,27 @@ class TestBuiltinGlyphs:
         assert len(flat) == 10
 
 
-class TestNormalizedOffset:
+def placed_r(dx, dy, image_hw=(64, 96), object_hw=(28, 28)):
+    """Edge distance of an offset, which must lie in the frame."""
+    H, W = image_hw
+    h, w = object_hw
+    max_dy, max_dx = (H - h) // 2, (W - w) // 2
+    assert abs(dx) <= max_dx and abs(dy) <= max_dy, (dx, dy)
+    return data.edge_distance(abs(dx), abs(dy), max_dx, max_dy)
+
+
+class TestEdgeDistance:
+    # a 28x28 glyph on a 64x96 image moves up to 34 pixels in x, 18 in y
     def test_centered(self):
-        assert data.normalized_offset(0, 0, (64, 96), (28, 28)) == 0.0
+        assert data.edge_distance(0, 0, 34, 18) == 0.0
 
     def test_touching_edge(self):
-        max_dx = (96 - 28) // 2
-        assert data.normalized_offset(max_dx, 0, (64, 96), (28, 28)) == 1.0
+        assert data.edge_distance(34, 0, 34, 18) == 1.0
+        assert data.edge_distance(0, 18, 34, 18) == 1.0
 
     def test_arithmetic_oracle(self):
         # max(17/34, 9/18) = 0.5
-        assert data.normalized_offset(17, 9, (64, 96), (28, 28)) == 0.5
-
-    def test_object_larger_than_image(self):
-        with pytest.raises(ValueError):
-            data.normalized_offset(0, 0, (20, 20), (28, 28))
+        assert data.edge_distance(17, 9, 34, 18) == 0.5
 
     def test_band_partition(self):
         # every admissible r falls in exactly one decade band
@@ -119,8 +125,7 @@ def brute_force_offsets(policy, image_hw, object_hw):
     max_dy, max_dx = (H - h) // 2, (W - w) // 2
     return [(dx, dy) for dy in range(-max_dy, max_dy + 1)
             for dx in range(-max_dx, max_dx + 1)
-            if data.admits(policy, data.normalized_offset(dx, dy, image_hw,
-                                                          object_hw))]
+            if data.admits(policy, placed_r(dx, dy, image_hw, object_hw))]
 
 
 class TestSamplePlacement:
@@ -183,7 +188,7 @@ class TestSamplePlacement:
         for _ in range(200):
             dx, dy = data.sample_placement(
                 data.Unrestricted(), (64, 96), (28, 28), rng)
-            r = data.normalized_offset(dx, dy, (64, 96), (28, 28))
+            r = placed_r(dx, dy)
             assert 0.0 <= r <= 1.0
 
     def test_edge_band_postcondition_10k(self):
@@ -191,7 +196,7 @@ class TestSamplePlacement:
         policy = data.Band(0.9, 1.0)
         for _ in range(10_000):
             dx, dy = data.sample_placement(policy, (64, 96), (28, 28), rng)
-            r = data.normalized_offset(dx, dy, (64, 96), (28, 28))
+            r = placed_r(dx, dy)
             assert 0.9 <= r <= 1.0
 
     def test_central_30_percent(self):
@@ -199,7 +204,7 @@ class TestSamplePlacement:
         policy = data.AllowedCentral(0.3)
         for _ in range(2_000):
             dx, dy = data.sample_placement(policy, (64, 96), (28, 28), rng)
-            assert data.normalized_offset(dx, dy, (64, 96), (28, 28)) <= 0.3
+            assert placed_r(dx, dy) <= 0.3
 
     def test_degenerate_policy_errors(self):
         # 28x28 glyph on 30x30 image: max offset 1 pixel, so r is 0 or 1
@@ -289,14 +294,14 @@ class TestComposite:
         bg = np.full((32, 32), 0.25, dtype=np.float32)
         s = data.composite_sample(np.zeros((8, 8)), 4, bg, (0, 0))
         assert (s.target == 0).all()
-        assert s.meta.bbox is None
+        assert data.mask_bbox(s.target > 0) is None
 
     def test_full_square_glyph_center_block(self):
         bg = np.zeros((16, 16), dtype=np.float32)
         s = data.composite_sample(np.ones((4, 4)), 2, bg, (0, 0))
         assert (s.target[6:10, 6:10] == 3).all()
         assert s.target.sum() == 3 * 16
-        assert s.meta.bbox == (6, 6, 4, 4)
+        assert data.mask_bbox(s.target > 0) == (6, 6, 4, 4)
         assert (s.input[0, 0, 6:10, 6:10] == 1.0).all()
 
     def test_mask_popcount_oracle(self):
@@ -310,6 +315,11 @@ class TestComposite:
         bg = np.zeros((32, 32), dtype=np.float32)
         with pytest.raises(ValueError):
             data.composite_sample(np.ones((8, 8)), 0, bg, (13, 0))
+
+    def test_object_larger_than_image(self):
+        bg = np.zeros((20, 20), dtype=np.float32)
+        with pytest.raises(ValueError, match="outside the 20x20 image"):
+            data.composite_sample(np.ones((28, 28)), 0, bg, (0, 0))
 
 
 def config(**kw):
@@ -344,13 +354,12 @@ class TestDatasetStream:
             np.testing.assert_array_equal(alone.input, streamed[index].input)
             np.testing.assert_array_equal(alone.target,
                                           streamed[index].target)
-            assert alone.meta == streamed[index].meta
 
     def test_class_histogram_uniform_4sigma(self):
         cfg = config(height=32, width=32, count=10_000, master_seed=9)
-        counts = np.zeros(10, dtype=int)
-        for i in range(cfg.count):
-            counts[data.sample_at(cfg, i).meta.digit_class] += 1
+        counts = np.bincount(np.concatenate([
+            data.sample_block(cfg, range(i, i + 1000)).classes
+            for i in range(0, cfg.count, 1000)]), minlength=10)
         sigma = np.sqrt(10_000 * 0.1 * 0.9)
         assert np.abs(counts - 1_000).max() <= 4 * sigma, counts
 
@@ -367,15 +376,19 @@ class TestDatasetStream:
     def test_emitted_sample_invariants(self, policy, index):
         cfg = config(policy=policy, count=1)
         s = data.sample_at(cfg, index)
+        block = data.sample_block(cfg, range(index, index + 1))
         assert s.input.min() >= 0.0 and s.input.max() <= 1.0
         mask = s.target > 0
-        cls = s.meta.digit_class + 1
+        cls = block.classes[0] + 1
         assert set(np.unique(s.target[mask])) <= {cls}
         np.testing.assert_array_equal(
             s.input[0, 0][mask], np.ones(mask.sum(), dtype=np.float32))
-        x, y, w, h = s.meta.bbox
-        assert 0 <= x and 0 <= y and x + w <= 48 and y + h <= 32
-        assert data.admits(policy, s.meta.r)
+        # the mask is the glyph's, moved by the block's offset from the
+        # centered position
+        dx, dy = block.offsets[0, 0]
+        gx, gy, gw, gh = data.mask_bbox(block.glyphs[0] > 0.5)
+        assert data.mask_bbox(mask) == (10 + dx + gx, 2 + dy + gy, gw, gh)
+        assert data.admits(policy, placed_r(dx, dy, (32, 48)))
 
 
 class TestSampleBlock:
@@ -413,8 +426,11 @@ class TestSampleBlock:
                                           policy=policy), i)
                 assert X[j:j + 1].tobytes() == s.input.tobytes()
                 assert T[j].tobytes() == s.target.tobytes()
+                one = data.sample_block(config(background=spec,
+                                               master_seed=5, policy=policy),
+                                        range(i, i + 1))
                 assert (block.classes[j], tuple(block.offsets[p, j])) == \
-                    (s.meta.digit_class, s.meta.offset)
+                    (one.classes[0], tuple(one.offsets[0, 0]))
 
 
 class TestBorderIndependence:
@@ -437,12 +453,17 @@ class TestBorderIndependence:
         border = np.ones((32, 32), dtype=bool)
         border[1:-1, 1:-1] = False
         pixels, objects = [], []
-        for s in data.iter_samples(cfg):
-            x, y, w, h = s.meta.bbox
-            # so every border pixel is background by construction
-            assert min(x, y, 32 - (x + w), 32 - (y + h)) >= 5
-            pixels.append(s.input[0, 0][border])
-            objects.append((s.meta.digit_class, *s.meta.offset))
+        for start in range(0, self.N, data.BLOCK):
+            block = data.sample_block(
+                cfg, range(start, min(start + data.BLOCK, self.N)))
+            X, T = block.composite(0)
+            for img, t, cls, offset in zip(X[:, 0], T, block.classes,
+                                           block.offsets[0]):
+                x, y, w, h = data.mask_bbox(t > 0)
+                # so every border pixel is background by construction
+                assert min(x, y, 32 - (x + w), 32 - (y + h)) >= 5
+                pixels.append(img[border])
+                objects.append((cls, *offset))
 
         def z(a):
             a = np.asarray(a, dtype=np.float64)

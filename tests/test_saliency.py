@@ -27,40 +27,56 @@ def centered_sample(H=16, W=16, size=4, cls=2):
     return data.composite_sample(np.ones((size, size)), cls, bg, (0, 0))
 
 
+def maps_of(model, *samples):
+    """saliency_maps of the samples' stacked inputs and class maps."""
+    return saliency.saliency_maps(model,
+                                  np.concatenate([s.input for s in samples]),
+                                  np.stack([s.target for s in samples]))
+
+
 class TestSaliencyMap:
     def test_linear_model_analytic_oracle(self):
+        # a mask pixel's gradient is its own class's head-weight sum over
+        # the mask's pixel count; the second class map gives the mask's
+        # left half class 6, the right half keeps class 3
         model = linear_model()
         s = centered_sample()
-        m = saliency.saliency_maps(model, [s])[0]
-        mask = s.target > 0
-        count = mask.sum()
-        k = s.meta.digit_class + 1
-        expected = abs(model.head.weight[k, :, 0, 0].sum()) / count
-        np.testing.assert_allclose(m[mask], expected, rtol=1e-12)
-        assert (m[~mask] == 0).all()
+        two = s.target.copy()
+        two[:, :8][two[:, :8] > 0] = 6
+        assert np.unique(two).tolist() == [0, 3, 6]
+        weight_sums = model.head.weight[:, :, 0, 0].sum(axis=1)
+        assert abs(weight_sums[3]) != abs(weight_sums[6])
+        maps = maps_of(model, s, data.Sample(s.input, two))
+        for m, t in zip(maps, (s.target, two)):
+            mask = t > 0
+            np.testing.assert_allclose(
+                m[mask], np.abs(weight_sums[t[mask]]) / mask.sum(),
+                rtol=1e-12)
+            assert (m[~mask] == 0).all()
 
     def test_gradient_linearity_under_logit_scaling(self):
         s = centered_sample()
-        m1 = saliency.saliency_maps(linear_model(), [s])[0]
-        m2 = saliency.saliency_maps(linear_model(scale=2.0), [s])[0]
+        m1 = maps_of(linear_model(), s)[0]
+        m2 = maps_of(linear_model(scale=2.0), s)[0]
         np.testing.assert_allclose(m2, 2 * m1, rtol=1e-10)
 
     def test_map_dims_match_input(self):
         model = unet.build_unet(unet.UNetConfig(depth=2, base_channels=4))
         s = centered_sample(24, 32)
-        assert saliency.saliency_maps(model, [s])[0].shape == (24, 32)
+        assert maps_of(model, s)[0].shape == (24, 32)
+        assert saliency.saliency_map(model, s).shape == (24, 32)
 
     def test_empty_mask_rejected(self):
         model = linear_model()
         s = centered_sample()
         s.target[...] = 0
         with pytest.raises(ValueError):
-            saliency.saliency_maps(model, [s])[0]
+            maps_of(model, s)
 
     def test_nonnegative(self):
         model = unet.build_unet(unet.UNetConfig(depth=2, base_channels=4,
                                                 seed=3))
-        m = saliency.saliency_maps(model, [centered_sample(24, 32)])[0]
+        m = maps_of(model, centered_sample(24, 32))[0]
         assert (m >= 0).all()
 
     def test_batch_rows_equal_single_runs(self):
@@ -68,9 +84,9 @@ class TestSaliencyMap:
                                                 seed=3))
         a = centered_sample(24, 32)
         b = centered_sample(24, 32, size=6, cls=7)
-        maps = saliency.saliency_maps(model, [a, b, a])
+        maps = maps_of(model, a, b, a)
         assert maps.shape == (3, 24, 32)
-        alone = saliency.saliency_maps(model, [a])[0]
+        alone = saliency.saliency_map(model, a)
         assert maps[0].tobytes() == maps[2].tobytes() == alone.tobytes()
         assert not np.array_equal(maps[0], maps[1])
 
@@ -80,10 +96,10 @@ class TestSaliencyMap:
                                                 padding=tc.REFLECT, seed=3))
         samples = [centered_sample(24, 32, size=2 + i, cls=i)
                    for i in range(n)]
-        maps = saliency.saliency_maps(model, samples)
+        maps = maps_of(model, *samples)
         assert maps.shape == (n, 24, 32)
         for s, m in zip(samples, maps):
-            alone = saliency.saliency_maps(model, [s])[0]
+            alone = saliency.saliency_map(model, s)
             assert m.tobytes() == alone.tobytes()
 
     def test_empty_mask_named_before_any_forward(self, monkeypatch):
@@ -95,7 +111,7 @@ class TestSaliencyMap:
         empty.target[...] = 0
         monkeypatch.setattr(unet, "forward", no_forward)
         with pytest.raises(ValueError, match="sample 1 "):
-            saliency.saliency_maps(model, [centered_sample(), empty])
+            maps_of(model, centered_sample(), empty)
 
 
 class TestDispersionNormalize:
@@ -124,22 +140,40 @@ class TestScene:
     def test_crop_contains_glyph_everywhere(self):
         glyph = data.builtin_glyphs().images[3]
         scene = saliency.make_scene(glyph, 3, (64, 96), (16, 8))
-        for dx, dy in ((0, 0), (16, 8), (-16, -8), (16, -8)):
-            s = scene.crop(dx, dy)
-            assert (s.target > 0).sum() == (glyph > 0.5).sum()
-            assert s.input.shape == (1, 1, 64, 96)
+        X, T = scene.crops([(0, 0), (16, 8), (-16, -8), (16, -8)])
+        assert X.shape == (4, 1, 64, 96) and T.shape == (4, 64, 96)
+        for t in T:
+            assert (t == 4).sum() == (glyph > 0.5).sum()
+            assert (t > 0).sum() == (glyph > 0.5).sum()
 
     def test_class_maps_are_uint8(self):
         glyph = data.builtin_glyphs().images[9]
         scene = saliency.make_scene(glyph, 9, (64, 96), (4, 4))
         assert scene.target.dtype == np.uint8
-        assert scene.crop(4, -4).target.dtype == np.uint8
+        assert scene.crops([(4, -4)])[1].dtype == np.uint8
 
-    def test_shift_beyond_margin_rejected(self):
+    def test_crops_are_the_canvas_windows(self):
+        # rows of one call equal single-shift calls and the canvas sliced
+        # at the moved window, bit for bit
+        glyph = data.builtin_glyphs().images[2]
+        scene = saliency.make_scene(glyph, 2, (40, 48), (6, 4),
+                                    data.NoisePool(), seed=3)
+        shifts = [(-6, 4), (0, 0), (5, -3), (6, -4), (-1, 2)]
+        X, T = scene.crops(shifts)
+        for x, t, (dx, dy) in zip(X, T, shifts):
+            x1, t1 = scene.crops([(dx, dy)])
+            assert x.tobytes() == x1[0].tobytes()
+            assert t.tobytes() == t1[0].tobytes()
+            window = np.s_[4 + dy:4 + dy + 40, 6 + dx:6 + dx + 48]
+            assert x[0].tobytes() == scene.canvas[window].tobytes()
+            assert t.tobytes() == scene.target[window].tobytes()
+
+    @pytest.mark.parametrize("shifts", [[(5, 0)], [(0, 0), (0, -5)]])
+    def test_shift_beyond_margin_rejected(self, shifts):
         glyph = data.builtin_glyphs().images[0]
         scene = saliency.make_scene(glyph, 0, (64, 96), (4, 4))
-        with pytest.raises(ValueError):
-            scene.crop(5, 0)
+        with pytest.raises(ValueError, match="exceeds margins"):
+            scene.crops(shifts)
 
     def test_excessive_extent_rejected(self):
         glyph = data.builtin_glyphs().images[0]
@@ -184,10 +218,13 @@ class TestShiftMap:
         # three full batches and a last batch of one
         assert len(grid.dxs) * len(grid.dys) == 3 * saliency.SHIFT_BATCH + 1
         sm = saliency.saliency_shift_map(model, scene, grid)
-        s0 = saliency.saliency_maps(model, [scene.crop(0, 0)])[0]
+        def alone(dx, dy):
+            return saliency.saliency_maps(model, *scene.crops([(dx, dy)]))[0]
+
+        s0 = alone(0, 0)
         ref = np.array([[saliency._overlap_mean_absdiff(
-            s0, saliency.saliency_maps(model, [scene.crop(dx, dy)])[0],
-            dx, dy) for dx in grid.dxs] for dy in grid.dys])
+            s0, alone(dx, dy), dx, dy) for dx in grid.dxs]
+            for dy in grid.dys])
         assert sm.raw.tobytes() == ref.tobytes()
         assert sm.raw[2, 2] == 0.0
 

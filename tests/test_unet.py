@@ -552,7 +552,7 @@ class TestBitsAcrossPaddings:
         adam = tc.AdamState.for_params([model.flat_params])
         losses = [unet.train_step(model, x, t, adam) for _ in range(4)]
         got = {"train": self.digest(model.flat_params, np.array(losses)),
-               "saliency": self.digest(saliency.saliency_maps(model, samples)),
+               "saliency": self.digest(saliency.saliency_maps(model, x, t)),
                "losses": self.digest(unet.sample_losses(model, x, t))}
         assert got == self.DIGESTS[kind]
 

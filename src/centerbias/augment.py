@@ -27,7 +27,7 @@ from .data import mask_bbox
 __all__ = [
     "ShiftSpec", "RandomPeriodicShift", "ShiftObjectToBoundary",
     "EdgeDropSpec", "periodic_shift", "random_shift", "boundary_shift",
-    "edge_block_drop", "build_augmentations",
+    "SIDES", "edge_band", "edge_block_drop", "build_augmentations",
 ]
 
 Box = tuple[int, int, int, int]  # (x, y, w, h) in pixels
@@ -113,7 +113,7 @@ def random_shift(hw: tuple[int, int], rng: np.random.Generator,
     return ShiftSpec(dx, dy)
 
 
-_SIDE_ORDER = ("left", "right", "top", "bottom")
+SIDES = ("left", "right", "top", "bottom")
 
 
 def boundary_shift(box: Box, hw: tuple[int, int]) -> ShiftSpec:
@@ -131,11 +131,22 @@ def boundary_shift(box: Box, hw: tuple[int, int]) -> ShiftSpec:
         "top": y,
         "bottom": H - (y + h),
     }
-    side = min(_SIDE_ORDER, key=distances.get)  # min keeps the first tie
+    side = min(SIDES, key=distances.get)  # min keeps the first tie
     d = distances[side]
     return ShiftSpec(
         dx=-d if side == "left" else d if side == "right" else 0,
         dy=-d if side == "top" else d if side == "bottom" else 0)
+
+
+def edge_band(side: str, width: int,
+              hw: tuple[int, int]) -> tuple[slice, slice]:
+    """The (rows, cols) slices of the width-wide band on one side of an
+    (H, W) image."""
+    h, w = hw
+    return {"left": (slice(None), slice(0, width)),
+            "right": (slice(None), slice(w - width, w)),
+            "top": (slice(0, width), slice(None)),
+            "bottom": (slice(h - width, h), slice(None))}[side]
 
 
 def edge_block_drop(x: np.ndarray, spec: EdgeDropSpec,
@@ -153,19 +164,11 @@ def edge_block_drop(x: np.ndarray, spec: EdgeDropSpec,
     spec.check_fits((h, w))
     if rng.random() >= spec.probability:
         return x
-    side = _SIDE_ORDER[int(rng.integers(4))]
-    b = spec.band_width
-    total = h * w
-    kept = total - (b * h if side in ("left", "right") else b * w)
-    out = x * (total / kept)
-    if side == "left":
-        out[..., :, :b] = 0
-    elif side == "right":
-        out[..., :, w - b:] = 0
-    elif side == "top":
-        out[..., :b, :] = 0
-    else:
-        out[..., h - b:, :] = 0
+    band = edge_band(SIDES[int(rng.integers(4))], spec.band_width, (h, w))
+    kept = np.ones((h, w), dtype=bool)
+    kept[band] = False
+    out = x * (h * w / int(kept.sum()))  # a float scale keeps x's dtype
+    out[(..., *band)] = 0
     return out
 
 

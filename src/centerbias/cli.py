@@ -269,23 +269,17 @@ def cmd_augment(args) -> int:
         dmin = min(bx, W - (bx + bw), by, H - (by + bh))
         checks.append(("selected box edge distance is exactly 0", dmin == 0))
     else:  # edge-drop
-        b = args.band_width
-        strips = {"left": (slice(None), slice(0, b)),
-                  "right": (slice(None), slice(W - b, W)),
-                  "top": (slice(0, b), slice(None)),
-                  "bottom": (slice(H - b, H), slice(None))}
-        side = next((s for s, ix in strips.items()
-                     if not out_x[0][ix].any()), None)
-        checks.append(("one full side band zeroed", side is not None))
-        if side is not None:
-            kept_cells = H * W - (b * H if side in ("left", "right")
-                                  else b * W)
-            survivors = np.ones((H, W), dtype=bool)
-            survivors[strips[side]] = False
+        bands = [augment.edge_band(s, args.band_width, (H, W))
+                 for s in augment.SIDES]
+        band = next((ix for ix in bands if not out_x[0][ix].any()), None)
+        checks.append(("one full side band zeroed", band is not None))
+        if band is not None:
+            kept = np.ones((H, W), dtype=bool)
+            kept[band] = False
             checks.append((
                 "survivors rescaled by total/kept",
-                bool(np.allclose(out_x[0][survivors],
-                                 x[0][survivors] * (H * W / kept_cells),
+                bool(np.allclose(out_x[0][kept],
+                                 x[0][kept] * (H * W / int(kept.sum())),
                                  rtol=1e-5))))
     os.makedirs(args.out, exist_ok=True)
     netpbm.write_pgm(os.path.join(args.out, "augmented.pgm"),
@@ -523,6 +517,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: missing file: {e.filename or e}", file=sys.stderr)
         return EXIT_MISSING
+    except OSError as e:  # a path of the wrong kind: a directory, a file
+        where = f": {e.filename}" if e.filename else ""
+        print(f"error: {e.strerror or e}{where}", file=sys.stderr)
+        return EXIT_INVALID
     except (ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

@@ -41,15 +41,6 @@ BACKGROUND_CAP = 0.95  # keeps the pasted object the unique maximum intensity
 # --------------------------------------------------------------------------
 # placement policies over normalized edge distance r
 
-def _check_label_digits(*bounds):
-    """Reject a bound that a label's 6 significant digits cannot carry: its
-    label would read back through `--bands` and results.json as another."""
-    for v in bounds:
-        if float(f"{v:g}") != v:
-            raise ValueError(f"bound {v!r} has more than the 6 significant "
-                             f"digits a policy label carries")
-
-
 @dataclass(frozen=True)
 class AllowedCentral:
     KIND = "allowed_central"
@@ -58,7 +49,6 @@ class AllowedCentral:
     def __post_init__(self):
         if not 0 < self.a <= 1:
             raise ValueError("AllowedCentral needs a in (0, 1]")
-        _check_label_digits(self.a)
 
 
 @dataclass(frozen=True)
@@ -70,7 +60,6 @@ class Band:
     def __post_init__(self):
         if not 0 <= self.lo < self.hi <= 1:
             raise ValueError("Band needs 0 <= lo < hi <= 1")
-        _check_label_digits(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -81,7 +70,6 @@ class ForbiddenCentral:
     def __post_init__(self):
         if not 0 <= self.c < 1:
             raise ValueError("ForbiddenCentral needs c in [0, 1)")
-        _check_label_digits(self.c)
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,8 @@ def admits(policy: PlacementPolicy, r):
 
 
 # the label prefix of each policy kind with bounds; a label is the prefix,
-# ":" and the bounds to 6 significant digits, joined by "-"
+# ":" and the bounds joined by "-", each the shortest text that reads back
+# as the same float ("0.1", "1e-05", "0.30000000000000004"; -0.0 is "0")
 _LABEL_PREFIX = {AllowedCentral: "allowed", Band: "band",
                  ForbiddenCentral: "forbidden"}
 
@@ -120,7 +109,8 @@ _LABEL_PREFIX = {AllowedCentral: "allowed", Band: "band",
 def policy_label(policy: PlacementPolicy) -> str:
     if isinstance(policy, Unrestricted):
         return "unrestricted"
-    bounds = "-".join(f"{v:g}" for v in astuple(policy))
+    bounds = "-".join(repr(float(v) + 0.0).removesuffix(".0")
+                      for v in astuple(policy))
     return f"{_LABEL_PREFIX[type(policy)]}:{bounds}"
 
 

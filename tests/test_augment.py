@@ -241,6 +241,52 @@ class TestEdgeBlockDrop:
         assert (x == 0).sum() in (2 * 3 * 8, 2 * 3 * 12)
 
 
+def four_branch_drop(x, side, b):
+    """The drop of edge_block_drop as it was spelled out side by side, the
+    reference that edge_band's slices must match bit for bit."""
+    h, w = x.shape[-2:]
+    total = h * w
+    kept = total - (b * h if side in ("left", "right") else b * w)
+    out = x * (total / kept)
+    if side == "left":
+        out[..., :, :b] = 0
+    elif side == "right":
+        out[..., :, w - b:] = 0
+    elif side == "top":
+        out[..., :b, :] = 0
+    else:
+        out[..., h - b:, :] = 0
+    return out
+
+
+class DrawSide:
+    """An rng stub whose edge_block_drop draws always drop, on side k."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def random(self):
+        return 0.0
+
+    def integers(self, n):
+        return self.k
+
+
+class TestEdgeBand:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw, width", [
+        ((2, 2), 1), ((6, 6), 2), ((8, 12), 3), ((5, 9), 4), ((64, 96), 4),
+        ((32, 48), 31)])
+    def test_drop_matches_the_four_branch_reference(self, dtype, hw, width):
+        x = np.random.default_rng(0).random((2, 3, *hw)).astype(dtype)
+        spec = augment.EdgeDropSpec(probability=1.0, band_width=width)
+        for k, side in enumerate(augment.SIDES):
+            out = augment.edge_block_drop(x, spec, DrawSide(k))
+            ref = four_branch_drop(x, side, width)
+            assert out.dtype == ref.dtype == dtype
+            assert out.tobytes() == ref.tobytes(), side
+
+
 class TestBuildAugmentations:
     def test_defaults_build(self):
         fns = augment.build_augmentations(

@@ -3,6 +3,7 @@ invariants, and stream determinism."""
 
 import hashlib
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -476,8 +477,9 @@ class TestBorderIndependence:
             (("digit_class", "dx", "dy")[worst[0]], worst[1], corr[worst])
 
 
-# bounds a label carries: at most 6 significant digits
-LABEL_BOUNDS = st.floats(0, 1).map(lambda v: float(f"{v:g}"))
+# bounds of every precision, and bounds that f"{v:g}" prints exactly
+LABEL_BOUNDS = st.one_of(st.floats(0, 1),
+                         st.floats(0, 1).map(lambda v: float(f"{v:g}")))
 
 
 class TestPolicyParsing:
@@ -489,9 +491,14 @@ class TestPolicyParsing:
         (data.ForbiddenCentral(0.7), "forbidden:0.7"),
         (data.Unrestricted(), "unrestricted"),
         (data.Band(1e-5, 0.1), "band:1e-05-0.1"),
+        # a one-pixel step at 64x96, and a bound of np.linspace(0, 1, 11)
+        (data.Band(0.0, 1 / 34), "band:0-0.029411764705882353"),
+        (data.Band(0.0, 0.30000000000000004), "band:0-0.30000000000000004"),
+        # JSON's "lo": -0.0 passes 0 <= lo; its label prints 0, not -0
+        (data.Band(-0.0, 0.1), "band:0-0.1"),
     ])
     def test_labels_keep_their_bytes(self, policy, label):
-        # results.json and --bands hold these labels
+        # matrix CSV headers, stdout lines and --bands hold these labels
         assert data.policy_label(policy) == label
         assert data.parse_policy(label) == policy
 
@@ -507,15 +514,18 @@ class TestPolicyParsing:
         assert data.parse_policy(label) == policy
         assert data.policy_label(data.parse_policy(label)) == label
 
-    @pytest.mark.parametrize("make", [
-        lambda: data.Band(0.1234567, 0.2), lambda: data.Band(0.1, 0.2000001),
-        lambda: data.AllowedCentral(0.3000001),
-        lambda: data.ForbiddenCentral(1 / 3),
-        lambda: data.parse_policy("band:0.1234567-0.2")])
-    def test_a_bound_the_label_cannot_carry_is_rejected(self, make):
-        # band:0.123457-0.2 would read back as another band
-        with pytest.raises(ValueError, match="more than the 6 significant"):
-            make()
+    @given(LABEL_BOUNDS)
+    @settings(max_examples=1000, deadline=None)
+    def test_a_bound_reads_back_and_keeps_its_g_text(self, v):
+        # a bound that f"{v:g}" carries exactly prints as f"{v:g}" does, so
+        # such labels keep their bytes; any other bound prints every digit
+        # it needs.  A subnormal bound prints shorter: 5e-324, not
+        # 4.94066e-324
+        policy = data.ForbiddenCentral(v) if v < 1 else data.AllowedCentral(v)
+        label = data.policy_label(policy)
+        assert data.parse_policy(label) == policy
+        if float(f"{v:g}") == v and (v == 0 or v >= sys.float_info.min):
+            assert label.partition(":")[2] == f"{v:g}"
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -130,8 +130,9 @@ def experiment_config(args) -> harness.ExperimentConfig:
                         + (args.set or []), **fixed)
 
 
-def _run_experiment(config, workers) -> harness.RunRecord:
-    """Train, export and print one experiment."""
+def _run_experiment(config, workers) -> None:
+    """Train, export and print one experiment: its mean loss matrix and
+    each row's edge/center loss ratio, matrix_norm.csv's last column."""
     record = harness.run_regional_training(config, workers=workers)
     paths = harness.export_results(record)
     print(f"config {harness.config_hash(config)}: trained "
@@ -142,12 +143,9 @@ def _run_experiment(config, workers) -> harness.RunRecord:
                           for l, v in zip(record.eval_labels, row))
         print(f"  {label}: {cells}")
     print(f"results -> {paths['results']}")
-    return record
-
-
-def cmd_train(args) -> int:
-    _run_experiment(experiment_config(args), args.workers)
-    return EXIT_OK
+    print(f"loss ratio {record.eval_labels[-1]} / {record.eval_labels[0]}:")
+    for label, ratio in zip(record.train_labels, record.normalized[:, -1]):
+        print(f"  {label}: {ratio:.3f}")
 
 
 def mitigation_config(config, out: str) -> harness.ExperimentConfig:
@@ -160,18 +158,13 @@ def mitigation_config(config, out: str) -> harness.ExperimentConfig:
                    output_dir=os.path.join(out, "center_shifted"))
 
 
-def cmd_asymmetry(args) -> int:
+def cmd_train(args) -> int:
+    """`train` and `asymmetry`: one experiment, then the shifted run of
+    `asymmetry --with-mitigation`."""
     config = experiment_config(args)
-    configs = [config]
+    _run_experiment(config, args.workers)
     if args.with_mitigation:
-        configs.append(mitigation_config(config, args.out))
-    for cfg in configs:
-        record = _run_experiment(cfg, args.workers)
-        print(f"loss ratio {record.eval_labels[-1]} / "
-              f"{record.eval_labels[0]}, mean over repeats:")
-        for label, ratio in zip(record.train_labels,
-                                harness.summarize_asymmetry(record)):
-            print(f"  {label}: {ratio:.3f}")
+        _run_experiment(mitigation_config(config, args.out), args.workers)
     return EXIT_OK
 
 
@@ -230,7 +223,7 @@ def cmd_saliency(args) -> int:
 def _load_sample_pair(image_path, label_path):
     """An (x, t) pair: a (1, H, W) float32 image in [0, 1] and its class
     map."""
-    img = netpbm.read_pnm(image_path).astype(np.float32) / 255.0
+    img = netpbm.read_pnm_gray(image_path).astype(np.float32)
     lab = netpbm.read_pnm(label_path)
     if lab.ndim != 2 or img.shape != lab.shape:
         raise ValueError("sample and label dims disagree")
@@ -437,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="override config output_dir")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_train, start=harness.ExperimentConfig(),
-                   quick=False)
+                   quick=False, with_mitigation=False)
 
     p = sub.add_parser(
         "asymmetry", help="center/edge cross-test: train center- and "
@@ -452,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-mitigation", action="store_true",
                    help="also train the first train policy with random "
                         "periodic shifts, under OUT/center_shifted")
-    p.set_defaults(fn=cmd_asymmetry, start=ASYMMETRY_START)
+    p.set_defaults(fn=cmd_train, start=ASYMMETRY_START)
 
     p = sub.add_parser("eval", help="band-wise losses of a checkpoint")
     p.add_argument("--checkpoint", required=True)

@@ -40,23 +40,22 @@ class AnnotationSet:
     dropped: int = 0                         # empty after clipping
 
 
-def parse_annotations(payload) -> AnnotationSet:
+def parse_annotations(payload: bytes | str) -> AnnotationSet:
     """Parse COCO-style JSON (images / annotations / categories arrays).
 
     Out-of-bounds boxes are clipped to their image; boxes that are empty
     after clipping are dropped and counted.  An annotation referencing an
     unknown image id is an error.
     """
-    if isinstance(payload, (bytes, str)):
-        try:
-            doc = json.loads(payload)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"malformed annotation JSON: {e}") from e
-    else:
-        doc = payload
+    try:
+        doc = json.loads(payload)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"malformed annotation JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ValueError("annotation JSON must hold an object")
     for key in ("images", "annotations", "categories"):
-        if key not in doc:
-            raise ValueError(f"annotation JSON missing {key!r} array")
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"annotation JSON needs a {key!r} array")
     try:
         images = {int(im["id"]): (float(im["width"]), float(im["height"]))
                   for im in doc["images"]}

@@ -1,16 +1,15 @@
 """One dict codec for every record the program reads or writes.
 
 A record is a dataclass whose fields are int, float, str, dict, a record,
-`tuple[X, ...]`, `list[X]`, `dict[str, X]`, `X | None`, a numpy array typed
-by its dimension count and dtype (`np.ndarray[tuple[int, int],
-np.dtype[np.float64]]`, stored as nested lists of numbers) or a union of
-records, each variant of which has a class-level `KIND`, written first under
-"kind".  Reading rejects unknown keys, gives a missing key its field's
-default (a field with a `default_factory` is required) and checks every
-value against its field's type (a float field or array element takes an
-int; no field takes a bool).  Each error is a ValueError naming the dotted
-key, or the element as `key[i][j]`; range checks stay in each record's
-`__post_init__`.
+`tuple[X, ...]`, `list[X]`, a numpy array typed by its dimension count and
+dtype (`np.ndarray[tuple[int, int], np.dtype[np.float64]]`, stored as nested
+lists of numbers) or a union of records, each variant of which has a
+class-level `KIND`, written first under "kind".  Reading rejects unknown
+keys, gives a missing key its field's default (a field with a
+`default_factory` is required) and checks every value against its field's
+type (a float field or array element takes an int; no field takes a bool).
+Each error is a ValueError naming the dotted key, or the element as
+`key[i][j]`; range checks stay in each record's `__post_init__`.
 """
 
 from __future__ import annotations
@@ -28,14 +27,11 @@ _SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 
 def to_dict(value):
-    """Records as dicts in field order without None fields, tuples and
-    arrays as lists."""
+    """Records as dicts in field order, tuples and arrays as lists."""
     if dataclasses.is_dataclass(value):
         out = {"kind": value.KIND} if hasattr(value, "KIND") else {}
         for f in dataclasses.fields(value):
-            v = getattr(value, f.name)
-            if v is not None:
-                out[f.name] = to_dict(v)
+            out[f.name] = to_dict(getattr(value, f.name))
         return out
     if isinstance(value, (tuple, list)):
         return [to_dict(v) for v in value]
@@ -50,15 +46,10 @@ def from_dict(tp, value, where: str = ""):
     """Read `value` as type `tp`; `where` is its dotted key, "" at the top."""
     origin = get_origin(tp)
     if origin in (Union, types.UnionType):
-        options = [a for a in get_args(tp) if a is not type(None)]
-        if value is None and len(options) < len(get_args(tp)):
-            return None
-        if len(options) == 1:
-            return from_dict(options[0], value, where)
         if not isinstance(value, dict):
             raise ValueError(f"{where} must be a dict with a 'kind', "
                              f"got {value!r}")
-        kinds = {c.KIND: c for c in options}
+        kinds = {c.KIND: c for c in get_args(tp)}
         kind = value.get("kind")
         if not isinstance(kind, str) or kind not in kinds:
             raise ValueError(f"{_key(where, 'kind')} must be one of "
@@ -70,10 +61,6 @@ def from_dict(tp, value, where: str = ""):
             raise ValueError(f"{where} must be a list, got {value!r}")
         return origin(from_dict(get_args(tp)[0], v, f"{where}[{i}]")
                       for i, v in enumerate(value))
-    if origin is dict:
-        _, item = get_args(tp)
-        return {k: from_dict(item, v, _key(where, k))
-                for k, v in from_dict(dict, value, where).items()}
     if origin is np.ndarray:
         shape, dtype = get_args(tp)
         nested = float

@@ -220,6 +220,8 @@ def builtin_glyphs(size: int = 28) -> GlyphSet:
     A dependency-free stand-in for handwritten digits: one crisp binary
     shape per class, upscaled from a 5x7 bitmap font.
     """
+    if size < 7:  # a font pixel needs one image pixel at least
+        raise ValueError(f"builtin glyph size must be >= 7, got {size}")
     cell = size // 7
     images = np.zeros((10, size, size), dtype=np.float32)
     for digit, rows in _DIGIT_FONT.items():
@@ -290,6 +292,10 @@ def sample_placement(policy: PlacementPolicy, image_hw: tuple[int, int],
 class NoisePool:
     KIND = "noise"
     smoothing: int = 2
+
+    def __post_init__(self):
+        if self.smoothing < 0:
+            raise ValueError("smoothing must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -460,12 +466,17 @@ class DatasetConfig:
             raise ValueError("count must be >= 1")
         if self.master_seed < 0:  # seed-tree names are non-negative
             raise ValueError("master_seed must be >= 0")
-        gh, gw = _glyphs_for(self.glyph_source).images.shape[1:]
+        try:
+            gh, gw = _glyphs_for(self.glyph_source).images.shape[1:]
+        except ValueError as e:  # a builtin size below 7, a bad IDX file
+            raise ValueError(f"glyph_source: {e}") from None
         if gh > self.height or gw > self.width:
             raise ValueError(f"glyph {gh}x{gw} does not fit a "
                              f"{self.height}x{self.width} image")
         # raises if the policy admits no offset
         admitted_offsets(self.policy, (self.height, self.width), (gh, gw))
+        if isinstance(self.background, ImageDir):
+            _image_pool(self.background.path)  # raises unless it holds images
 
 
 BLOCK = 32  # samples per sample_block call of iter_samples and training

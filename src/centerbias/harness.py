@@ -30,9 +30,8 @@ from .rng import AUGMENT, EPOCH_ORDER, EVAL_SAMPLES, REPEAT, derive, stream
 
 __all__ = [
     "ExperimentConfig", "RunRecord", "WallClock", "config_hash",
-    "run_regional_training", "evaluate_bands", "summarize_asymmetry",
-    "export_results", "load_results", "write_matrix_csv",
-    "SCHEMA_VERSION",
+    "run_regional_training", "evaluate_bands", "export_results",
+    "load_results", "write_matrix_csv", "SCHEMA_VERSION",
 ]
 
 SCHEMA_VERSION = 3
@@ -291,7 +290,7 @@ class RunRecord:
     @property
     def normalized(self) -> np.ndarray:
         """Each row of `raw` over its first band's cell (the center, for
-        bands listed from the center out)."""
+        bands listed from the center out): the last column is edge/center."""
         raw = self.raw
         return raw / raw[:, :1]
 
@@ -333,17 +332,6 @@ def run_regional_training(config: ExperimentConfig,
         checkpoints=[[job["checkpoint"] for job in row] for row in grid],
         wall_clock=WallClock(time.perf_counter() - started, workers),
     )
-
-
-# --------------------------------------------------------------------------
-# matrix post-processing
-
-def summarize_asymmetry(record: RunRecord) -> list[float]:
-    """The cross-test ratio of each train row, in `train_labels` order: the
-    mean over repeats of the last eval band's loss over the first band's
-    (edge over center, for bands listed from the center out)."""
-    pr = record.per_repeat
-    return (pr[:, :, -1] / pr[:, :, 0]).mean(axis=1).tolist()
 
 
 # --------------------------------------------------------------------------

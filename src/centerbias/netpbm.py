@@ -27,6 +27,11 @@ def _tokens(data: bytes):
 
 def read_pnm(path) -> np.ndarray:
     """Read a binary PGM/PPM; returns uint8 (h, w) or (h, w, 3)."""
+    return _read(path)[0]
+
+
+def _read(path) -> tuple[np.ndarray, int]:
+    """read_pnm's array and the header's maxval."""
     with open(path, "rb") as f:
         data = f.read()
     toks = _tokens(data)
@@ -48,14 +53,15 @@ def read_pnm(path) -> np.ndarray:
     if len(payload) < need:
         raise ValueError("netpbm payload shorter than declared dims")
     img = np.frombuffer(payload[:need], dtype=np.uint8)
-    if channels == 1:
-        return img.reshape(height, width)
-    return img.reshape(height, width, 3)
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    return img.reshape(shape), maxval
 
 
 def read_pnm_gray(path) -> np.ndarray:
-    """Read a PGM/PPM as float grayscale in [0, 1] (PPM: channel mean)."""
-    img = read_pnm(path).astype(np.float64) / 255.0
+    """Read a PGM/PPM as float grayscale in [0, 1], maxval mapping to 1
+    (PPM: channel mean)."""
+    img, maxval = _read(path)
+    img = img.astype(np.float64) / maxval
     if img.ndim == 3:
         img = img.mean(axis=2)
     return img

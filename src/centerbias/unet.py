@@ -78,11 +78,15 @@ class UNetConfig:
         return np.dtype(_DTYPES[self.precision])
 
     def check_input_hw(self, hw, what: str = "input dims") -> None:
-        """Raise unless both dims divide by 2**(depth-1), naming `what`."""
+        """Raise unless both dims divide by 2**(depth-1) and reflect padding
+        has 2 px or more at the deepest level, naming `what`."""
         div = 2 ** (self.depth - 1)
         if hw[0] % div or hw[1] % div:
             raise ValueError(f"{what} ({hw[0]}x{hw[1]}) must be divisible "
                              f"by {div}, 2**(depth-1) of the model")
+        if self.padding.kind == "reflect" and min(hw[0], hw[1]) < 2 * div:
+            raise ValueError(f"{what} ({hw[0]}x{hw[1]}) must be >= {2 * div}:"
+                             f" reflect padding needs 2 px at the bottom level")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, artifact emission, idempotence."""
 
+import csv
 import gc
 import hashlib
 import json
@@ -208,6 +209,53 @@ class TestConfigErrors:
             argv += ["--set", item]
         assert run(argv) == 4
         assert message in self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "--set", "glyph_source=builtin:6"],
+         "glyph_source: builtin glyph size must be >= 7, got 6"),
+        (["gen", "--set", "glyph_source=builtin:0"],
+         "glyph_source: builtin glyph size must be >= 7, got 0"),
+        (["gen", "--set", 'background={"kind": "noise", "smoothing": -3}'],
+         "background: smoothing must be >= 0"),
+        (["train", "--workers", "1",
+          "--set", "dataset.glyph_source=builtin:3"],
+         "dataset: glyph_source: builtin glyph size must be >= 7, got 3"),
+        (["train", "--workers", "1", "--set",
+          'dataset.background={"kind": "noise", "smoothing": -3}'],
+         "dataset.background: smoothing must be >= 0"),
+    ], ids=["gen-glyph-6", "gen-glyph-0", "gen-smoothing", "train-glyph-3",
+            "train-smoothing"])
+    def test_a_dataset_that_would_measure_nothing_exits_4_naming_the_key(
+            self, tmp_path, capsys, no_samples, argv, message):
+        # glyphs under 7 px are blank; negative smoothing blurs nothing
+        out = tmp_path / "out"
+        assert run([*argv, "--out", str(out)]) == 4
+        assert message in self.assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["gen", "--set",
+          'background={"kind": "image_dir", "path": "none"}'], 3),
+        (["gen", "--set", 'background={"kind": "image_dir", "path": "f"}'],
+         4),
+        (["gen", "--set", 'background={"kind": "image_dir", "path": "d"}'],
+         4),
+        (["train", "--workers", "1", "--set",
+          'dataset.background={"kind": "image_dir", "path": "f"}'], 4),
+        (["train", "--workers", "1", "--set", "model.depth=7",
+          "--set", "dataset.width=128",
+          "--set", 'model.padding={"kind": "reflect"}'], 4),
+    ], ids=["gen-missing-dir", "gen-dir-is-a-file", "gen-dir-without-images",
+            "train-dir-is-a-file", "train-reflect-1px-bottom"])
+    def test_input_found_bad_at_the_first_sample_leaves_no_out(
+            self, tmp_path, capsys, monkeypatch, no_samples, argv, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f").write_text("")
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "notes.txt").write_text("")
+        assert run([*argv, "--out", "o"]) == code
+        self.assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_asymmetry_bad_value_exits_4_before_generation(
             self, tmp_path, capsys, no_samples):
@@ -745,6 +793,20 @@ class TestAudit:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "grid" in err
 
+    @pytest.mark.parametrize("text", [
+        "5", "null", json.dumps({**DOC, "images": 5}),
+    ], ids=["number", "null", "images-not-a-list"])
+    def test_a_document_of_the_wrong_shape_exits_4(self, tmp_path, capsys,
+                                                   text):
+        ann = tmp_path / "ann.json"
+        ann.write_text(text)
+        assert run(["audit", "--annotations", str(ann), "--category",
+                    "widget", "--out", str(tmp_path / "audit")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: annotation JSON") and \
+            err.count("\n") == 1, err
+        assert not (tmp_path / "audit").exists()
+
 
 class TestClosesFiles:
     """Every reader closes what it opens: no ResourceWarning."""
@@ -949,16 +1011,47 @@ class TestAsymmetry:
 
     @staticmethod
     def printed_ratios(out, record):
-        """The ratio lines `asymmetry` printed for `record`, and the ones
-        its record gives."""
+        """The ratio lines printed for `record`, and the ones its record
+        gives: each row's edge/center ratio, `normalized[:, -1]`."""
         header = (f"loss ratio {record.eval_labels[-1]} / "
-                  f"{record.eval_labels[0]}, mean over repeats:")
+                  f"{record.eval_labels[0]}:")
         lines = out.splitlines()
         at = lines.index(header) + 1
         printed = lines[at:at + len(record.train_labels)]
         expected = [f"  {label}: {ratio:.3f}" for label, ratio in zip(
-            record.train_labels, harness.summarize_asymmetry(record))]
+            record.train_labels, record.normalized[:, -1])]
         return printed, expected
+
+    def test_printed_ratios_are_the_last_column_of_matrix_norm(
+            self, tmp_path, capsys):
+        # two repeats whose mean of per-repeat ratios differs from the
+        # ratio of their means at 3 decimals; `train` with the preset's
+        # policies and bands prints the same matrix and ratio lines
+        sets = ["train_count=32", "epochs=4", "learning_rate=0.02",
+                "repeats=2"]
+        assert run(["asymmetry", "--workers", "1",
+                    *self.tiny_argv(tmp_path / "a", *sets)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(out)
+                  if line.startswith("loss ratio ")) + 1
+        with open(tmp_path / "a" / "matrix_norm.csv") as f:
+            rows = list(csv.reader(f))[1:]
+        assert out[at:] == [f"  {row[0]}: {float(row[-1]):.3f}"
+                            for row in rows]
+        record = harness.load_results(tmp_path / "a" / "results.json")
+        pr = record.per_repeat
+        assert [f"{r:.3f}" for r in (pr[:, :, -1] / pr[:, :, 0]).mean(1)] \
+            != [line.split(": ")[1] for line in out[at:]]
+        policies = [to_dict(p) for p in cli.ASYMMETRY_START.train_policies]
+        bands = [to_dict(b) for b in cli.ASYMMETRY_START.eval_bands]
+        assert run(["train", "--workers", "1",
+                    "--set", f"train_policies={json.dumps(policies)}",
+                    "--set", f"eval_bands={json.dumps(bands)}",
+                    *self.tiny_argv(tmp_path / "t", *sets)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[1:] == [line.replace(str(tmp_path / "a"),
+                                            str(tmp_path / "t"))
+                               for line in out[1:]]
 
     def test_tiny_run_writes_one_record_and_the_shifted_run(self, tmp_path,
                                                              capsys):
@@ -1030,6 +1123,18 @@ class TestAugmentCommand:
         assert "PASS" in captured.out and "FAIL" not in captured.out
         assert (out / "augmented.pgm").exists()
         assert (out / "augmented_label.pgm").exists()
+
+    def test_input_scales_by_its_maxval(self, tmp_path):
+        # a maxval-15 sample reads white as 1.0, as the maxval-255 one does
+        img, lab = self.make_pair(tmp_path)
+        x255, t = cli._load_sample_pair(img, lab)
+        pixels = np.round(x255[0] * 15).astype(np.uint8)
+        img15 = tmp_path / "sample15.pgm"
+        img15.write_bytes(b"P5 32 32 15\n" + pixels.tobytes())
+        x15, t15 = cli._load_sample_pair(img15, lab)
+        assert x255.max() == x15.max() == 1.0
+        np.testing.assert_array_equal(x15, pixels[None] / np.float32(15))
+        np.testing.assert_array_equal(t15, t)
 
     @pytest.mark.parametrize("drop, failed", [
         (drop_nothing, "one full side band zeroed"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centerbias import data
+from centerbias import data, netpbm
 from centerbias.config import from_dict, to_dict
 
 
@@ -73,6 +73,16 @@ class TestBuiltinGlyphs:
         assert set(np.unique(gs.images)) <= {0.0, 1.0}
         flat = {g.tobytes() for g in gs.images}
         assert len(flat) == 10
+
+    def test_size_7_is_the_smallest_and_marks_every_glyph(self):
+        # one image pixel per font pixel: below 7 the glyphs would be blank
+        masks = data.builtin_glyphs(7).images > data.GLYPH_THRESHOLD
+        assert masks.any(axis=(1, 2)).all()
+        for size in (6, 1, 0, -3):
+            with pytest.raises(ValueError, match="must be >= 7"):
+                data.builtin_glyphs(size)
+            with pytest.raises(ValueError, match="^glyph_source: builtin"):
+                data.DatasetConfig(glyph_source=f"builtin:{size}")
 
 
 def placed_r(dx, dy, image_hw=(64, 96), object_hw=(28, 28)):
@@ -223,6 +233,17 @@ class TestSamplePlacement:
                                policy=data.Band(0.4, 0.6))
 
 
+class TestReadPnm:
+    @pytest.mark.parametrize("maxval", [15, 255])
+    def test_gray_scales_by_maxval(self, tmp_path, maxval):
+        raw = [0, maxval, maxval * 2 // 5]
+        path = tmp_path / "a.pgm"
+        path.write_bytes(f"P5 3 1 {maxval}\n".encode() + bytes(raw))
+        np.testing.assert_array_equal(netpbm.read_pnm(path), [raw])
+        np.testing.assert_allclose(netpbm.read_pnm_gray(path),
+                                   [[0.0, 1.0, raw[2] / maxval]])
+
+
 class TestBackgrounds:
     def test_smoothing_zero_is_raw_noise(self):
         from centerbias.rng import BACKGROUND, stream
@@ -230,6 +251,23 @@ class TestBackgrounds:
             data.NoisePool(smoothing=0), (16, 16), stream(123, BACKGROUND))
         raw = stream(123, BACKGROUND).random((16, 16))
         np.testing.assert_allclose(img, np.clip(raw, 0, 0.95).astype(np.float32))
+
+    def test_negative_smoothing_is_rejected(self):
+        assert data.NoisePool(0).smoothing == 0
+        with pytest.raises(ValueError, match="smoothing must be >= 0"):
+            data.NoisePool(-3)
+
+    @pytest.mark.parametrize("name, blob, value", [
+        ("bg.pgm", b"P5\n# a comment line\n3 2\n15\n" + bytes([6] * 6),
+         6 / 15),
+        ("bg.ppm", b"P6 3 2 255\n" + bytes([30, 60, 90] * 6), 60 / 255),
+    ], ids=["pgm-with-comment-maxval-15", "ppm"])
+    def test_image_dir_reads_any_header_and_maxval(self, tmp_path, name,
+                                                   blob, value):
+        (tmp_path / name).write_bytes(blob)
+        img = data.generate_background(
+            data.ImageDir(str(tmp_path)), (4, 6), np.random.default_rng(0))
+        np.testing.assert_allclose(img, np.float32(value))
 
     def test_cap(self):
         img = data.generate_background(

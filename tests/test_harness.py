@@ -383,6 +383,9 @@ class TestNormalize:
 
 
 class TestAsymmetry:
+    """The edge/center ratio of a row is `normalized[:, -1]`: its last
+    band's mean over repeats over its first band's."""
+
     @staticmethod
     def fake_record(per_repeat):
         return harness.RunRecord(config=None, per_repeat=np.array(per_repeat),
@@ -390,17 +393,19 @@ class TestAsymmetry:
 
     def test_equal_cells_ratio_one(self):
         rec = self.fake_record([[[0.5, 2.0, 0.5], [0.5, 2.0, 0.5]]])
-        assert harness.summarize_asymmetry(rec) == [1.0]
+        assert rec.normalized[:, -1].tolist() == [1.0]
 
-    def test_one_ratio_per_row_mean_over_repeats(self):
-        # one ratio per row, in row order; each is the mean over repeats of
-        # last band / first band
+    def test_one_ratio_per_row_ratio_of_repeat_means(self):
+        # one ratio per row, in row order; the mean of the per-repeat
+        # ratios differs (7.5 for row 0), and is infinite for row 3, whose
+        # first repeat has a center cell of 0
         rec = self.fake_record([
             [[1.0, 7.0, 10.0], [2.0, 7.0, 10.0]],
             [[3.0, 7.0, 1.0], [1.0, 7.0, 1.0]],
-            [[4.0, 7.0, 2.0], [4.0, 7.0, 4.0]]])
-        assert harness.summarize_asymmetry(rec) == pytest.approx(
-            [(10 + 5) / 2, (1 / 3 + 1) / 2, (0.5 + 1) / 2])
+            [[4.0, 7.0, 2.0], [4.0, 7.0, 4.0]],
+            [[0.0, 7.0, 1.0], [2.0, 7.0, 3.0]]])
+        np.testing.assert_allclose(rec.normalized[:, -1],
+                                   [10 / 1.5, 1 / 2, 3 / 4, 2.0])
 
 
 class TestExport:

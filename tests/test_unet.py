@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,17 @@ class TestBuild:
         model = unet.build_unet(unet.UNetConfig(depth=3))
         with pytest.raises(ValueError):
             unet.forward(model, np.zeros((1, 1, 30, 32), dtype=np.float32))
+
+    def test_reflect_needs_two_pixels_at_the_bottom_level(self):
+        # depth 3 pools twice: 8 px is 2 at the bottom, 4 px is 1
+        reflect = unet.UNetConfig(depth=3, padding=tc.REFLECT)
+        reflect.check_input_hw((8, 12))
+        replace(reflect, padding=tc.ZERO).check_input_hw((4, 8))
+        with pytest.raises(ValueError, match=r"^x \(4x8\) must be >= 8"):
+            reflect.check_input_hw((4, 8), "x")
+        with pytest.raises(ValueError, match="reflect padding"):
+            unet.forward(unet.build_unet(reflect),
+                         np.zeros((1, 1, 8, 4), dtype=np.float32))
 
 
 class TestForwardBackward:

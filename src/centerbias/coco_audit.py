@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +41,68 @@ class AnnotationSet:
     dropped: int = 0                         # empty after clipping
 
 
+def _elements(doc: dict, key: str):
+    """(name, element) for each element of array doc[key], each an object."""
+    for i, rec in enumerate(doc[key]):
+        where = f"{key}[{i}]"
+        if not isinstance(rec, dict):
+            raise ValueError(f"{where} must be an object, not "
+                             f"{type(rec).__name__}")
+        yield where, rec
+
+
+def _field(rec: dict, where: str, key: str, ok, what: str):
+    """rec[key], which must be present and pass `ok` (described by `what`)."""
+    if key not in rec:
+        raise ValueError(f"{where} is missing field {key!r}")
+    v = rec[key]
+    if not ok(v):
+        raise ValueError(f"{where}.{key} must be {what}, got {v!r}")
+    return v
+
+
+def _is_int(v) -> bool:
+    # a float id would alias an integer one under int(), and so would a bool
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    # finite as a float: no nan, inf or int beyond the float range
+    return (_is_int(v) or isinstance(v, float)) and \
+        abs(v) <= sys.float_info.max
+
+
+def _is_box(v) -> bool:
+    return isinstance(v, list) and len(v) == 4 and all(map(_is_number, v))
+
+
+def _by_id(doc: dict, key: str, value) -> dict:
+    """{id: value(element, name)} over array doc[key]; ids are unique ints."""
+    out = {}
+    for where, rec in _elements(doc, key):
+        rid = _field(rec, where, "id", _is_int, "an integer")
+        if rid in out:
+            raise ValueError(f"{where}.id repeats id {rid}")
+        out[rid] = value(rec, where)
+    return out
+
+
+def _image_size(rec: dict, where: str) -> tuple[float, float]:
+    return tuple(float(_field(rec, where, key,
+                              lambda v: _is_number(v) and v > 0,
+                              "a positive number"))
+                 for key in ("width", "height"))
+
+
 def parse_annotations(payload: bytes | str) -> AnnotationSet:
     """Parse COCO-style JSON (images / annotations / categories arrays).
 
-    Out-of-bounds boxes are clipped to their image; boxes that are empty
-    after clipping are dropped and counted.  An annotation referencing an
-    unknown image id is an error.
+    Every element is an object; image and category ids are integers, unique
+    within their array; image sizes are positive numbers, category names
+    strings and each bbox a list of 4 numbers.  A violation, or an
+    annotation referencing an unknown image id, is a ValueError naming the
+    element.  Out-of-bounds boxes are clipped to their image; boxes that
+    are empty after clipping are dropped and counted.
     """
     try:
         doc = json.loads(payload)
@@ -56,23 +113,20 @@ def parse_annotations(payload: bytes | str) -> AnnotationSet:
     for key in ("images", "annotations", "categories"):
         if not isinstance(doc.get(key), list):
             raise ValueError(f"annotation JSON needs a {key!r} array")
-    try:
-        images = {int(im["id"]): (float(im["width"]), float(im["height"]))
-                  for im in doc["images"]}
-        categories = {int(c["id"]): str(c["name"]) for c in doc["categories"]}
-    except KeyError as e:
-        raise ValueError(f"record missing required field {e}") from e
+    images = _by_id(doc, "images", _image_size)
+    categories = _by_id(doc, "categories", lambda rec, where: _field(
+        rec, where, "name", lambda v: isinstance(v, str), "a string"))
     annotations = []
     dropped = 0
-    for ann in doc["annotations"]:
-        try:
-            image_id = int(ann["image_id"])
-            category_id = int(ann["category_id"])
-            x, y, w, h = (float(v) for v in ann["bbox"])
-        except KeyError as e:
-            raise ValueError(f"annotation missing required field {e}") from e
+    for where, ann in _elements(doc, "annotations"):
+        image_id = _field(ann, where, "image_id", _is_int, "an integer")
+        category_id = _field(ann, where, "category_id", _is_int,
+                             "an integer")
+        x, y, w, h = map(float, _field(ann, where, "bbox", _is_box,
+                                       "a list of 4 numbers"))
         if image_id not in images:
-            raise ValueError(f"annotation references unknown image {image_id}")
+            raise ValueError(f"{where}.image_id references unknown image "
+                             f"{image_id}")
         iw, ih = images[image_id]
         x0, y0 = max(x, 0.0), max(y, 0.0)
         x1, y1 = min(x + w, iw), min(y + h, ih)

@@ -53,6 +53,8 @@ def _read(path) -> tuple[np.ndarray, int]:
     if len(payload) < need:
         raise ValueError("netpbm payload shorter than declared dims")
     img = np.frombuffer(payload[:need], dtype=np.uint8)
+    if maxval < 255 and (img > maxval).any():
+        raise ValueError(f"{path}: sample {img.max()} above maxval {maxval}")
     shape = (height, width) if channels == 1 else (height, width, 3)
     return img.reshape(shape), maxval
 

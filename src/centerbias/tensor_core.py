@@ -28,8 +28,9 @@ of a 3x3 conv reads the span shifted by (di - 1) * (W + 2) + (dj - 1)
 columns, so the conv is shift-accumulate GEMMs over contiguous slices, with
 no im2col gather (kn2row; Anderson, Vasudevan, Keane & Gregg, 2017).  Each
 conv shift-stacks its thinner side: either the nine shifted input slices
-(9*c rows, one GEMM), or the GEMM output (Z = W_taps @ X with 9*oc rows, then
-nine shifted adds).  A shift that crosses a ring reaches the guards or the
+(9*c rows, one GEMM), or the GEMM output (Z = W_taps @ X with 9*oc rows,
+then one sum over its nine shifted blocks).  Both read the same strided view
+of the taps.  A shift that crosses a ring reaches the guards or the
 neighbouring image only from ring and tail outputs, which are never read.
 
 The backward pass zeroes everything of the upstream gradient but its
@@ -239,15 +240,22 @@ def _chunks(span: int, column_bytes: int) -> list[tuple[int, int]]:
     return [(a, min(span, a + step)) for a in range(0, span, step)]
 
 
+def _shifted(rows: np.ndarray, wp: int, a: int, b: int,
+             stacked: bool = False) -> np.ndarray:
+    """(3, 3, c, b - a) view: [di, dj] is span columns [a, b) of buffer
+    `rows` shifted by (di - 1) * wp + dj - 1, on every row, or if `stacked`,
+    on tap 3 * di + dj's own block of c = rows / 9 rows."""
+    r, length = rows.shape
+    c = r // 9 if stacked else r
+    block, s = c * length * stacked, rows.itemsize
+    return np.ndarray((3, 3, c, b - a), rows.dtype, rows,
+                      (_guard(wp) + a - wp - 1) * s,
+                      ((3 * block + wp) * s, (block + 1) * s, length * s, s))
+
+
 def _taps(rows: np.ndarray, wp: int, a: int, b: int) -> np.ndarray:
-    """(9 * c, b - a) stack of span columns [a, b) of buffer `rows`, shifted
-    by each tap's offset, taps in row-major order."""
-    c, length = rows.shape
-    s = rows.itemsize
-    shifted = np.ndarray((3, 3, c, b - a), rows.dtype, rows,
-                         (_guard(wp) - wp - 1 + a) * s,
-                         (wp * s, s, length * s, s))
-    return shifted.reshape(9 * c, b - a)
+    """(9 * c, b - a) stack of the nine shifted copies of span [a, b)."""
+    return _shifted(rows, wp, a, b).reshape(-1, b - a)
 
 
 def _conv_rows(src: np.ndarray, weights: np.ndarray, wp: int,
@@ -264,18 +272,11 @@ def _conv_rows(src: np.ndarray, weights: np.ndarray, wp: int,
         return
     wt = weights.transpose(2, 3, 0, 1).reshape(9 * oc, c)
     for a, b in _chunks(span, 9 * oc * src.itemsize):
-        # Z over [a, b + 2g) holds every column the shifts read; the range
-        # starts and ends on _ALIGN boundaries like every other pixel GEMM
-        z = (wt @ src[:, a:b + 2 * g]).reshape(3, 3, oc, -1)
-        dst = out[:, g + a:g + b]
-        for di in range(3):
-            for dj in range(3):
-                start = g + (di - 1) * wp + dj - 1
-                part = z[di, dj, :, start:start + b - a]
-                if di == dj == 0:
-                    np.copyto(dst, part)
-                else:
-                    dst += part
+        # Z over [a, b + 2g) holds every column the shifts read, on _ALIGN
+        # boundaries like every pixel GEMM; the sum adds taps 0..8 in order
+        z = wt @ src[:, a:b + 2 * g]
+        np.sum(_shifted(z, wp, 0, b - a, stacked=True), axis=(0, 1),
+               out=out[:, g + a:g + b])
 
 
 def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
@@ -552,9 +553,7 @@ def softmax_cross_entropy_pixelwise(
     Z -= Z.max(axis=0)
     z_t = Z[target, cols]
     np.exp(Z, out=Z)
-    denom = Z[0].copy()
-    for row in Z[1:]:  # in class order, so the bits are fixed
-        denom += row
+    denom = Z.sum(axis=0)  # row by row in class order, so the bits are fixed
     logp_t = z_t - np.log(denom[cols])
     if not need_grad:
         return -logp_t.reshape(n, -1).sum(axis=1, dtype=np.float64) \

@@ -257,6 +257,22 @@ class TestConfigErrors:
         self.assert_one_line_error(capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--set", 'background={"kind": "image_dir", "path": "m"}'],
+        ["train", "--workers", "1", "--set",
+         'dataset.background={"kind": "image_dir", "path": "m"}'],
+    ], ids=["gen", "train"])
+    def test_an_image_dir_sample_above_maxval_exits_4_naming_the_file(
+            self, tmp_path, capsys, monkeypatch, no_samples, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m").mkdir()
+        (tmp_path / "m" / "bad.pgm").write_bytes(b"P5 2 1 15\n" +
+                                                 bytes([15, 200]))
+        assert run([*argv, "--out", "o"]) == 4
+        err = self.assert_one_line_error(capsys)
+        assert "bad.pgm" in err and "above maxval 15" in err
+        assert not (tmp_path / "o").exists()
+
     def test_asymmetry_bad_value_exits_4_before_generation(
             self, tmp_path, capsys, no_samples):
         assert run(["asymmetry", "--set", "train_count=0", "--workers", "1",
@@ -807,6 +823,98 @@ class TestAudit:
             err.count("\n") == 1, err
         assert not (tmp_path / "audit").exists()
 
+    IMAGE = {"id": 1, "width": 10, "height": 10}
+    BOX = {"image_id": 1, "category_id": 7, "bbox": [1, 1, 2, 2]}
+
+    @pytest.mark.parametrize("key,value,where", [
+        ("images", [5], "images[0]"),
+        ("annotations", ["x"], "annotations[0]"),
+        ("categories", [7], "categories[0]"),
+        ("annotations", [{**BOX, "bbox": None}], "annotations[0].bbox"),
+        ("annotations", [{**BOX, "bbox": [1, 1, 2]}], "annotations[0].bbox"),
+        ("annotations", [{**BOX, "bbox": [1, 1, "2", 2]}],
+         "annotations[0].bbox"),
+        ("annotations", [{**BOX, "image_id": 1.0}], "annotations[0].image_id"),
+        ("annotations", [{**BOX, "category_id": True}],
+         "annotations[0].category_id"),
+        ("annotations", [{**BOX, "image_id": 3}], "annotations[0].image_id"),
+        ("images", [{**IMAGE, "id": 1.7}, {"id": 1, "width": 20,
+                                           "height": 20}], "images[0].id"),
+        ("images", [IMAGE, {"id": 1, "width": 20, "height": 20}],
+         "images[1].id"),
+        ("images", [{**IMAGE, "width": "10"}], "images[0].width"),
+        ("images", [{**IMAGE, "height": None}], "images[0].height"),
+        ("images", [{"width": 10, "height": 10}], "images[0]"),
+        ("categories", [{"id": 7, "name": "widget"},
+                        {"id": 7, "name": "gadget"}], "categories[1].id"),
+        ("categories", [{"id": 7, "name": 7}], "categories[0].name"),
+        ("images", [{**IMAGE, "width": 1e400}], "images[0].width"),
+        ("images", [{**IMAGE, "height": 10 ** 400}], "images[0].height"),
+        ("images", [{**IMAGE, "width": 0}], "images[0].width"),
+    ], ids=["image-int", "annotation-str", "category-int", "bbox-null",
+            "bbox-3-numbers", "bbox-str", "image_id-float",
+            "category_id-bool", "unknown-image", "float-id-aliasing-1",
+            "duplicate-image-id", "width-str", "height-null", "id-missing",
+            "duplicate-category-id", "name-int", "width-inf",
+            "height-huge-int", "width-0"])
+    def test_a_malformed_element_exits_4_naming_it(self, tmp_path, capsys,
+                                                   key, value, where):
+        doc = {"images": [self.IMAGE], "annotations": [self.BOX],
+               "categories": [{"id": 7, "name": "widget"}], key: value}
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(doc))
+        assert run(["audit", "--annotations", str(ann), "--category",
+                    "widget", "--out", str(tmp_path / "audit")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
+        assert not (tmp_path / "audit").exists()
+
+    def test_coco_extra_keys_keep_the_heatmap_bytes(self, tmp_path, capsys):
+        # COCO's segmentation / area / iscrowd / file_name / supercategory
+        # and a top-level info block are ignored; one box is clipped and one
+        # dropped.  Digests of the files written before elements were checked
+        doc = {
+            "info": {"description": "extra keys"},
+            "images": [
+                {"id": 1, "width": 100, "height": 100, "file_name": "a.jpg"},
+                {"id": 2, "width": 200, "height": 50, "file_name": "b.jpg"},
+                {"id": 3, "width": 64.5, "height": 80, "file_name": "c.jpg"}],
+            "annotations": [
+                {"id": 10, "image_id": 1, "category_id": 7,
+                 "bbox": [40, 40, 20, 20], "area": 400.0, "iscrowd": 0,
+                 "segmentation": [[40, 40, 60, 40, 60, 60]]},
+                {"id": 11, "image_id": 2, "category_id": 7,
+                 "bbox": [150, 10, 80, 30], "segmentation": [],
+                 "area": 2400.0, "iscrowd": 0},
+                {"id": 12, "image_id": 3, "category_id": 7,
+                 "bbox": [1.5, 2, 3, 70.25], "segmentation": [],
+                 "area": 210.75, "iscrowd": 1},
+                {"id": 13, "image_id": 3, "category_id": 9,
+                 "bbox": [0, 0, 10, 10], "segmentation": [], "area": 100.0,
+                 "iscrowd": 0},
+                {"id": 14, "image_id": 1, "category_id": 7,
+                 "bbox": [120, 0, 5, 5], "segmentation": [], "area": 25.0,
+                 "iscrowd": 0}],
+            "categories": [
+                {"id": 7, "name": "widget", "supercategory": "thing"},
+                {"id": 9, "name": "gadget", "supercategory": "thing"}],
+        }
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(doc))
+        out = tmp_path / "audit"
+        assert run(["audit", "--annotations", str(ann), "--category",
+                    "widget", "--grid", "8", "--mode", "both",
+                    "--out", str(out)]) == 0
+        assert "3 annotations, grid 8, dropped 1" in capsys.readouterr().out
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                   for p in out.iterdir()}
+        assert digests == {
+            "heatmap_bbox_widget.csv": "c6d538da2b4f2eb1",
+            "heatmap_bbox_widget.pgm": "a330bd3cf8d37a87",
+            "heatmap_centroid_widget.csv": "af44f4ae5129d542",
+            "heatmap_centroid_widget.pgm": "48553f726b56756d",
+        }
+
 
 class TestClosesFiles:
     """Every reader closes what it opens: no ResourceWarning."""
@@ -1135,6 +1243,22 @@ class TestAugmentCommand:
         assert x255.max() == x15.max() == 1.0
         np.testing.assert_array_equal(x15, pixels[None] / np.float32(15))
         np.testing.assert_array_equal(t15, t)
+
+    def test_input_sample_above_maxval_exits_4_naming_the_file(
+            self, tmp_path, capsys):
+        img, lab = self.make_pair(tmp_path)
+        bad = tmp_path / "bad.pgm"
+        pixels = netpbm.read_pnm(img) // 17
+        pixels[0, 1] = 200
+        bad.write_bytes(b"P5 32 32 15\n" + pixels.tobytes())
+        capsys.readouterr()
+        assert run(["augment", "--input", str(bad), "--label", str(lab),
+                    "--transform", "edge-drop", "--band-width", "4",
+                    "--out", str(tmp_path / "aug")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(bad) in err and "above maxval 15" in err
+        assert not (tmp_path / "aug").exists()
 
     @pytest.mark.parametrize("drop, failed", [
         (drop_nothing, "one full side band zeroed"),

@@ -243,6 +243,19 @@ class TestReadPnm:
         np.testing.assert_allclose(netpbm.read_pnm_gray(path),
                                    [[0.0, 1.0, raw[2] / maxval]])
 
+    @pytest.mark.parametrize("name, blob", [
+        ("a.pgm", b"P5 2 1 15\n" + bytes([15, 200])),
+        ("a.ppm", b"P6 2 1 100\n" + bytes([0, 0, 0, 100, 101, 100])),
+    ], ids=["P5", "P6"])
+    def test_a_sample_above_maxval_is_rejected_naming_the_file(
+            self, tmp_path, name, blob):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        for read in (netpbm.read_pnm, netpbm.read_pnm_gray):
+            with pytest.raises(ValueError, match=f"{name}: sample .* above "
+                                                 f"maxval"):
+                read(path)
+
 
 class TestBackgrounds:
     def test_smoothing_zero_is_raw_noise(self):

@@ -718,3 +718,94 @@ class TestFiniteness:
             assert np.isfinite(gx).all()
             assert np.isfinite(gw).all()
             assert np.isfinite(gb).all()
+
+
+def _nine_add_conv_rows(src, weights, wp, out):
+    """Reference output-side stacking: the shifted-add loop that the one
+    `np.sum` over the tap view replaced, chunk for chunk; the input side
+    (c <= oc) is unchanged and runs through tc._taps."""
+    oc, c = weights.shape[:2]
+    g = tc._guard(wp)
+    span = out.shape[1] - 2 * g
+    if c <= oc:
+        w2 = weights.transpose(0, 2, 3, 1).reshape(oc, 9 * c)
+        for a, b in tc._chunks(span, 9 * c * src.itemsize):
+            np.matmul(w2, tc._taps(src, wp, a, b), out=out[:, g + a:g + b])
+        return
+    wt = weights.transpose(2, 3, 0, 1).reshape(9 * oc, c)
+    for a, b in tc._chunks(span, 9 * oc * src.itemsize):
+        z = (wt @ src[:, a:b + 2 * g]).reshape(3, 3, oc, -1)
+        dst = out[:, g + a:g + b]
+        for di in range(3):
+            for dj in range(3):
+                start = g + (di - 1) * wp + dj - 1
+                part = z[di, dj, :, start:start + b - a]
+                if di == dj == 0:
+                    np.copyto(dst, part)
+                else:
+                    dst += part
+
+
+def _class_loop_losses(logits, target):
+    """Reference per-image losses of softmax_cross_entropy_pixelwise
+    (need_grad=False), its denominator summed by a loop over the classes."""
+    k, n, hp, wp = logits.shape
+    h, w = hp - 2, wp - 2
+    g = tc._guard(wp)
+    Z = logits.base[:, g:g + n * hp * wp]
+    cols = (np.arange(n)[:, None, None] * (hp * wp)
+            + np.arange(1, h + 1)[:, None] * wp + np.arange(1, w + 1))
+    Z -= Z.max(axis=0)
+    z_t = Z[target, cols]
+    np.exp(Z, out=Z)
+    denom = Z[0].copy()
+    for row in Z[1:]:
+        denom += row
+    logp_t = z_t - np.log(denom[cols])
+    return -logp_t.reshape(n, -1).sum(axis=1, dtype=np.float64) / (h * w)
+
+
+class TestSumOrder:
+    """The two sums whose order the pinned bits depend on: the nine taps of
+    an output-stacked conv (in row-major tap order) and the softmax
+    denominator (in class order)."""
+
+    @pytest.mark.parametrize("mode", [tc.ZERO, tc.CIRCULAR, tc.REFLECT],
+                             ids=["zero", "circular", "reflect"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_side_conv_keeps_the_nine_add_bits(self, mode, dtype,
+                                                      monkeypatch):
+        # forward with c > oc and grad-input with c < oc both stack the
+        # output side; 64x96 images make the loop run over two chunks
+        rng = np.random.default_rng(21)
+
+        def run(cin, cout):
+            x = rng.standard_normal((3, cin, 64, 96)).astype(dtype)
+            w = rng.standard_normal((cout, cin, 3, 3)).astype(dtype)
+            g = rng.standard_normal((3, cout, 64, 96)).astype(dtype)
+            spec = tc.ConvSpec(cin, cout, 3, mode)
+            results = []
+            for conv_rows in (tc._conv_rows, _nine_add_conv_rows):
+                monkeypatch.setattr(tc, "_conv_rows", conv_rows)
+                y, tape = tc.conv2d_forward(tc.to_frame(x), w,
+                                            np.zeros(cout, dtype), spec)
+                gx, _, _ = tc.conv2d_backward(tape, tc.to_frame(g))
+                results.append((y.base.tobytes(), gx.base.tobytes()))
+            monkeypatch.undo()
+            return results
+
+        (y, _), (y_ref, _) = run(8, 2)
+        assert y == y_ref
+        (_, gx), (_, gx_ref) = run(2, 8)
+        assert gx == gx_ref
+
+    def test_loss_denominator_keeps_the_class_loop_bits(self):
+        # 2x2 images whose targets are the top class: each loss is a mean of
+        # four small log-denominators, so one ulp of a denominator shows
+        rng = np.random.default_rng(22)
+        logits = 3 * rng.standard_normal((64, 11, 2, 2))
+        target = logits.argmax(axis=1)
+        losses, _ = tc.softmax_cross_entropy_pixelwise(
+            tc.to_frame(logits), target, need_grad=False)
+        ref = _class_loop_losses(tc.to_frame(logits), target)
+        assert losses.tobytes() == ref.tobytes()

@@ -31,9 +31,26 @@ def read_pnm(path) -> np.ndarray:
 
 
 def _read(path) -> tuple[np.ndarray, int]:
-    """read_pnm's array and the header's maxval."""
+    """read_pnm's array and the header's maxval; every ValueError names
+    `path`."""
     with open(path, "rb") as f:
         data = f.read()
+    try:
+        return _parse(data)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _positive(token: bytes, what: str) -> int:
+    """A header field that must be a positive decimal integer."""
+    if not (token.isdigit() and int(token) > 0):
+        raise ValueError(f"netpbm {what} must be a positive integer, got "
+                         f"{token.decode('latin-1')!r}")
+    return int(token)
+
+
+def _parse(data: bytes) -> tuple[np.ndarray, int]:
+    """_read on the file's bytes."""
     toks = _tokens(data)
     magic, _ = next(toks)
     if magic == b"P5":
@@ -42,11 +59,11 @@ def _read(path) -> tuple[np.ndarray, int]:
         channels = 3
     else:
         raise ValueError(f"unsupported netpbm magic {magic!r}")
-    width, _ = next(toks)
-    height, _ = next(toks)
-    maxval, end = next(toks)
-    width, height, maxval = int(width), int(height), int(maxval)
-    if not 0 < maxval <= 255:
+    width = _positive(next(toks)[0], "width")
+    height = _positive(next(toks)[0], "height")
+    token, end = next(toks)
+    maxval = _positive(token, "maxval")
+    if maxval > 255:
         raise ValueError(f"unsupported maxval {maxval}")
     payload = data[end + 1:]
     need = width * height * channels
@@ -54,7 +71,7 @@ def _read(path) -> tuple[np.ndarray, int]:
         raise ValueError("netpbm payload shorter than declared dims")
     img = np.frombuffer(payload[:need], dtype=np.uint8)
     if maxval < 255 and (img > maxval).any():
-        raise ValueError(f"{path}: sample {img.max()} above maxval {maxval}")
+        raise ValueError(f"sample {img.max()} above maxval {maxval}")
     shape = (height, width) if channels == 1 else (height, width, 3)
     return img.reshape(shape), maxval
 

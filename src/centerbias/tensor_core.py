@@ -36,12 +36,11 @@ neighbouring image only from ring and tail outputs, which are never read.
 The backward pass zeroes everything of the upstream gradient but its
 interior, since only interior outputs exist.  grad-W and grad-bias are GEMMs
 against the same shifted slices.  grad-input is the same conv run on the
-upstream with the flipped, transposed taps: a circular border first wraps the
-upstream's ring, which yields the input gradient directly; a reflect border
-computes the gradient over the whole frame, ring included, and folds the ring
-back onto the interior pixels it copies.  A caller can ask for grad-input
-alone (a saliency map) or for grad-W and grad-bias alone (the network's first
-conv in training); the other side is then skipped.
+upstream with the flipped, transposed taps, over the whole frame; a circular
+or reflect border then folds the ring back onto the interior pixels it
+copies, reading `pad`'s table of ring sources.  A caller can ask for
+grad-input alone (a saliency map) or for grad-W and grad-bias alone (the
+network's first conv in training); the other side is then skipped.
 """
 
 from __future__ import annotations
@@ -165,6 +164,11 @@ def from_frame(f: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(f[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3))
 
 
+# the frame row (column) each copy border's first and last ring row (column)
+# copies; `pad` and its adjoint `_fold` both read it
+_RING_SOURCES = {"circular": (-2, 1), "reflect": (2, -3)}
+
+
 def pad(x: np.ndarray, mode: PaddingMode) -> np.ndarray:
     """Fill the ring of frame `x` in place per mode; returns `x`.
 
@@ -176,17 +180,14 @@ def pad(x: np.ndarray, mode: PaddingMode) -> np.ndarray:
     if mode.kind == "zero":
         _zero_ring(x)
         return x
-    if mode.kind == "circular":
-        src = (-2, 1)
-    elif min(h, w) < 2:
+    if mode.kind == "reflect" and min(h, w) < 2:
         raise ValueError(f"reflect padding needs spatial dims >= 2, "
                          f"got {h}x{w}")
-    else:
-        src = (2, -3)
-    x[:, :, 1:-1, 0] = x[:, :, 1:-1, src[0]]
-    x[:, :, 1:-1, -1] = x[:, :, 1:-1, src[1]]
-    x[:, :, 0] = x[:, :, src[0]]
-    x[:, :, -1] = x[:, :, src[1]]
+    first, last = _RING_SOURCES[mode.kind]
+    x[:, :, 1:-1, 0] = x[:, :, 1:-1, first]
+    x[:, :, 1:-1, -1] = x[:, :, 1:-1, last]
+    x[:, :, 0] = x[:, :, first]
+    x[:, :, -1] = x[:, :, last]
     return x
 
 
@@ -309,13 +310,14 @@ def conv2d_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     return y, tape
 
 
-def _fold_reflect(f: np.ndarray) -> None:
-    """Adjoint of reflect `pad`, in place: add each ring gradient onto the
-    interior pixel it copies (rows first, so corners fold twice)."""
-    f[:, :, 2] += f[:, :, 0]
-    f[:, :, -3] += f[:, :, -1]
-    f[:, :, :, 2] += f[:, :, :, 0]
-    f[:, :, :, -3] += f[:, :, :, -1]
+def _fold(f: np.ndarray, mode: PaddingMode) -> None:
+    """Adjoint of a copy border's `pad`, in place: add each ring gradient
+    onto the interior pixel it copies (rows first, so corners fold twice)."""
+    first, last = _RING_SOURCES[mode.kind]
+    f[:, :, first] += f[:, :, 0]
+    f[:, :, last] += f[:, :, -1]
+    f[:, :, :, first] += f[:, :, :, 0]
+    f[:, :, :, last] += f[:, :, :, -1]
 
 
 def conv2d_backward(tape: ConvTape, upstream: np.ndarray, *,
@@ -365,7 +367,7 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray, *,
     # flipped taps, whose offsets are -off(t)
     span = G.shape[1] - 2 * g
     flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    fused = False
+    fused = need_params and need_input and c >= oc
     if need_params and c < oc:
         grad_weights = np.zeros((oc, 9 * c), dtype=G.dtype)
         for a, b in _chunks(span, 9 * c * X.itemsize):
@@ -373,9 +375,8 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray, *,
         grad_weights = grad_weights.reshape(oc, 3, 3, c).transpose(0, 3, 1, 2)
     elif need_params:
         # the upstream's tap stack feeds grad-W (its block t pairs with tap
-        # 8 - t) and, unless the ring must first be wrapped, grad-input: it
-        # is the stack _conv_rows would build, in the same chunks
-        fused = need_input and spec.mode.kind != "circular"
+        # 8 - t) and, when fused, grad-input: it is the stack _conv_rows
+        # would build, in the same chunks
         w2 = flipped.transpose(0, 2, 3, 1).reshape(c, 9 * oc)
         grad_weights = np.zeros((9 * oc, c), dtype=G.dtype)
         for a, b in _chunks(span, 9 * oc * G.itemsize):
@@ -389,12 +390,9 @@ def conv2d_backward(tape: ConvTape, upstream: np.ndarray, *,
         grad_weights = np.ascontiguousarray(grad_weights)
 
     if need_input and not fused:
-        if spec.mode.kind == "circular":
-            # input pixels on one edge also feed the outputs across the wrap
-            pad(upstream, CIRCULAR)
         _conv_rows(G, flipped, wp, GX)
-    if need_input and spec.mode.kind == "reflect":
-        _fold_reflect(gx)
+    if need_input and spec.mode.kind != "zero":
+        _fold(gx, spec.mode)
     return gx, grad_weights, grad_bias
 
 

@@ -1306,6 +1306,68 @@ class TestAugmentCommand:
         assert set(kinds) == set(augment._AUGMENTS.values())
 
 
+
+# malformed netpbm files, each with a phrase of its error
+MALFORMED_PNM = [
+    pytest.param(b"P5 0 4 255\n", "width must be a positive integer, "
+                 "got '0'", id="zero-width"),
+    pytest.param(b"P5 -4 4 255\n" + bytes(32), "width must be a positive "
+                 "integer, got '-4'", id="negative-width"),
+    pytest.param(b"P5 four 4 255\n" + bytes(16), "width must be a positive "
+                 "integer, got 'four'", id="word-width"),
+    pytest.param(b"P5 4 4 255\n" + bytes(8),
+                 "payload shorter than declared dims", id="short-payload"),
+    pytest.param(b"P5 4 4 300\n" + bytes(16), "unsupported maxval 300",
+                 id="maxval-300"),
+    pytest.param(b"P2 4 4 255\n" + bytes(16), "unsupported netpbm magic",
+                 id="bad-magic"),
+    pytest.param(b"P5 4 4", "truncated netpbm header", id="short-header"),
+]
+
+
+class TestMalformedNetpbm:
+    """A malformed input image is an error naming the file: a ValueError
+    from the reader, exit 4 with one `error:` line from the CLI."""
+
+    @pytest.mark.parametrize("blob, phrase", MALFORMED_PNM)
+    def test_read_pnm_gray_names_the_file(self, tmp_path, blob, phrase):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as e:
+            netpbm.read_pnm_gray(path)
+        assert str(e.value).startswith(f"{path}: ") and phrase in str(e.value)
+
+    def assert_exits_4_naming(self, argv, path, phrase, capsys):
+        capsys.readouterr()
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{path}: " in err and phrase in err, err
+
+    @pytest.mark.parametrize("blob, phrase", MALFORMED_PNM)
+    def test_gen_image_dir_exits_4(self, tmp_path, capsys, blob, phrase):
+        (tmp_path / "m").mkdir()
+        path = tmp_path / "m" / "bad.pgm"
+        path.write_bytes(blob)
+        background = json.dumps({"kind": "image_dir",
+                                  "path": str(tmp_path / "m")})
+        self.assert_exits_4_naming(
+            ["gen", "--count", "1", "--set", f"background={background}",
+             "--out", str(tmp_path / "o")], path, phrase, capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("blob, phrase", MALFORMED_PNM)
+    def test_augment_input_exits_4(self, tmp_path, capsys, blob, phrase):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        label = tmp_path / "label.pgm"
+        netpbm.write_pgm(label, np.zeros((4, 4), np.uint8))
+        self.assert_exits_4_naming(
+            ["augment", "--input", str(path), "--label", str(label),
+             "--transform", "edge-drop", "--band-width", "1",
+             "--out", str(tmp_path / "aug")], path, phrase, capsys)
+        assert not (tmp_path / "aug").exists()
+
 class TestGradcheckCommand:
     def test_clean_build_passes(self, capsys):
         assert run(["gradcheck"]) == 0

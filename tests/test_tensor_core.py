@@ -202,8 +202,8 @@ class TestConvBackward:
 
     @pytest.mark.parametrize("cin,cout", [(1, 3), (3, 3), (4, 2)])
     def test_finite_difference_circular_one_pixel_high(self, cin, cout):
-        # on a 1-row image both ring rows copy the same row, so the wrap
-        # folds three output rows onto one input row
+        # on a 1-row image both ring rows copy the one pixel row, so the
+        # fold adds both ring rows' gradients onto it
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, cin, 1, 3))
         w = rng.standard_normal((cout, cin, 3, 3))
@@ -326,17 +326,23 @@ class TestConvBackward:
             conv_backward_nchw(tape, np.zeros((1, 1, 2, 2)))
 
 
-def _pad_adjoint_scatter(gxp, a, h, w):
-    """Reference adjoint of reflect `pad`: scatter-add every padded pixel onto
-    the source pixel it copies, rows then columns, in ascending padded
-    order."""
+def _mirror(padded_len, size):
+    """Source index of each padded row (column) under reflect `pad`."""
+    i = np.abs(np.arange(padded_len) - 1)
+    return np.where(i >= size, 2 * size - 2 - i, i)
+
+
+def _wrap(padded_len, size):
+    """Source index of each padded row (column) under circular `pad`."""
+    return (np.arange(padded_len) - 1) % size
+
+
+def _pad_adjoint_scatter(gxp, h, w, source):
+    """Reference adjoint of a copy border's `pad`: scatter-add every padded
+    pixel onto the source pixel it copies, rows then columns, in ascending
+    padded order."""
     hp, wp = gxp.shape[2], gxp.shape[3]
-
-    def mirror(padded_len, size):
-        i = np.abs(np.arange(padded_len) - a)
-        return np.where(i >= size, 2 * size - 2 - i, i)
-
-    ih, iw = mirror(hp, h), mirror(wp, w)
+    ih, iw = source(hp, h), source(wp, w)
     tmp = np.zeros(gxp.shape[:2] + (h, wp), dtype=gxp.dtype)
     np.add.at(tmp.transpose(2, 0, 1, 3), ih, gxp.transpose(2, 0, 1, 3))
     out = np.zeros(gxp.shape[:2] + (h, w), dtype=gxp.dtype)
@@ -344,20 +350,89 @@ def _pad_adjoint_scatter(gxp, a, h, w):
     return out
 
 
+def _wrap_first_circular_backward(tape, upstream):
+    """Reference circular 3x3 conv2d_backward by the rule that the fold
+    replaced: grad-W and grad-bias by the same chunked GEMMs, and grad-input
+    by the conv of the upstream whose ring was first wrapped, not folded.
+    `upstream` has a zero ring, guards and tail, as to_frame's has."""
+    oc, c = tape.weights.shape[:2]
+    _, n, hp, wp = upstream.shape
+    g = tc._guard(wp)
+    G, X = upstream.base, tape.padded.base
+    span = G.shape[1] - 2 * g
+    gb = G.sum(axis=1)
+    if c < oc:
+        gw = np.zeros((oc, 9 * c), dtype=G.dtype)
+        for a, b in tc._chunks(span, 9 * c * X.itemsize):
+            gw += G[:, g + a:g + b] @ tc._taps(X, wp, a, b).T
+        gw = gw.reshape(oc, 3, 3, c).transpose(0, 3, 1, 2)
+    else:
+        gw = np.zeros((9 * oc, c), dtype=G.dtype)
+        for a, b in tc._chunks(span, 9 * oc * G.itemsize):
+            gw += tc._taps(G, wp, a, b) @ X[:, g + a:g + b].T
+        gw = gw.reshape(3, 3, oc, c)[::-1, ::-1].transpose(2, 3, 0, 1)
+    # input pixels on one edge also feed the outputs across the wrap
+    upstream[:, :, 1:-1, 0] = upstream[:, :, 1:-1, -2]
+    upstream[:, :, 1:-1, -1] = upstream[:, :, 1:-1, 1]
+    upstream[:, :, 0] = upstream[:, :, -2]
+    upstream[:, :, -1] = upstream[:, :, 1]
+    gx = tc.new_frame(c, n, hp - 2, wp - 2, G.dtype)
+    flipped = tape.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    tc._conv_rows(G, flipped, wp, gx.base)
+    return gx, np.ascontiguousarray(gw), gb
+
+
 class TestPadAdjoint:
-    @pytest.mark.parametrize("a,h,w", [(1, 6, 9), (1, 2, 2)])
-    def test_matches_scatter_reference_exactly(self, a, h, w):
-        rng = np.random.default_rng(a * 100 + h * 10 + w)
+    @pytest.mark.parametrize("mode,source,h,w", [
+        (tc.REFLECT, _mirror, 6, 9), (tc.REFLECT, _mirror, 2, 2),
+        (tc.CIRCULAR, _wrap, 6, 9), (tc.CIRCULAR, _wrap, 2, 2),
+        # both ring rows (or columns) copy the one pixel row (column)
+        (tc.CIRCULAR, _wrap, 1, 5), (tc.CIRCULAR, _wrap, 4, 1),
+    ], ids=["reflect-6x9", "reflect-2x2", "circular-6x9", "circular-2x2",
+            "circular-1-row", "circular-1-col"])
+    def test_matches_scatter_reference_exactly(self, mode, source, h, w):
+        rng = np.random.default_rng(100 + 10 * h + w)
         for dtype in (np.float32, np.float64):
-            gxp = rng.standard_normal((2, 3, h + 2 * a, w + 2 * a)).astype(
-                dtype)
+            gxp = rng.standard_normal((2, 3, h + 2, w + 2)).astype(dtype)
             frame = tc.to_frame(np.zeros((2, 3, h, w), dtype=dtype))
             frame[...] = gxp.transpose(1, 0, 2, 3)
-            tc._fold_reflect(frame)
+            tc._fold(frame, mode)
             out = tc.from_frame(frame)
             assert out.dtype == dtype
             np.testing.assert_array_equal(
-                out, _pad_adjoint_scatter(gxp, a, h, w))
+                out, _pad_adjoint_scatter(gxp, h, w, source))
+
+    @pytest.mark.parametrize("need_params", [True, False])
+    @pytest.mark.parametrize("dtype,ring_tol", [(np.float32, 1e-6),
+                                                (np.float64, 1e-12)],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("cin,cout", [(2, 8), (8, 2), (8, 8)])
+    def test_circular_fold_keeps_the_wrap_first_bits_inside_the_ring(
+            self, cin, cout, dtype, ring_tol, need_params):
+        # 64x96 images make the column loops run over several chunks; the
+        # two rules sum an edge pixel's terms in different orders, so only
+        # the outermost pixel ring may differ, by rounding
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((3, cin, 64, 96)).astype(dtype)
+        w = rng.standard_normal((cout, cin, 3, 3)).astype(dtype)
+        g = rng.standard_normal((3, cout, 64, 96)).astype(dtype)
+        spec = tc.ConvSpec(cin, cout, 3, tc.CIRCULAR)
+        _, tape = tc.conv2d_forward(tc.to_frame(x), w,
+                                    np.zeros(cout, dtype), spec)
+        gx, gw, gb = tc.conv2d_backward(tape, tc.to_frame(g),
+                                        need_params=need_params)
+        ref_gx, ref_gw, ref_gb = _wrap_first_circular_backward(
+            tape, tc.to_frame(g))
+        if need_params:
+            assert gw.tobytes() == ref_gw.tobytes()
+            assert gb.tobytes() == ref_gb.tobytes()
+        else:
+            assert gw is None and gb is None
+        got, ref = tc.from_frame(gx), tc.from_frame(ref_gx)
+        inner = (slice(None), slice(None), slice(1, -1), slice(1, -1))
+        assert got[inner].tobytes() == ref[inner].tobytes()
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=ring_tol * np.abs(ref).max())
 
 
 class TestMaxPool:
